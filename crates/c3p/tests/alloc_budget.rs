@@ -14,6 +14,8 @@
 //! evaluations counted. Single-threaded, so the measurement covers the
 //! whole search — no churn hides on pool threads.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use baton_arch::{presets, Technology};
 use baton_c3p::{search_layer, sweep_lanes_for, Objective};
 use baton_mapping::enumerate::{enumerate_into, EnumOptions};
@@ -46,6 +48,16 @@ const ALLOCS_PER_EVAL_BUDGET: f64 = 50.0;
 /// paid ~15 allocations per candidate just building profiles).
 const SWEEP_ALLOCS_PER_POINT_BUDGET: f64 = 5.0;
 
+/// The ledger is process-global and the test harness runs tests on
+/// parallel threads, so every test here that allocates or reads the
+/// ledger holds this lock: a measurement window must see only its own
+/// test's allocations.
+static LEDGER: Mutex<()> = Mutex::new(());
+
+fn exclusive_ledger() -> MutexGuard<'static, ()> {
+    LEDGER.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn bench_layer() -> ConvSpec {
     // AlexNet conv2-shaped: big enough for a few thousand evaluations,
     // small enough that five repeats stay under a second in debug builds.
@@ -54,6 +66,7 @@ fn bench_layer() -> ConvSpec {
 
 #[test]
 fn steady_state_search_stays_within_the_allocation_budget() {
+    let _ledger = exclusive_ledger();
     // One worker: the sequential fast path runs the whole search on this
     // thread, so the process-global ledger delta is exactly the search's.
     baton_parallel::configure_threads(Some(1));
@@ -102,6 +115,7 @@ fn steady_state_search_stays_within_the_allocation_budget() {
 
 #[test]
 fn steady_state_sweep_repricing_stays_within_the_allocation_budget() {
+    let _ledger = exclusive_ledger();
     // Single worker, session attached: same methodology as the search
     // gate, but driving the sweep's streaming repricer directly — one
     // `(geometry, O-L1)` unit's worth of work per rep: check lanes out of
@@ -186,6 +200,7 @@ fn steady_state_sweep_repricing_stays_within_the_allocation_budget() {
 
 #[test]
 fn alloc_scope_attributes_this_threads_churn() {
+    let _ledger = exclusive_ledger();
     // With the allocator actually installed, a scope must see exactly the
     // churn this thread performs — the library unit tests can only assert
     // the inert (uninstalled) behavior.

@@ -44,12 +44,25 @@
 //! of letting accepts pile up — back-pressure is visible in
 //! `baton_parallel_queue_depth{queue="http"}` before the first rejection.
 //!
-//! `POST /quitquitquit` (or [`request_shutdown`] from a signal handler)
+//! `POST /quitquitquit` (or [`request_shutdown`] from a supervisor hook)
 //! starts a **graceful drain**: the acceptor stops accepting (subsequent
 //! connects are refused), `/readyz` flips to 503 `draining` so load
 //! balancers stop routing here, queued and in-flight requests complete,
 //! workers exit, and a final metrics snapshot is flushed before [`serve`]
 //! returns `Ok` — a supervisor sees exit code 0.
+//!
+//! # Network path
+//!
+//! No response waits on a TCP timer. Every accepted socket sets
+//! `TCP_NODELAY`, and every response — status line, headers and body — is
+//! assembled in one buffer and handed to the socket in one `write_all`, so
+//! a keep-alive client never waits for a delayed ACK between head and
+//! body. The acceptor blocks in `accept`; a drain wakes it with a
+//! throwaway connection to the bound address, which it drops unqueued.
+//! The request head is bounded too: a request line or header line longer
+//! than 8 KiB, or more than 100 headers, is answered 400/431 and the
+//! connection closed, as is any `Content-Length` the server cannot trust
+//! (non-numeric, or two that disagree) and any `Transfer-Encoding`.
 //!
 //! # Request tracing and the flight recorder
 //!
@@ -73,7 +86,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -108,9 +121,21 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// `Retry-After` seconds answered with a 429 when the queue is full.
 const RETRY_AFTER_SECS: u32 = 1;
 
-/// How often the (non-blocking) acceptor polls between connections — the
-/// latency ceiling on noticing a drain request.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// Pause after a failed `accept` (e.g. EMFILE), so a persistent error
+/// cannot spin the acceptor.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long a drain's wake-up connection may take to reach the listener.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Longest request line or header line accepted, line end included.
+const MAX_HEAD_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines accepted in one request head.
+const MAX_HEADERS: usize = 100;
+
+/// Room reserved for the status line and headers of a response.
+const HEAD_CAPACITY: usize = 256;
 
 const REQUESTS_TOTAL: &str = "baton_http_requests_total";
 const REQUESTS_HELP: &str = "HTTP requests served, by canonical path and status code.";
@@ -498,12 +523,34 @@ pub fn cache_key_for(endpoint: &str, body: &str) -> Result<String, String> {
 /// [`request_shutdown`] (e.g. from a supervisor's signal hook).
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
+/// Where a drain connects to wake the acceptor out of its blocking
+/// `accept`: the bound address with a wildcard host mapped to loopback.
+/// Set at bind time, cleared once the acceptor has returned.
+static WAKE_ADDR: Mutex<Option<SocketAddr>> = Mutex::new(None);
+
 /// Asks a running [`serve`] loop to drain and return: stop accepting,
 /// finish queued and in-flight requests, flush a final metrics snapshot.
-/// Safe to call from any thread (it only stores an atomic flag, so it is
-/// async-signal-safe enough for a signal-handler shim).
+/// Safe to call from any thread: it stores the drain flag, then opens and
+/// drops one connection to the listener so the blocked acceptor sees it.
+/// (A signal handler should forward to a thread that calls this.)
 pub fn request_shutdown() {
     SHUTDOWN.store(true, Ordering::Release);
+    let wake = *WAKE_ADDR.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(addr) = wake {
+        let _ = TcpStream::connect_timeout(&addr, WAKE_CONNECT_TIMEOUT);
+    }
+}
+
+/// The address a wake-up connection must dial to reach a listener bound
+/// to `bound`: a wildcard host (`0.0.0.0`, `::`) is not connectable, so it
+/// becomes the loopback address of the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 fn shutting_down() -> bool {
@@ -528,17 +575,19 @@ struct ServerState {
 struct Response {
     status: u16,
     content_type: &'static str,
-    body: String,
+    /// Shared with the response cache on hits and stores, so the body is
+    /// copied only into the outgoing write buffer.
+    body: Arc<String>,
     /// 429s advertise when to come back.
     retry_after: Option<u32>,
 }
 
 impl Response {
-    fn json(status: u16, body: String) -> Self {
+    fn json(status: u16, body: impl Into<Arc<String>>) -> Self {
         Response {
             status,
             content_type: "application/json",
-            body,
+            body: body.into(),
             retry_after: None,
         }
     }
@@ -564,6 +613,7 @@ fn status_text(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
@@ -682,11 +732,8 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
     let local = listener
         .local_addr()
         .map_err(|e| format!("cannot resolve bound address: {e}"))?;
-    // Non-blocking accepts let the acceptor notice a drain request within
-    // ACCEPT_POLL even when no connection ever arrives to wake it.
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot configure listener: {e}"))?;
+    // The acceptor blocks in accept(); a drain wakes it by connecting here.
+    *WAKE_ADDR.lock().unwrap_or_else(PoisonError::into_inner) = Some(wake_addr(local));
     let state = Arc::new(ServerState {
         started: Instant::now(),
         warm: AtomicBool::new(false),
@@ -734,6 +781,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
 
     // Drain: refuse new connects immediately, let queued + in-flight
     // requests finish, then flush the final snapshot.
+    *WAKE_ADDR.lock().unwrap_or_else(PoisonError::into_inner) = None;
     drop(listener);
     queue.close();
     for h in handles {
@@ -746,32 +794,32 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
 /// Accepts connections and hands them to the worker queue until a drain is
 /// requested, answering 429 the moment the queue is full — the acceptor
 /// never reads from a socket, so a slow client cannot stall admission.
+///
+/// `accept` blocks; [`request_shutdown`] wakes it with a throwaway
+/// connection, which is dropped here unqueued once the flag is seen.
 fn accept_loop(listener: &TcpListener, queue: &BoundedQueue<Handoff<TcpStream>>) {
-    loop {
+    while !shutting_down() {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) => {
+                vlog!(2, "serve: accept error: {e}");
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
+            }
+        };
         if shutting_down() {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // The listener is non-blocking; the accepted socket must
-                // not be (workers use plain blocking reads + deadlines).
-                let _ = stream.set_nonblocking(false);
-                // The hand-off stamps the enqueue instant, so the worker
-                // can attribute queue wait to the request's trace.
-                match queue.push(Handoff::new(stream)) {
-                    Ok(()) => {}
-                    Err(PushError::Full(handoff)) => reject_saturated(handoff.into_parts().0),
-                    // Raced with drain: the listener is about to close.
-                    Err(PushError::Closed(_)) => return,
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => {
-                vlog!(2, "serve: accept error: {e}");
-                std::thread::sleep(ACCEPT_POLL);
-            }
+        // Responses go out in one write each; without this, anything past
+        // the first segment would wait for the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
+        // The hand-off stamps the enqueue instant, so the worker can
+        // attribute queue wait to the request's trace.
+        match queue.push(Handoff::new(stream)) {
+            Ok(()) => {}
+            Err(PushError::Full(handoff)) => reject_saturated(handoff.into_parts().0),
+            // Raced with drain: the listener is about to close.
+            Err(PushError::Closed(_)) => return,
         }
     }
 }
@@ -821,8 +869,9 @@ fn close_cause(cause: &'static str) {
 /// Serves one connection: up to `keep_alive_requests` requests back to
 /// back, each under the read/write deadlines. Returns on clean EOF, on
 /// `Connection: close`, at the request limit, when a drain begins, or
-/// after any framing error (malformed line, bad body) — those close
-/// because request boundaries can no longer be trusted.
+/// after any framing error (malformed or oversized head, untrustworthy
+/// `Content-Length`, short body) — those close because request
+/// boundaries can no longer be trusted.
 ///
 /// Every request runs under its own trace context: the first request's
 /// epoch is `enqueued` (so `queue_wait` is inside its window); later
@@ -850,12 +899,13 @@ fn handle_connection(
             t
         });
         let t0 = Instant::now();
-        let mut request_line = String::new();
-        if reader.read_line(&mut request_line)? == 0 {
+        let request_line = match read_head_line(&mut reader)? {
             // Clean EOF between requests: the client is done.
-            return Ok(());
-        }
-        let mut parts = request_line.split_whitespace();
+            HeadLine::Eof => return Ok(()),
+            HeadLine::TooLong => None,
+            HeadLine::Line(line) => Some(line),
+        };
+        let mut parts = request_line.as_deref().unwrap_or("").split_whitespace();
         let method = parts.next().unwrap_or("").to_string();
         let path = parts.next().unwrap_or("").to_string();
 
@@ -863,55 +913,20 @@ fn handle_connection(
         let trace_ctx = trace.install();
 
         // Parse phase: headers and body, under one root span.
-        let parse_span = span("parse");
-        let mut content_length = 0usize;
-        let mut client_close = false;
-        loop {
-            let mut header = String::new();
-            if reader.read_line(&mut header)? == 0 {
-                break;
-            }
-            let header = header.trim();
-            if header.is_empty() {
-                break;
-            }
-            let lower = header.to_ascii_lowercase();
-            if let Some(v) = lower.strip_prefix("content-length:") {
-                content_length = v.trim().parse().unwrap_or(0);
-            } else if let Some(v) = lower.strip_prefix("connection:") {
-                client_close = v.trim() == "close";
-            }
-        }
-
-        let mut framing_ok = true;
-        let mut body_text = None;
-        let mut early = if method.is_empty() || path.is_empty() {
-            framing_ok = false;
-            Some(Response::error(400, "malformed request line"))
-        } else if content_length > MAX_BODY_BYTES {
-            framing_ok = false;
-            Some(Response::error(413, "request body too large"))
-        } else {
-            let mut body = vec![0u8; content_length];
-            match reader.read_exact(&mut body) {
-                Ok(()) => {
-                    body_text = Some(String::from_utf8_lossy(&body).into_owned());
-                    None
-                }
-                Err(_) => {
-                    framing_ok = false;
-                    Some(Response::error(
-                        400,
-                        "request body shorter than Content-Length",
-                    ))
-                }
+        let request = {
+            let _parse_span = span("parse");
+            match request_line {
+                None => Err(Response::error(400, "request line too long")),
+                Some(_) => read_request(&mut reader, &method, &path)?,
             }
         };
-        drop(parse_span);
-
-        let response = match early.take() {
-            Some(r) => r,
-            None => guarded(&method, &path, body_text.as_deref().unwrap_or(""), state),
+        let (response, framing_ok, client_close) = match request {
+            Ok(request) => (
+                guarded(&method, &path, &request.body, state),
+                true,
+                request.client_close,
+            ),
+            Err(refusal) => (refusal, false, false),
         };
 
         let keep_alive =
@@ -962,6 +977,131 @@ fn handle_connection(
     Ok(())
 }
 
+/// One line of a request head, read under [`MAX_HEAD_LINE_BYTES`].
+enum HeadLine {
+    /// The peer closed before sending another byte.
+    Eof,
+    /// A whole line (or the tail before EOF), decoded lossily.
+    Line(String),
+    /// The cap was reached without a line end; the rest stays unread.
+    TooLong,
+}
+
+fn read_head_line<R: BufRead>(reader: &mut R) -> std::io::Result<HeadLine> {
+    let mut line = Vec::new();
+    reader
+        .by_ref()
+        .take(MAX_HEAD_LINE_BYTES as u64)
+        .read_until(b'\n', &mut line)?;
+    Ok(if line.is_empty() {
+        HeadLine::Eof
+    } else if line.len() == MAX_HEAD_LINE_BYTES && line.last() != Some(&b'\n') {
+        HeadLine::TooLong
+    } else {
+        HeadLine::Line(
+            String::from_utf8(line)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+        )
+    })
+}
+
+/// The part of a well-framed request the handlers and the connection
+/// loop need.
+#[derive(Debug)]
+struct Request {
+    body: String,
+    /// The client sent `Connection: close`.
+    client_close: bool,
+}
+
+/// Reads the rest of a request after its request line: the header lines up
+/// to the blank line, then exactly `Content-Length` body bytes. `Err`
+/// carries the response for a request whose boundaries cannot be trusted —
+/// the caller sends it and closes. The head is read to its end even when
+/// refused, so the refusal is not cut off by unread header bytes.
+fn read_request<R: BufRead>(
+    reader: &mut R,
+    method: &str,
+    path: &str,
+) -> std::io::Result<Result<Request, Response>> {
+    let mut content_length: Option<usize> = None;
+    let mut client_close = false;
+    let mut refusal = None;
+    let mut headers = 0;
+    loop {
+        let line = match read_head_line(reader)? {
+            HeadLine::Eof => break,
+            HeadLine::TooLong => {
+                return Ok(Err(Response::error(431, "request header line too long")))
+            }
+            HeadLine::Line(line) => line,
+        };
+        let header = line.trim();
+        if header.is_empty() {
+            break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Ok(Err(Response::error(431, "too many request headers")));
+        }
+        let Some((name, value)) = header.split_once(':') else {
+            continue;
+        };
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            match (parse_content_length(value), content_length) {
+                (None, _) => {
+                    refusal.get_or_insert_with(|| Response::error(400, "malformed Content-Length"));
+                }
+                (Some(n), Some(seen)) if n != seen => {
+                    refusal.get_or_insert_with(|| {
+                        Response::error(400, "conflicting Content-Length headers")
+                    });
+                }
+                (Some(n), _) => content_length = Some(n),
+            }
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            refusal.get_or_insert_with(|| {
+                Response::error(
+                    400,
+                    "Transfer-Encoding is not supported; send Content-Length",
+                )
+            });
+        } else if name.eq_ignore_ascii_case("connection") {
+            client_close = value.eq_ignore_ascii_case("close");
+        }
+    }
+    if method.is_empty() || path.is_empty() {
+        return Ok(Err(Response::error(400, "malformed request line")));
+    }
+    if let Some(refusal) = refusal {
+        return Ok(Err(refusal));
+    }
+    let content_length = content_length.unwrap_or(0);
+    if content_length > MAX_BODY_BYTES {
+        return Ok(Err(Response::error(413, "request body too large")));
+    }
+    let mut body = vec![0u8; content_length];
+    if reader.read_exact(&mut body).is_err() {
+        return Ok(Err(Response::error(
+            400,
+            "request body shorter than Content-Length",
+        )));
+    }
+    Ok(Ok(Request {
+        body: String::from_utf8_lossy(&body).into_owned(),
+        client_close,
+    }))
+}
+
+/// A `Content-Length` value: one or more ASCII digits that fit a `usize`.
+fn parse_content_length(value: &str) -> Option<usize> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    value.parse().ok()
+}
+
 /// The `method path` string a flight-recorder entry reports, truncated on
 /// a char boundary to [`MAX_OP_BYTES`].
 fn request_op(method: &str, path: &str) -> String {
@@ -998,30 +1138,34 @@ fn log_slow_request(state: &ServerState, completed: &CompletedTrace) {
 }
 
 /// Writes status line, headers (including `Retry-After`, the request's
-/// `X-Baton-Trace-Id`, and the keep-alive/close decision), and body.
-fn write_response(
-    writer: &mut TcpStream,
+/// `X-Baton-Trace-Id`, and the keep-alive/close decision), and body as one
+/// buffer in one `write_all`: a head sent on its own would hold the body
+/// back until the peer acknowledged it.
+fn write_response<W: Write>(
+    writer: &mut W,
     response: &Response,
     keep_alive: bool,
     trace_id: Option<&str>,
 ) -> std::io::Result<()> {
-    let retry = response
-        .retry_after
-        .map(|s| format!("Retry-After: {s}\r\n"))
-        .unwrap_or_default();
-    let trace = trace_id
-        .map(|id| format!("X-Baton-Trace-Id: {id}\r\n"))
-        .unwrap_or_default();
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{retry}{trace}Connection: {}\r\n\r\n",
+    let mut out = Vec::with_capacity(HEAD_CAPACITY + response.body.len());
+    write!(
+        out,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         response.status,
         status_text(response.status),
         response.content_type,
         response.body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(response.body.as_bytes())?;
+    )?;
+    if let Some(secs) = response.retry_after {
+        write!(out, "Retry-After: {secs}\r\n")?;
+    }
+    if let Some(id) = trace_id {
+        write!(out, "X-Baton-Trace-Id: {id}\r\n")?;
+    }
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    write!(out, "Connection: {connection}\r\n\r\n")?;
+    out.extend_from_slice(response.body.as_bytes());
+    writer.write_all(&out)?;
     writer.flush()
 }
 
@@ -1120,7 +1264,7 @@ fn dispatch(method: &str, path: &str, body: &str, state: &ServerState) -> Respon
         ("GET", "/metrics") => Response {
             status: 200,
             content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: expo::render(env!("CARGO_PKG_VERSION")),
+            body: expo::render(env!("CARGO_PKG_VERSION")).into(),
             retry_after: None,
         },
         ("GET", "/healthz") => {
@@ -1318,7 +1462,7 @@ fn handle_map(endpoint: &'static str, body: &str, state: &ServerState) -> Respon
             cache.get(&key)
         };
         if let Some(cached) = cached {
-            return Response::json(200, cached.as_ref().clone());
+            return Response::json(200, cached);
         }
     }
     let result = {
@@ -1329,9 +1473,10 @@ fn handle_map(endpoint: &'static str, body: &str, state: &ServerState) -> Respon
     };
     match result {
         Ok(json) => {
+            let json = Arc::new(json);
             if let Some(cache) = &state.cache {
                 let _cache_span = span("cache");
-                cache.insert(key, Arc::new(json.clone()));
+                cache.insert(key, Arc::clone(&json));
             }
             Response::json(200, json)
         }
@@ -1756,7 +1901,7 @@ mod tests {
         assert_eq!(response.status, 500);
         assert!(response.body.contains("internal error"));
         // Non-panicking handlers pass through untouched.
-        let ok = catch_panic(|| Response::json(200, "{}".into())).unwrap();
+        let ok = catch_panic(|| Response::json(200, "{}".to_string())).unwrap();
         assert_eq!(ok.status, 200);
     }
 
@@ -1882,6 +2027,157 @@ mod tests {
         let bad = handle_map("/map", "{\"model\": \"nope\"}", &state);
         assert_eq!(bad.status, 400);
         assert_eq!(state.cache.as_ref().unwrap().len(), 1);
+    }
+
+    /// A `Write` that records every `write` call separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Drives `write_response` and returns the single write it issued.
+    fn written(response: &Response, keep_alive: bool, trace_id: Option<&str>) -> String {
+        let mut w = CountingWriter::default();
+        write_response(&mut w, response, keep_alive, trace_id).unwrap();
+        assert_eq!(w.writes.len(), 1, "head and body must go out in one write");
+        String::from_utf8(w.writes.remove(0)).unwrap()
+    }
+
+    #[test]
+    fn responses_go_out_in_one_write_with_unchanged_bytes() {
+        let ok = Response::json(200, "{\"status\":\"ok\"}\n".to_string());
+        assert_eq!(
+            written(&ok, true, Some("00112233aabbccdd")),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 16\r\n\
+             X-Baton-Trace-Id: 00112233aabbccdd\r\nConnection: keep-alive\r\n\r\n\
+             {\"status\":\"ok\"}\n"
+        );
+        assert_eq!(
+            written(&ok, false, Some("00112233aabbccdd")),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 16\r\n\
+             X-Baton-Trace-Id: 00112233aabbccdd\r\nConnection: close\r\n\r\n\
+             {\"status\":\"ok\"}\n"
+        );
+        // The acceptor's 429: no trace, Retry-After, always closing.
+        let body = "{\"error\":\"server saturated, retry later\"}\n";
+        assert_eq!(
+            written(&Response::too_many_requests(), false, None),
+            format!(
+                "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nRetry-After: 1\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            )
+        );
+        // A body far past one segment still leaves in the same write.
+        let big = Response::json(200, "x".repeat(64 << 10));
+        assert!(written(&big, true, None).ends_with(&*big.body));
+    }
+
+    #[test]
+    fn wake_address_maps_wildcards_to_loopback() {
+        let wake = |s: &str| wake_addr(s.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:9184"), "127.0.0.1:9184");
+        assert_eq!(wake("[::]:9184"), "[::1]:9184");
+        assert_eq!(wake("127.0.0.1:80"), "127.0.0.1:80");
+        assert_eq!(wake("10.1.2.3:8080"), "10.1.2.3:8080");
+        assert_eq!(wake("[fe80::1]:9184"), "[fe80::1]:9184");
+    }
+
+    /// Runs `read_request` over `head` (the bytes after the request line).
+    fn parse(head: &str) -> Result<Request, Response> {
+        read_request(&mut std::io::Cursor::new(head.as_bytes()), "POST", "/map").unwrap()
+    }
+
+    fn refusal(head: &str) -> (u16, String) {
+        let response = parse(head).expect_err("head must be refused");
+        (response.status, response.body.to_string())
+    }
+
+    #[test]
+    fn well_framed_requests_read_exactly_their_body() {
+        let request =
+            parse("Host: t\r\ncontent-length: 5\r\nConnection: Close\r\n\r\nhello+next").unwrap();
+        assert_eq!(request.body, "hello");
+        assert!(request.client_close);
+        // Agreeing duplicates are one length; no length is an empty body.
+        let twice = parse("Content-Length: 2\r\nContent-Length: 2\r\n\r\nok").unwrap();
+        assert_eq!(twice.body, "ok");
+        assert!(!twice.client_close);
+        assert_eq!(parse("Host: t\r\n\r\n").unwrap().body, "");
+    }
+
+    #[test]
+    fn untrustworthy_framing_is_refused() {
+        for value in [
+            "abc",
+            "",
+            "-1",
+            "+5",
+            "5 5",
+            "0x10",
+            "99999999999999999999999",
+        ] {
+            let (status, body) = refusal(&format!("Content-Length: {value}\r\n\r\n"));
+            assert_eq!(status, 400, "Content-Length {value:?}");
+            assert!(body.contains("malformed Content-Length"), "{body}");
+        }
+        let (status, body) = refusal("Content-Length: 3\r\nContent-Length: 4\r\n\r\nabcd");
+        assert_eq!(status, 400);
+        assert!(body.contains("conflicting Content-Length"), "{body}");
+        for te in ["chunked", "gzip, chunked", "identity"] {
+            let (status, body) = refusal(&format!(
+                "Transfer-Encoding: {te}\r\nContent-Length: 4\r\n\r\nabcd"
+            ));
+            assert_eq!(status, 400, "Transfer-Encoding {te:?}");
+            assert!(body.contains("Transfer-Encoding"), "{body}");
+        }
+        assert_eq!(refusal("Content-Length: 2000000\r\n\r\n").0, 413);
+        assert_eq!(refusal("Content-Length: 9\r\n\r\nshort").0, 400);
+    }
+
+    #[test]
+    fn the_request_head_is_bounded() {
+        let long_header = format!("X-Pad: {}\r\n\r\n", "a".repeat(MAX_HEAD_LINE_BYTES));
+        let (status, body) = refusal(&long_header);
+        assert_eq!(status, 431);
+        assert!(body.contains("header line too long"), "{body}");
+        assert_eq!(status_text(431), "Request Header Fields Too Large");
+
+        let at_limit = "X-H: 1\r\n".repeat(MAX_HEADERS) + "\r\n";
+        assert!(
+            parse(&at_limit).is_ok(),
+            "{MAX_HEADERS} headers are allowed"
+        );
+        let (status, body) = refusal(&("X-H: 1\r\n".repeat(MAX_HEADERS + 1) + "\r\n"));
+        assert_eq!(status, 431);
+        assert!(body.contains("too many request headers"), "{body}");
+
+        // A line of exactly the cap, line end included, still fits.
+        let fits = format!("X-Pad: {}\r\n", "a".repeat(MAX_HEAD_LINE_BYTES - 9));
+        assert_eq!(fits.len(), MAX_HEAD_LINE_BYTES);
+        assert!(parse(&(fits + "\r\n")).is_ok());
+
+        let mut endless = std::io::Cursor::new(vec![b'G'; 3 * MAX_HEAD_LINE_BYTES]);
+        assert!(matches!(
+            read_head_line(&mut endless).unwrap(),
+            HeadLine::TooLong
+        ));
+        assert_eq!(
+            endless.position(),
+            MAX_HEAD_LINE_BYTES as u64,
+            "reads stop at the cap"
+        );
     }
 
     #[test]

@@ -548,3 +548,174 @@ fn quitquitquit_drains_in_flight_work_and_exits_zero() {
         "final snapshot line missing from stdout: {rest:?}"
     );
 }
+
+/// Cached responses on one keep-alive connection come back without a
+/// timer stall: 200 sequential hits finish in well under the ~8 s that a
+/// delayed-ACK wait per response (head and body written separately on a
+/// Nagle socket) would cost.
+#[test]
+fn keep_alive_cache_hits_do_not_stall() {
+    const REQUESTS: usize = 200;
+    let server = start_server(&serve_threads(), &["--keep-alive-requests", "1000"]);
+    let addr = server.addr.as_str();
+    let body = "{\"model\": \"alexnet\", \"config\": {\"res\": 32, \"layer\": 0}}";
+
+    // Everything goes over the one connection: with a single worker, a
+    // second connection would wait until this one is closed.
+    let mut conn = KeepAlive::connect(addr);
+    let hits = |conn: &mut KeepAlive| {
+        let (status, _, exposition, _) = conn.send("GET", "/metrics", "").unwrap();
+        assert_eq!(status, 200);
+        metric(&exposition, "baton_response_cache_hits_total")
+    };
+    let (status, _, primed, _) = conn.send("POST", "/map", body).unwrap();
+    assert_eq!(status, 200, "{primed}");
+    let hits0 = hits(&mut conn);
+
+    let started = Instant::now();
+    for i in 0..REQUESTS {
+        let (status, _, served, close) = conn.send("POST", "/map", body).unwrap();
+        assert_eq!(status, 200, "request {i}");
+        assert_eq!(served, primed, "request {i}: cached body diverged");
+        assert!(!close, "request {i}: the connection must stay open");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "{REQUESTS} cached keep-alive requests took {elapsed:?}"
+    );
+    assert_eq!(
+        hits(&mut conn) - hits0,
+        REQUESTS as u64,
+        "every timed request must be a hit"
+    );
+}
+
+/// The acceptor blocks in `accept`; a drain must wake it on its own. With
+/// no other client connected after `/quitquitquit`, the process exits 0
+/// within a second and new connects are refused. Nothing connects before
+/// the exit: any connection would itself wake the acceptor.
+#[test]
+fn drain_wakes_the_idle_acceptor_and_exits_promptly() {
+    let mut server = start_server(&serve_threads(), &[]);
+    let addr = server.addr.clone();
+
+    let (status, _, body) = request(&addr, "POST", "/quitquitquit", "");
+    assert_eq!(status, 200, "{body}");
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let code = loop {
+        if let Some(status) = server.child.try_wait().expect("poll the server") {
+            break status.code();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "server still running 1 s after /quitquitquit"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(code, Some(0), "drain must exit cleanly");
+    assert!(
+        TcpStream::connect(&addr).is_err(),
+        "connects must be refused after the drain"
+    );
+}
+
+/// Sends `raw` on a fresh connection and returns the refusal's status and
+/// body, after checking that the server announced the close, hung up, and
+/// counted it under `cause="framing"`.
+fn framing_refusal(raw: &[u8]) -> (u16, String) {
+    let server = start_server(&serve_threads(), &[]);
+    let addr = server.addr.as_str();
+    let closed = "baton_http_connections_closed_total{cause=\"framing\"}";
+    let before = metric_sum(&scrape(addr), closed);
+
+    let mut conn = KeepAlive::connect(addr);
+    conn.writer.write_all(raw).unwrap();
+    let (status, _, body, close) = read_response(&mut conn.reader).expect("refusal");
+    assert!(close, "a framing refusal must announce the close");
+    let mut rest = Vec::new();
+    let _ = conn.reader.read_to_end(&mut rest);
+    assert!(
+        rest.is_empty(),
+        "nothing may follow the refusal: {:?}",
+        String::from_utf8_lossy(&rest)
+    );
+    assert_eq!(metric_sum(&scrape(addr), closed), before + 1);
+    (status, body)
+}
+
+/// A non-numeric `Content-Length` is refused, not read as 0 (which would
+/// parse the body as the next request on the connection).
+#[test]
+fn non_numeric_content_length_is_refused() {
+    let (status, body) = framing_refusal(
+        b"POST /map HTTP/1.1\r\nHost: t\r\nContent-Length: 1x\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n",
+    );
+    assert_eq!(status, 400);
+    assert!(body.contains("malformed Content-Length"), "{body}");
+}
+
+#[test]
+fn conflicting_content_lengths_are_refused() {
+    let (status, body) = framing_refusal(
+        b"POST /map HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 27\r\n\r\n{}GET /healthz HTTP/1.1\r\n\r\n",
+    );
+    assert_eq!(status, 400);
+    assert!(body.contains("conflicting Content-Length"), "{body}");
+}
+
+#[test]
+fn transfer_encoding_is_refused() {
+    let (status, body) = framing_refusal(
+        b"POST /map HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+    );
+    assert_eq!(status, 400);
+    assert!(body.contains("Transfer-Encoding"), "{body}");
+}
+
+/// A client streaming a request line (or a header line) that never ends
+/// gets a refusal after the 8 KiB cap instead of growing the server's
+/// buffer without limit.
+#[test]
+fn endless_head_lines_are_cut_off() {
+    let server = start_server(&serve_threads(), &[]);
+    let addr = server.addr.as_str();
+    for (prefix, expected) in [
+        (&b"GET /"[..], 400),
+        (&b"GET /healthz HTTP/1.1\r\nX-Endless: "[..], 431),
+    ] {
+        let mut conn = KeepAlive::connect(addr);
+        conn.reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn.writer
+            .set_write_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = conn.writer.try_clone().unwrap();
+        writer.write_all(prefix).unwrap();
+        // Stream until the server hangs up (or a generous cap, so a server
+        // that never answers fails the read below instead of hanging).
+        let streamer = std::thread::spawn(move || {
+            let chunk = [b'a'; 4096];
+            for _ in 0..(64 << 10) {
+                if writer.write_all(&chunk).is_err() {
+                    return;
+                }
+            }
+        });
+        let (status, _, body, close) =
+            read_response(&mut conn.reader).expect("the server must answer the endless line");
+        assert_eq!(status, expected, "{body}");
+        assert!(close, "the refusal must close the connection");
+        streamer.join().unwrap();
+    }
+    let exposition = scrape(addr);
+    assert_eq!(
+        metric_sum(
+            &exposition,
+            "baton_http_connections_closed_total{cause=\"framing\"}"
+        ),
+        2
+    );
+}
