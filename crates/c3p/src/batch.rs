@@ -1,71 +1,53 @@
-//! Batched struct-of-arrays evaluation engine for the search inner loop.
+//! Batched struct-of-arrays branch-and-bound over one search's candidates.
 //!
-//! The scalar path re-derives the full mapping geometry, allocates a fresh
-//! loop nest and footprint tables, and materializes `AccessProfile`
-//! breakpoints for every candidate — about 1.2k allocations per evaluated
-//! mapping, most of them for candidates the branch-and-bound prunes anyway.
-//! This module restructures the inner loop around three ideas:
-//!
-//! 1. **Geometry memoization.** The enumerator assigns every candidate a
-//!    dense `geom_id`; the up-to-8 order/rotation siblings of one distinct
-//!    `(package, chiplet, tile, core_plane)` geometry share the id. Phase A
-//!    resolves [`mapping_geometry`] once per id and replays the cached
-//!    result (a `Copy` struct) for the siblings — the dominant cost of the
-//!    scalar path, paid 8x less often.
-//! 2. **Struct-of-arrays floor lanes.** Per chunk, candidate status and
-//!    floor scores live in flat lanes inside a reusable [`BatchScratch`];
-//!    the floor math goes through [`Floors::from_volumes`], the same `f64`
-//!    path the scalar search uses, so prune decisions are bit-identical.
-//! 3. **Zero-allocation evaluation.** Survivors build their nest into a
-//!    reusable [`NestScratch`] and resolve each data path with the
-//!    streaming [`c3p_penalty_multiplier`] walk instead of materializing
-//!    breakpoint vectors. Scratch buffers come from a thread-local pool
-//!    ([`scratch_for`]), so a steady-state search allocates nothing.
+//! Each search worker checks a [`BatchScratch`] out of a thread-local pool
+//! and scans its candidate chunks in two phases. Phase A resolves each
+//! candidate's geometry through the [`GeomMemo`] (once per enumerator
+//! `geom_id`, replayed for the up-to-8 order/rotation siblings that share
+//! it) and fills a flat lane of branch-and-bound floors through
+//! [`Floors::from_volumes`], the same `f64` path the scalar search uses, so
+//! prune decisions are bit-identical. Phase B prices every candidate whose
+//! floor does not exceed the shared incumbent with the C³P kernel
+//! ([`crate::kernel`]) as a one-rung resolve at the machine's own
+//! capacities, into reusable scratch, so a steady-state search allocates
+//! nothing.
 //!
 //! Counter semantics match the scalar path exactly at one thread:
 //! `DecomposeCalls` and the reject counters are bumped per *candidate*
-//! (memo hits replay the cached error through [`MappingError::counter`]),
-//! `Evaluations`/`BestImprovements`/penalty counters fire per evaluated
-//! survivor, and prune checks observe the shared incumbent at the same
-//! point in candidate order as the scalar scan.
+//! (memo hits replay the cached error), `Evaluations`/`BestImprovements`/
+//! penalty counters fire per evaluated survivor, and prune checks observe
+//! the shared incumbent at the same point in candidate order as the scalar
+//! scan.
 
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 
 use baton_arch::{PackageConfig, Technology};
-use baton_mapping::{
-    mapping_geometry, Dim, LoopLevel, Mapping, MappingError, MappingGeometry, NestScratch, Volumes,
-};
+use baton_mapping::{Mapping, MappingGeometry, NestScratch};
 use baton_model::ConvSpec;
 use baton_parallel::AtomicBest;
 use baton_telemetry::{count, Counter};
 
 use crate::bounds::Floors;
-use crate::evaluate::{price, runtime_bound, AccessCounts, Evaluation};
+use crate::evaluate::{price, runtime_bound, Evaluation};
+use crate::kernel::{resolve_rung, GeomMemo, Pooled, Rung};
 use crate::search::Objective;
-use crate::walk::c3p_penalty_multiplier;
 
-/// Reusable struct-of-arrays buffers for one search worker.
-///
-/// Acquire via [`scratch_for`]; every buffer is cleared with capacity kept,
-/// so a worker that processes many chunks (or a calling thread that runs
-/// many searches) reaches a zero-allocation steady state.
+/// Reusable struct-of-arrays buffers for one search worker; every buffer
+/// is cleared with capacity kept.
 #[derive(Debug, Default)]
-pub struct BatchScratch {
-    /// Geometry memo, indexed by the enumerator's dense `geom_id`. One
-    /// entry serves all order/rotation siblings of a distinct geometry.
-    geoms: Vec<Option<Result<MappingGeometry, MappingError>>>,
-    /// Per-candidate lane: `1` if the geometry resolved, `0` if rejected.
-    status: Vec<u8>,
-    /// Per-candidate lane: the branch-and-bound floor score (lower bound).
+pub(crate) struct BatchScratch {
+    /// Geometry memo, indexed by the enumerator's dense `geom_id`.
+    memo: GeomMemo,
+    /// Per-candidate lane: the branch-and-bound floor score (lower bound;
+    /// infinite for a rejected geometry).
     floor_score: Vec<f64>,
-    /// Reusable nest/footprint buffers for the evaluation walk.
+    /// Reusable nest/footprint buffers for the survivor walks.
     nest: NestScratch,
 }
 
 /// Aggregated result of one chunk of candidates.
 #[derive(Debug, Default)]
-pub struct ChunkOutcome {
+pub(crate) struct ChunkOutcome {
     /// Best `(score, evaluation)` in this chunk, earliest candidate wins
     /// score ties (the cross-chunk ordered reduce extends that rule).
     pub best: Option<(f64, Evaluation)>,
@@ -75,43 +57,31 @@ pub struct ChunkOutcome {
     pub pruned: u64,
 }
 
+thread_local! {
+    /// Retired scratches, reused by later searches on the same thread. The
+    /// sequential fan-out fast path runs on the calling thread, so repeated
+    /// searches there (the steady state `baton bench` measures) hit this
+    /// pool and allocate nothing.
+    static SCRATCH_POOL: RefCell<Vec<BatchScratch>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Checks a scratch out of the thread-local pool with an empty geometry
+/// memo sized for a search whose enumeration produced `n_geoms` ids.
+pub(crate) fn scratch(n_geoms: usize) -> Pooled<BatchScratch> {
+    let mut s = Pooled::checkout(&SCRATCH_POOL);
+    s.memo.reset(n_geoms);
+    s
+}
+
 impl BatchScratch {
-    /// Prepares the scratch for a search whose enumeration produced
-    /// `n_geoms` distinct geometries: invalidates the memo (capacity kept).
-    fn reset(&mut self, n_geoms: usize) {
-        self.geoms.clear();
-        self.geoms.resize(n_geoms, None);
-    }
-
-    /// Memo lookup with per-candidate counter replay: bumps
-    /// `DecomposeCalls` always and the specific reject counter on `Err`,
-    /// exactly like one [`baton_mapping::decompose`] call would.
-    fn geometry(
-        &mut self,
-        layer: &ConvSpec,
-        arch: &PackageConfig,
-        mapping: &Mapping,
-        geom_id: u32,
-    ) -> Result<MappingGeometry, MappingError> {
-        count(Counter::DecomposeCalls);
-        let slot = &mut self.geoms[geom_id as usize];
-        let res = *slot.get_or_insert_with(|| mapping_geometry(layer, arch, mapping));
-        if baton_telemetry::enabled() {
-            if let Err(e) = res {
-                count(e.counter());
-            }
-        }
-        res
-    }
-
     /// Branch-and-bound scan of one candidate chunk.
     ///
-    /// Phase A fills the status/floor lanes (geometry memo + shared floor
-    /// math); phase B walks the lanes in candidate order, pruning against
-    /// the shared `incumbent` and evaluating survivors with the streaming
-    /// resolver. `geom_ids[i]` must be the enumerator's id for `cands[i]`.
+    /// Phase A fills the floor lane (geometry memo + shared floor math);
+    /// phase B walks it in candidate order, pruning against the shared
+    /// `incumbent` and evaluating survivors with the C³P kernel.
+    /// `geom_ids[i]` must be the enumerator's id for `cands[i]`.
     #[allow(clippy::too_many_arguments)] // the full search context, passed flat
-    pub fn evaluate_chunk(
+    pub(crate) fn evaluate_chunk(
         &mut self,
         layer: &ConvSpec,
         arch: &PackageConfig,
@@ -122,34 +92,24 @@ impl BatchScratch {
         geom_ids: &[u32],
     ) -> ChunkOutcome {
         debug_assert_eq!(cands.len(), geom_ids.len());
-        self.status.clear();
         self.floor_score.clear();
         for (m, &gid) in cands.iter().zip(geom_ids) {
-            match self.geometry(layer, arch, m, gid) {
-                Err(_) => {
-                    self.status.push(0);
-                    self.floor_score.push(f64::INFINITY);
-                }
-                Ok(geom) => {
+            let floor = self
+                .memo
+                .get(layer, arch, m, gid)
+                .map_or(f64::INFINITY, |geom| {
                     let (v, _, _) = geom.volumes_for(m.rotation);
-                    let fl = Floors::from_volumes(
-                        &v,
-                        geom.weight_streams(),
-                        geom.compute_cycles(),
-                        arch,
-                        tech,
-                    );
-                    self.status.push(1);
-                    self.floor_score.push(fl.score(objective, tech));
-                }
-            }
+                    let (streams, cycles) = (geom.weight_streams(), geom.compute_cycles());
+                    Floors::from_volumes(&v, streams, cycles, arch, tech).score(objective, tech)
+                });
+            self.floor_score.push(floor);
         }
 
         let mut out = ChunkOutcome::default();
-        for (i, m) in cands.iter().enumerate() {
-            if self.status[i] == 0 {
+        for (i, (m, &gid)) in cands.iter().zip(geom_ids).enumerate() {
+            let Some(geom) = self.memo.resolved(gid) else {
                 continue;
-            }
+            };
             // Strict `>`: a floor that merely ties the incumbent may still
             // BE the incumbent-quality candidate (floors are exact when no
             // capacity penalty triggers).
@@ -157,21 +117,7 @@ impl BatchScratch {
                 out.pruned += 1;
                 continue;
             }
-            let geom = self.geoms[geom_ids[i] as usize]
-                .expect("phase A resolved this id")
-                .expect("status 1 means the geometry is Ok");
-            let (v, rotate_inputs, rotate_weights) = geom.volumes_for(m.rotation);
-            let ev = evaluate_streaming(
-                &mut self.nest,
-                layer,
-                arch,
-                tech,
-                m,
-                &geom,
-                &v,
-                rotate_inputs,
-                rotate_weights,
-            );
+            let ev = evaluate_survivor(&mut self.nest, layer, arch, tech, m, geom);
             let score = objective.score(&ev, tech);
             let prev = incumbent.offer(score);
             if score < prev {
@@ -188,10 +134,9 @@ impl BatchScratch {
     }
 
     /// Evaluates every decomposable candidate in the chunk (no pruning —
-    /// the k-best ranking needs all feasible scores), appending
-    /// `(score, evaluation)` pairs to `out` in candidate order.
-    #[allow(clippy::too_many_arguments)] // the full search context, passed flat
-    pub fn evaluate_all(
+    /// the k-best ranking needs all feasible scores), returning
+    /// `(score, evaluation)` pairs in candidate order.
+    pub(crate) fn evaluate_all(
         &mut self,
         layer: &ConvSpec,
         arch: &PackageConfig,
@@ -199,126 +144,42 @@ impl BatchScratch {
         objective: Objective,
         cands: &[Mapping],
         geom_ids: &[u32],
-        out: &mut Vec<(f64, Evaluation)>,
-    ) {
+    ) -> Vec<(f64, Evaluation)> {
         debug_assert_eq!(cands.len(), geom_ids.len());
+        let mut out = Vec::new();
         for (m, &gid) in cands.iter().zip(geom_ids) {
-            let Ok(geom) = self.geometry(layer, arch, m, gid) else {
+            let Ok(geom) = self.memo.get(layer, arch, m, gid) else {
                 continue;
             };
-            let (v, rotate_inputs, rotate_weights) = geom.volumes_for(m.rotation);
-            let ev = evaluate_streaming(
-                &mut self.nest,
-                layer,
-                arch,
-                tech,
-                m,
-                &geom,
-                &v,
-                rotate_inputs,
-                rotate_weights,
-            );
+            let ev = evaluate_survivor(&mut self.nest, layer, arch, tech, m, &geom);
             out.push((objective.score(&ev, tech), ev));
         }
+        out
     }
 }
 
-/// Evaluates one survivor with zero allocation: nest into the scratch,
-/// each capacity-dependent path resolved by the streaming penalty walk.
-/// Bit-identical to `evaluate_decomposition` + `resolve` on the same
-/// mapping (pinned by the equivalence proptest in `tests/`).
-#[allow(clippy::too_many_arguments)]
-fn evaluate_streaming(
+/// Prices one survivor as a one-rung kernel resolve at the machine's own
+/// capacities. Bit-identical to `evaluate_decomposition` on the same
+/// mapping (pinned below and by the equivalence proptest in `tests/`).
+fn evaluate_survivor(
     nest: &mut NestScratch,
     layer: &ConvSpec,
     arch: &PackageConfig,
     tech: &Technology,
     mapping: &Mapping,
     geom: &MappingGeometry,
-    v: &Volumes,
-    rotate_inputs: bool,
-    rotate_weights: bool,
 ) -> Evaluation {
     count(Counter::Evaluations);
-    geom.build_nest_into(layer, mapping, rotate_inputs, rotate_weights, nest);
-    let loops = &nest.loops;
-    let n_p = u64::from(geom.n_p()).max(1);
-    let rot_pos = loops.iter().position(|l| l.level == LoopLevel::Rotation);
-    // Home-slice tier: above the rotation loop only `1/N_P` of the shared
-    // working set must stay resident to avoid DRAM reloads (the slicing
-    // rule of `LayerProfiles::build`, applied lazily via the closure).
-    let cut = rot_pos.map(|p| p + 1).unwrap_or(0);
-    let sliced = |fp: &[u64], rotated: bool, i: usize| -> u64 {
-        if rotated && i >= cut {
-            fp[i] / n_p
-        } else {
-            fp[i]
-        }
+    let (v, rot_in, rot_w) = geom.volumes_for(mapping.rotation);
+    geom.build_nest_into(layer, mapping, rot_in, rot_w, nest);
+    let rung = Rung {
+        a_l1_bits: Some(arch.chiplet.core.a_l1_bytes * 8),
+        a_l2_bits: Some(arch.chiplet.a_l2_bytes * 8),
+        w_eff_bits: Some(geom.effective_w_l1_bits()),
     };
-
-    let a_l1_cap = arch.chiplet.core.a_l1_bytes * 8;
-    let a_l2_cap = arch.chiplet.a_l2_bytes * 8;
-    let w_eff_cap = geom.effective_w_l1_bits();
-
-    let dram_input_bits = v.dram_input_base.saturating_mul(c3p_penalty_multiplier(
-        loops,
-        |i| sliced(&nest.chiplet_input, rotate_inputs, i),
-        Dim::input_relevant,
-        a_l2_cap,
-    ));
-    let d2d_input = v.d2d_input_base.saturating_mul(c3p_penalty_multiplier(
-        loops,
-        |i| nest.chiplet_input[i],
-        Dim::input_relevant,
-        a_l2_cap,
-    ));
-    let a_l2_fill = dram_input_bits + d2d_input;
-    let a_l2_read = v.a_l2_read_base.saturating_mul(c3p_penalty_multiplier(
-        loops,
-        |i| nest.core_input[i],
-        Dim::input_relevant,
-        a_l1_cap,
-    ));
-    let a_l1_fill = a_l2_read * u64::from(geom.weight_streams());
-
-    let dram_weight_bits = v.dram_weight_base.saturating_mul(c3p_penalty_multiplier(
-        loops,
-        |i| sliced(&nest.stream_weight, rotate_weights, i),
-        Dim::weight_relevant,
-        w_eff_cap,
-    ));
-    let d2d_weight = v.d2d_weight_base.saturating_mul(c3p_penalty_multiplier(
-        loops,
-        |i| nest.stream_weight[i],
-        Dim::weight_relevant,
-        w_eff_cap,
-    ));
-    let w_l1_fill = dram_weight_bits + d2d_weight;
-
-    if baton_telemetry::enabled() {
-        if dram_input_bits > v.dram_input_base {
-            count(Counter::PenaltyAL2);
-        }
-        if a_l2_read > v.a_l2_read_base {
-            count(Counter::PenaltyAL1);
-        }
-        if dram_weight_bits > v.dram_weight_base {
-            count(Counter::PenaltyWL1);
-        }
-    }
-
-    let access = AccessCounts {
-        dram_input_bits,
-        dram_weight_bits,
-        dram_output_bits: v.dram_output,
-        d2d_bits: d2d_input + d2d_weight,
-        a_l2_bits: a_l2_fill + a_l2_read,
-        o_l2_bits: v.o_l2_write + v.o_l2_read,
-        a_l1_bits: a_l1_fill + v.a_l1_read,
-        w_l1_bits: w_l1_fill + v.w_l1_read,
-        o_l1_rmw_bits: v.o_l1_rmw,
-        mac_ops: v.mac_ops,
-    };
+    let paths = resolve_rung(nest, &v, geom.n_p(), (rot_in, rot_w), rung);
+    paths.count_penalties(&v);
+    let access = paths.access(&v, u64::from(geom.weight_streams()));
     let energy = price(&access, arch, tech);
     let (cycles, utilization) = runtime_bound(geom.compute_cycles(), &access, arch, tech);
     Evaluation {
@@ -331,57 +192,6 @@ fn evaluate_streaming(
     }
 }
 
-thread_local! {
-    /// Retired scratches, reused by later searches on the same thread. The
-    /// sequential fan-out fast path runs on the calling thread, so repeated
-    /// searches there (the steady state `baton bench` measures) hit this
-    /// pool and allocate nothing.
-    static SCRATCH_POOL: RefCell<Vec<BatchScratch>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A [`BatchScratch`] checked out of the thread-local pool; returns itself
-/// on drop.
-#[derive(Debug)]
-pub struct PooledScratch {
-    inner: Option<BatchScratch>,
-}
-
-impl Deref for PooledScratch {
-    type Target = BatchScratch;
-    fn deref(&self) -> &BatchScratch {
-        self.inner.as_ref().expect("present until drop")
-    }
-}
-
-impl DerefMut for PooledScratch {
-    fn deref_mut(&mut self) -> &mut BatchScratch {
-        self.inner.as_mut().expect("present until drop")
-    }
-}
-
-impl Drop for PooledScratch {
-    fn drop(&mut self) {
-        if let Some(s) = self.inner.take() {
-            // `try_with`: the pool may already be gone during thread
-            // teardown, in which case the scratch is simply freed.
-            let _ = SCRATCH_POOL.try_with(|p| p.borrow_mut().push(s));
-        }
-    }
-}
-
-/// Checks a scratch out of the thread-local pool (allocating a fresh one
-/// only if the pool is empty) and resets its geometry memo for a search
-/// whose enumeration produced `n_geoms` distinct geometries.
-pub fn scratch_for(n_geoms: usize) -> PooledScratch {
-    let mut s = SCRATCH_POOL
-        .try_with(|p| p.borrow_mut().pop())
-        .ok()
-        .flatten()
-        .unwrap_or_default();
-    s.reset(n_geoms);
-    PooledScratch { inner: Some(s) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,15 +202,17 @@ mod tests {
 
     #[test]
     fn streaming_evaluation_matches_the_scalar_path_bit_for_bit() {
+        // The search's survivor evaluation (a one-rung kernel resolve at
+        // the machine's capacities) against the materialized scalar path.
         let arch = presets::case_study_accelerator();
         let tech = Technology::paper_16nm();
         for (bucket, layer) in zoo::representative_layers(224) {
             let (mut cands, mut ids) = (Vec::new(), Vec::new());
-            let stats = enumerate_into(&layer, &arch, EnumOptions::default(), &mut cands, &mut ids);
-            let mut scratch = scratch_for(stats.geoms);
+            enumerate_into(&layer, &arch, EnumOptions::default(), &mut cands, &mut ids);
+            let mut scratch = scratch(0);
             let mut checked = 0u32;
             for (m, &gid) in cands.iter().zip(&ids).take(512) {
-                let Ok(geom) = scratch.geometry(&layer, &arch, m, gid) else {
+                let Ok(geom) = scratch.memo.get(&layer, &arch, m, gid) else {
                     assert!(
                         baton_mapping::decompose(&layer, &arch, m).is_err(),
                         "{bucket}"
@@ -408,18 +220,7 @@ mod tests {
                     continue;
                 };
                 let d = baton_mapping::decompose(&layer, &arch, m).unwrap();
-                let (v, ri, rw) = geom.volumes_for(m.rotation);
-                let got = evaluate_streaming(
-                    &mut scratch.nest,
-                    &layer,
-                    &arch,
-                    &tech,
-                    m,
-                    &geom,
-                    &v,
-                    ri,
-                    rw,
-                );
+                let got = evaluate_survivor(&mut scratch.nest, &layer, &arch, &tech, m, &geom);
                 let want = evaluate_decomposition(&d, &arch, &tech, m);
                 assert_eq!(got, want, "{bucket}: {m:?}");
                 checked += 1;
@@ -438,26 +239,15 @@ mod tests {
         let tech = Technology::paper_16nm();
         let layer = zoo::resnet50(224).layer("res2a_branch2b").cloned().unwrap();
         let (mut cands, mut ids) = (Vec::new(), Vec::new());
-        let stats = enumerate_into(&layer, &arch, EnumOptions::default(), &mut cands, &mut ids);
-        let mut scratch = scratch_for(stats.geoms);
+        enumerate_into(&layer, &arch, EnumOptions::default(), &mut cands, &mut ids);
+        let mut scratch = scratch(0);
         let mut penalized = 0u32;
         for (m, &gid) in cands.iter().zip(&ids).take(512) {
-            let Ok(geom) = scratch.geometry(&layer, &arch, m, gid) else {
+            let Ok(geom) = scratch.memo.get(&layer, &arch, m, gid) else {
                 continue;
             };
             let d = baton_mapping::decompose(&layer, &arch, m).unwrap();
-            let (v, ri, rw) = geom.volumes_for(m.rotation);
-            let got = evaluate_streaming(
-                &mut scratch.nest,
-                &layer,
-                &arch,
-                &tech,
-                m,
-                &geom,
-                &v,
-                ri,
-                rw,
-            );
+            let got = evaluate_survivor(&mut scratch.nest, &layer, &arch, &tech, m, &geom);
             let want = resolve(&d, &LayerProfiles::build(&d), &arch);
             assert_eq!(got.access, want, "{m:?}");
             if want.dram_input_bits > d.volumes.dram_input_base {
@@ -469,11 +259,18 @@ mod tests {
 
     #[test]
     fn scratch_pool_round_trips() {
-        let a = scratch_for(16);
-        assert_eq!(a.geoms.len(), 16);
+        let arch = presets::case_study_accelerator();
+        let layer = zoo::resnet50(224).layer("res2a_branch2b").cloned().unwrap();
+        let m = baton_mapping::enumerate::candidates(&layer, &arch)[0];
+        let mut a = scratch(16);
+        assert!(a.memo.get(&layer, &arch, &m, 15).is_ok());
+        a.floor_score.reserve(16);
         drop(a);
-        let b = scratch_for(4);
-        assert_eq!(b.geoms.len(), 4);
-        assert!(b.geoms.capacity() >= 16, "pool must keep capacity");
+        let b = scratch(4);
+        assert!(
+            b.memo.resolved(15).is_none(),
+            "checkout must reset the memo"
+        );
+        assert!(b.floor_score.capacity() >= 16, "pool must keep capacity");
     }
 }

@@ -13,6 +13,7 @@ use baton_model::{ConvSpec, ACT_BITS, WGT_BITS};
 use serde::{Deserialize, Serialize};
 
 use crate::evaluate::{price, runtime_bound, AccessCounts, Evaluation};
+use crate::kernel::Paths;
 use crate::search::Objective;
 
 /// Compulsory traffic and compute floors for one layer on one machine.
@@ -105,22 +106,8 @@ impl Floors {
         arch: &PackageConfig,
         tech: &Technology,
     ) -> Self {
-        // Mirror `resolve_at_capacities` with every profile at its base:
-        // fills derive from the DRAM/D2D reads they buffer.
-        let a_l2_fill = v.dram_input_base + v.d2d_input_base;
-        let w_l1_fill = v.dram_weight_base + v.d2d_weight_base;
-        let access = AccessCounts {
-            dram_input_bits: v.dram_input_base,
-            dram_weight_bits: v.dram_weight_base,
-            dram_output_bits: v.dram_output,
-            d2d_bits: v.d2d_input_base + v.d2d_weight_base,
-            a_l2_bits: a_l2_fill + v.a_l2_read_base,
-            o_l2_bits: v.o_l2_write + v.o_l2_read,
-            a_l1_bits: v.a_l2_read_base * u64::from(weight_streams) + v.a_l1_read,
-            w_l1_bits: w_l1_fill + v.w_l1_read,
-            o_l1_rmw_bits: v.o_l1_rmw,
-            mac_ops: v.mac_ops,
-        };
+        // The kernel's assembly with every path at its base volume.
+        let access = Paths::base(v).access(v, u64::from(weight_streams));
         let energy_pj = price(&access, arch, tech).total_pj();
         let (cycles, _) = runtime_bound(compute_cycles, &access, arch, tech);
         Self {

@@ -8,10 +8,11 @@
 //! path and the bandwidth bounds.
 //!
 //! The core abstraction is the [`AccessProfile`]: the base access count of a
-//! data path together with its capacity breakpoints. Evaluating a profile at
-//! a concrete buffer size is O(#breakpoints), which lets the pre-design flow
-//! sweep thousands of memory configurations per mapping without re-running
-//! the geometry analysis.
+//! data path together with its capacity breakpoints, which `baton explain`
+//! reports and the fast paths are tested against. Those fast paths — the
+//! mapping search and the pre-design memory sweep — share one streaming
+//! kernel that resolves the same multipliers at concrete capacities without
+//! materializing the breakpoints.
 //!
 //! ```
 //! use baton_arch::{presets, Technology};
@@ -28,11 +29,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
+mod batch;
 pub mod bounds;
 pub mod cache;
 pub mod energy;
 pub mod evaluate;
+mod kernel;
 pub mod profile;
 pub mod search;
 pub mod sensitivity;
@@ -40,7 +42,6 @@ pub mod sweep;
 pub mod verdict;
 pub mod walk;
 
-pub use batch::{scratch_for, BatchScratch, ChunkOutcome, PooledScratch};
 pub use bounds::{Floors, TrafficBounds};
 pub use cache::{search_layer_memo, SearchMemo, ShapeMemo};
 pub use energy::EnergyBreakdown;
@@ -48,12 +49,13 @@ pub use evaluate::{
     evaluate, evaluate_decomposition, price, resolve, resolve_at_capacities, runtime_bound,
     AccessCounts, Evaluation, LayerProfiles,
 };
+pub use kernel::Pooled;
 pub use profile::{AccessProfile, Breakpoint};
 pub use search::{
     search_layer, search_layer_k_best, search_layer_reference, search_layer_with, Objective,
     SearchError,
 };
 pub use sensitivity::{knob_effects, Knob, KnobEffect};
-pub use sweep::{sweep_lanes_for, PooledLanes, SweepLanes};
+pub use sweep::{sweep_lanes_for, SweepLanes};
 pub use verdict::{buffer_verdicts, BreakpointVerdict, BufferVerdict};
 pub use walk::{c3p_breakpoints, c3p_penalty_multiplier};

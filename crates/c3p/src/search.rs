@@ -1,18 +1,19 @@
 //! Exhaustive per-layer mapping search (the post-design flow's inner loop).
 //!
-//! The search is a parallel branch-and-bound over the batched
-//! struct-of-arrays engine ([`crate::batch`]): candidates are enumerated
-//! into reusable thread-local buffers, fanned out in chunks over
+//! The search is a parallel branch-and-bound over batched
+//! struct-of-arrays scratch: candidates are enumerated into reusable
+//! thread-local buffers, fanned out in chunks over
 //! [`baton_parallel::map_chunks`] workers that share one [`AtomicBest`]
-//! incumbent, and each worker's [`crate::batch::BatchScratch`] memoizes
-//! geometry per `geom_id` and prunes candidates whose
-//! [`Floors`](crate::bounds::Floors) lower bound already scores worse than
-//! the incumbent. All mechanisms are exact — the floor never exceeds the
+//! incumbent, and each worker memoizes geometry per `geom_id`, prunes
+//! candidates whose [`Floors`](crate::bounds::Floors) lower bound already
+//! scores worse than the incumbent, and prices each survivor with the C³P
+//! kernel the memory sweep uses, as a one-rung resolve at the machine's own
+//! capacities. All mechanisms are exact — the floor never exceeds the
 //! true score and the ordered reduce breaks ties by candidate index — so
 //! the result is bit-identical to [`search_layer_reference`], the plain
 //! scalar scan, for any thread count.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::fmt;
 
 use baton_arch::{PackageConfig, Technology};
@@ -23,8 +24,9 @@ use baton_parallel::AtomicBest;
 use baton_telemetry::{count, count_n, span_labeled, Counter};
 use serde::{Deserialize, Serialize};
 
-use crate::batch;
+use crate::batch::{self, BatchScratch};
 use crate::evaluate::{evaluate_decomposition, Evaluation};
+use crate::kernel::Pooled;
 
 /// Optimization objective for the mapping search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -111,23 +113,32 @@ pub fn search_layer(
 }
 
 thread_local! {
-    /// Reusable enumeration buffers (candidates + geometry ids). Searches
-    /// run back to back on one thread — the steady state `baton bench`
-    /// measures — re-enumerate into the same allocations.
-    static ENUM_BUFFERS: Cell<(Vec<Mapping>, Vec<u32>)> =
-        const { Cell::new((Vec::new(), Vec::new())) };
+    /// Retired enumeration buffers (candidates + geometry ids): searches run
+    /// back to back on one thread re-enumerate into the same allocations.
+    static ENUM_BUFFERS: RefCell<Vec<(Vec<Mapping>, Vec<u32>)>> =
+        const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` with the thread-local enumeration buffers checked out (taken,
-/// then restored), so a panic inside `f` merely drops the buffers instead
-/// of poisoning anything.
-fn with_enum_buffers<R>(f: impl FnOnce(&mut Vec<Mapping>, &mut Vec<u32>) -> R) -> R {
-    ENUM_BUFFERS.with(|cell| {
-        let (mut cands, mut ids) = cell.take();
-        let r = f(&mut cands, &mut ids);
-        cell.set((cands, ids));
-        r
-    })
+/// Enumerates `layer`'s candidates into pooled buffers and runs `scan`
+/// over them in chunks on the search workers, each worker with a pooled
+/// [`BatchScratch`]. Returns the candidate count and the chunk results in
+/// input order.
+fn fan_out<R: Send>(
+    layer: &ConvSpec,
+    arch: &PackageConfig,
+    opts: EnumOptions,
+    scan: impl Fn(&mut BatchScratch, &[Mapping], &[u32]) -> R + Sync,
+) -> (usize, Vec<R>) {
+    let mut buffers = Pooled::checkout(&ENUM_BUFFERS);
+    let (cands, ids) = &mut *buffers;
+    let n_geoms = enumerate_into(layer, arch, opts, cands, ids).geoms;
+    let workers = baton_parallel::threads();
+    let chunk = baton_parallel::chunk_size(cands.len(), workers);
+    let init = || batch::scratch(n_geoms);
+    let out = baton_parallel::map_chunks(cands, workers, chunk, init, |s, at, c| {
+        scan(s, c, &ids[at..at + c.len()])
+    });
+    (cands.len(), out)
 }
 
 /// Searches with explicit enumeration options.
@@ -144,70 +155,49 @@ pub fn search_layer_with(
 ) -> Result<Evaluation, SearchError> {
     let sp = span_labeled("search_layer", || layer.name().to_string());
     let m_t0 = baton_telemetry::metrics::enabled().then(std::time::Instant::now);
-    with_enum_buffers(|cands, geom_ids| {
-        let stats = enumerate_into(layer, arch, opts, cands, geom_ids);
-        let n = cands.len();
-        let workers = baton_parallel::threads();
-        let chunk = baton_parallel::chunk_size(n, workers);
-        let incumbent = AtomicBest::new();
+    let incumbent = AtomicBest::new();
+    // Chunk outcomes come back in input order; each carries its own
+    // first-wins best, so the ordered reduce below recovers the global
+    // earliest-index argmin exactly like a sequential scan.
+    let (n, outcomes) = fan_out(layer, arch, opts, |scratch, cands, ids| {
+        scratch.evaluate_chunk(layer, arch, tech, objective, &incumbent, cands, ids)
+    });
 
-        // Chunk outcomes come back in input order; each carries its own
-        // first-wins best, so the ordered reduce below recovers the global
-        // earliest-index argmin exactly like a sequential scan.
-        let outcomes = baton_parallel::map_chunks(
-            cands,
-            workers,
-            chunk,
-            || batch::scratch_for(stats.geoms),
-            |scratch, start, slice| {
-                scratch.evaluate_chunk(
-                    layer,
-                    arch,
-                    tech,
-                    objective,
-                    &incumbent,
-                    slice,
-                    &geom_ids[start..start + slice.len()],
-                )
-            },
-        );
-
-        let (mut feasible, mut pruned) = (0u64, 0u64);
-        let mut best: Option<(f64, Evaluation)> = None;
-        for o in outcomes {
-            feasible += o.feasible;
-            pruned += o.pruned;
-            if let Some((score, ev)) = o.best {
-                // Strict `<`: the earliest chunk (lowest candidate index)
-                // wins ties, exactly like the sequential scan.
-                if best.as_ref().map(|(s, _)| score < *s).unwrap_or(true) {
-                    best = Some((score, ev));
-                }
+    let (mut feasible, mut pruned) = (0u64, 0u64);
+    let mut best: Option<(f64, Evaluation)> = None;
+    for o in outcomes {
+        feasible += o.feasible;
+        pruned += o.pruned;
+        if let Some((score, ev)) = o.best {
+            // Strict `<`: the earliest chunk (lowest candidate index)
+            // wins ties, exactly like the sequential scan.
+            if best.as_ref().map(|(s, _)| score < *s).unwrap_or(true) {
+                best = Some((score, ev));
             }
         }
-        if baton_telemetry::enabled() {
-            count_n(Counter::SearchPruned, pruned);
-            count(if best.is_some() {
-                Counter::SearchesCompleted
-            } else {
-                Counter::SearchesFailed
-            });
-            let mut ev = baton_telemetry::event("search_layer")
-                .str("layer", layer.name())
-                .u64("candidates", n as u64)
-                .u64("feasible", feasible)
-                .u64("pruned", pruned)
-                .u64("dur_us", sp.elapsed_us());
-            if let Some((score, _)) = &best {
-                ev = ev.f64("best_score", *score);
-            }
-            ev.emit();
+    }
+    if baton_telemetry::enabled() {
+        count_n(Counter::SearchPruned, pruned);
+        count(if best.is_some() {
+            Counter::SearchesCompleted
+        } else {
+            Counter::SearchesFailed
+        });
+        let mut ev = baton_telemetry::event("search_layer")
+            .str("layer", layer.name())
+            .u64("candidates", n as u64)
+            .u64("feasible", feasible)
+            .u64("pruned", pruned)
+            .u64("dur_us", sp.elapsed_us());
+        if let Some((score, _)) = &best {
+            ev = ev.f64("best_score", *score);
         }
-        observe_search(objective, m_t0);
-        best.map(|(_, ev)| ev).ok_or_else(|| SearchError {
-            layer: layer.name().to_string(),
-            candidates: n,
-        })
+        ev.emit();
+    }
+    observe_search(objective, m_t0);
+    best.map(|(_, ev)| ev).ok_or_else(|| SearchError {
+        layer: layer.name().to_string(),
+        candidates: n,
     })
 }
 
@@ -271,42 +261,23 @@ pub fn search_layer_k_best(
 ) -> Result<Vec<Evaluation>, SearchError> {
     let _sp = span_labeled("search_layer", || layer.name().to_string());
     let m_t0 = baton_telemetry::metrics::enabled().then(std::time::Instant::now);
-    with_enum_buffers(|cands, geom_ids| {
-        let stats = enumerate_into(layer, arch, EnumOptions::default(), cands, geom_ids);
-        let n = cands.len();
-        let workers = baton_parallel::threads();
-        let chunk = baton_parallel::chunk_size(n, workers);
-        let evaluated = baton_parallel::map_chunks(
-            cands,
-            workers,
-            chunk,
-            || batch::scratch_for(stats.geoms),
-            |scratch, start, slice| {
-                let mut out = Vec::new();
-                scratch.evaluate_all(
-                    layer,
-                    arch,
-                    tech,
-                    objective,
-                    slice,
-                    &geom_ids[start..start + slice.len()],
-                    &mut out,
-                );
-                out
-            },
-        );
-        let mut scored: Vec<(f64, Evaluation)> = evaluated.into_iter().flatten().collect();
-        if scored.is_empty() {
-            return Err(SearchError {
-                layer: layer.name().to_string(),
-                candidates: n,
-            });
-        }
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        scored.truncate(k.max(1));
-        observe_search(objective, m_t0);
-        Ok(scored.into_iter().map(|(_, ev)| ev).collect())
-    })
+    let (n, evaluated) = fan_out(
+        layer,
+        arch,
+        EnumOptions::default(),
+        |scratch, cands, ids| scratch.evaluate_all(layer, arch, tech, objective, cands, ids),
+    );
+    let mut scored: Vec<(f64, Evaluation)> = evaluated.into_iter().flatten().collect();
+    if scored.is_empty() {
+        return Err(SearchError {
+            layer: layer.name().to_string(),
+            candidates: n,
+        });
+    }
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+    scored.truncate(k.max(1));
+    observe_search(objective, m_t0);
+    Ok(scored.into_iter().map(|(_, ev)| ev).collect())
 }
 
 fn try_evaluate(

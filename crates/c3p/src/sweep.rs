@@ -4,37 +4,31 @@
 //! (five breakpoint vectors plus two sliced footprint copies — ~15
 //! allocations) and then re-scans the breakpoints at every `(A-L1, W-L1,
 //! A-L2)` grid cell. But a sweep unit only ever asks for accesses at the
-//! *rungs of its capacity ladders*: the profile's continuous capacity axis
-//! is wasted generality. This module resolves each candidate's
-//! capacity-dependent paths once per rung with the streaming
-//! [`c3p_penalty_multiplier`] walk — the same resolver the batched search
-//! engine uses — into flat struct-of-arrays lanes held in a pooled,
-//! thread-local [`SweepLanes`]. Repricing a design point then costs five
-//! lane lookups, the fixed [`AccessCounts`] assembly, and the energy/runtime
-//! models; steady-state sweep units allocate nothing.
+//! *rungs of its capacity ladders*. [`SweepLanes`] therefore calls the C³P
+//! kernel (`c3p::kernel`) once per ladder rung per candidate — the
+//! resolver the mapping search calls once per survivor — into pooled,
+//! thread-local lanes. Repricing a design point then costs five lane
+//! lookups, the kernel's assembly, and the energy/runtime models;
+//! steady-state sweep units allocate nothing.
 //!
 //! Bit-identity with the materialized chain (`LayerProfiles::build` +
 //! [`resolve_at_capacities`]) is pinned by the tests below and by the
 //! differential sweep-equivalence harness in `tests/`; counter semantics
 //! match one [`baton_mapping::decompose`] call per pushed candidate
-//! (geometry memo replay, as in the batch engine) and one penalty-counter
-//! check per scored point.
+//! (geometry memo replay, as in the search) and one penalty-counter check
+//! per scored point.
 //!
 //! [`LayerProfiles`]: crate::evaluate::LayerProfiles
 //! [`resolve_at_capacities`]: crate::evaluate::resolve_at_capacities
 
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 
 use baton_arch::{PackageConfig, Technology};
-use baton_mapping::{
-    mapping_geometry, Dim, LoopLevel, Mapping, MappingError, MappingGeometry, NestScratch, Volumes,
-};
+use baton_mapping::{Mapping, NestScratch, Volumes};
 use baton_model::ConvSpec;
-use baton_telemetry::{count, Counter};
 
-use crate::evaluate::{price, runtime_bound, AccessCounts};
-use crate::walk::c3p_penalty_multiplier;
+use crate::evaluate::{price, runtime_bound};
+use crate::kernel::{resolve_rung, GeomMemo, Paths, Pooled, Rung};
 
 /// Per-candidate scalar metadata, kept alongside the resolved lanes.
 #[derive(Debug, Clone, Copy)]
@@ -58,7 +52,7 @@ struct CandMeta {
 /// Acquire via [`sweep_lanes_for`]; every buffer is cleared with capacity
 /// kept, so a worker that processes many `(geometry, O-L1)` units reaches a
 /// zero-allocation steady state. Candidate-major layout: candidate `i`'s
-/// resolved accesses at ladder rung `r` live at `i * rungs + r`.
+/// paths resolved at ladder rung `r` live at `i * rungs + r`.
 #[derive(Debug, Default)]
 pub struct SweepLanes {
     /// A-L1 capacity ladder in bytes.
@@ -67,24 +61,18 @@ pub struct SweepLanes {
     w_l1: Vec<u64>,
     /// A-L2 capacity ladder in bytes.
     a_l2: Vec<u64>,
+    /// Lane stride: the rung count of the longest ladder.
+    rungs: usize,
     /// `lanes * vector * 8` of the machine: the minimum effective W-L1
     /// capacity in bits below which a stream cannot hold one weight chunk.
     min_w_bits: u64,
     /// Per-candidate metadata.
     meta: Vec<CandMeta>,
-    /// DRAM input reads per A-L2 rung (stride `a_l2.len()`).
-    dram_input: Vec<u64>,
-    /// Ring (D2D) input traffic per A-L2 rung (stride `a_l2.len()`).
-    d2d_input: Vec<u64>,
-    /// A-L2 to bus reads per A-L1 rung (stride `a_l1.len()`).
-    a_l2_read: Vec<u64>,
-    /// DRAM weight reads per W-L1 rung (stride `w_l1.len()`).
-    dram_weight: Vec<u64>,
-    /// Ring (D2D) weight traffic per W-L1 rung (stride `w_l1.len()`).
-    d2d_weight: Vec<u64>,
-    /// Geometry memo, indexed by the enumerator's dense `geom_id` (grown on
-    /// demand — the streaming visitor does not know the id count up front).
-    geoms: Vec<Option<Result<MappingGeometry, MappingError>>>,
+    /// Resolved paths per candidate and rung; a path whose ladder is
+    /// shorter than the rung index stays 0 there and is never read.
+    paths: Vec<Paths>,
+    /// Geometry memo, indexed by the enumerator's dense `geom_id`.
+    memo: GeomMemo,
     /// Reusable nest/footprint buffers for the resolution walks.
     nest: NestScratch,
 }
@@ -99,14 +87,11 @@ impl SweepLanes {
         self.w_l1.extend_from_slice(w_l1);
         self.a_l2.clear();
         self.a_l2.extend_from_slice(a_l2);
+        self.rungs = a_l1.len().max(w_l1.len()).max(a_l2.len());
         self.min_w_bits = min_w_bits;
         self.meta.clear();
-        self.dram_input.clear();
-        self.d2d_input.clear();
-        self.a_l2_read.clear();
-        self.dram_weight.clear();
-        self.d2d_weight.clear();
-        self.geoms.clear();
+        self.paths.clear();
+        self.memo.reset(0);
     }
 
     /// Number of candidates currently held.
@@ -117,31 +102,6 @@ impl SweepLanes {
     /// Whether no candidate has been pushed (or all were rejected).
     pub fn is_empty(&self) -> bool {
         self.meta.is_empty()
-    }
-
-    /// Memo lookup with per-candidate counter replay: bumps
-    /// `DecomposeCalls` always and the specific reject counter on `Err`,
-    /// exactly like one [`baton_mapping::decompose`] call would.
-    fn geometry(
-        &mut self,
-        layer: &ConvSpec,
-        arch: &PackageConfig,
-        mapping: &Mapping,
-        geom_id: u32,
-    ) -> Result<MappingGeometry, MappingError> {
-        count(Counter::DecomposeCalls);
-        let idx = geom_id as usize;
-        if idx >= self.geoms.len() {
-            self.geoms.resize(idx + 1, None);
-        }
-        let slot = &mut self.geoms[idx];
-        let res = *slot.get_or_insert_with(|| mapping_geometry(layer, arch, mapping));
-        if baton_telemetry::enabled() {
-            if let Err(e) = res {
-                count(e.counter());
-            }
-        }
-        res
     }
 
     /// Decomposes one enumerated candidate (through the geometry memo) and
@@ -161,75 +121,20 @@ impl SweepLanes {
         a_l1_floor: u64,
         o_l2_floor: u64,
     ) -> bool {
-        let Ok(geom) = self.geometry(layer, arch, mapping, geom_id) else {
+        let Ok(geom) = self.memo.get(layer, arch, mapping, geom_id) else {
             return false;
         };
-        let (v, rotate_inputs, rotate_weights) = geom.volumes_for(mapping.rotation);
-        geom.build_nest_into(
-            layer,
-            mapping,
-            rotate_inputs,
-            rotate_weights,
-            &mut self.nest,
-        );
-        let loops = &self.nest.loops;
-        let n_p = u64::from(geom.n_p()).max(1);
-        let rot_pos = loops.iter().position(|l| l.level == LoopLevel::Rotation);
-        // Home-slice tier: above the rotation loop only `1/N_P` of the
-        // shared working set must stay resident to avoid DRAM reloads (the
-        // slicing rule of `LayerProfiles::build`, applied lazily).
-        let cut = rot_pos.map(|p| p + 1).unwrap_or(0);
-        let sliced = |fp: &[u64], rotated: bool, i: usize| -> u64 {
-            if rotated && i >= cut {
-                fp[i] / n_p
-            } else {
-                fp[i]
-            }
-        };
-
-        for &a_l2 in &self.a_l2 {
-            let cap = a_l2 * 8;
-            self.dram_input
-                .push(v.dram_input_base.saturating_mul(c3p_penalty_multiplier(
-                    loops,
-                    |i| sliced(&self.nest.chiplet_input, rotate_inputs, i),
-                    Dim::input_relevant,
-                    cap,
-                )));
-            self.d2d_input
-                .push(v.d2d_input_base.saturating_mul(c3p_penalty_multiplier(
-                    loops,
-                    |i| self.nest.chiplet_input[i],
-                    Dim::input_relevant,
-                    cap,
-                )));
-        }
-        for &a_l1 in &self.a_l1 {
-            self.a_l2_read
-                .push(v.a_l2_read_base.saturating_mul(c3p_penalty_multiplier(
-                    loops,
-                    |i| self.nest.core_input[i],
-                    Dim::input_relevant,
-                    a_l1 * 8,
-                )));
-        }
+        let (v, rot_in, rot_w) = geom.volumes_for(mapping.rotation);
+        geom.build_nest_into(layer, mapping, rot_in, rot_w, &mut self.nest);
         let plane_ways = u64::from(geom.plane_ways());
-        for &w_l1 in &self.w_l1 {
-            let w_eff = plane_ways * w_l1 * 8;
-            self.dram_weight
-                .push(v.dram_weight_base.saturating_mul(c3p_penalty_multiplier(
-                    loops,
-                    |i| sliced(&self.nest.stream_weight, rotate_weights, i),
-                    Dim::weight_relevant,
-                    w_eff,
-                )));
-            self.d2d_weight
-                .push(v.d2d_weight_base.saturating_mul(c3p_penalty_multiplier(
-                    loops,
-                    |i| self.nest.stream_weight[i],
-                    Dim::weight_relevant,
-                    w_eff,
-                )));
+        for r in 0..self.rungs {
+            let rung = Rung {
+                a_l1_bits: self.a_l1.get(r).map(|b| b * 8),
+                a_l2_bits: self.a_l2.get(r).map(|b| b * 8),
+                w_eff_bits: self.w_l1.get(r).map(|b| plane_ways * b * 8),
+            };
+            let paths = resolve_rung(&self.nest, &v, geom.n_p(), (rot_in, rot_w), rung);
+            self.paths.push(paths);
         }
         self.meta.push(CandMeta {
             v,
@@ -246,7 +151,7 @@ impl SweepLanes {
     /// order (the corner-pruning survivor filter). In place, no allocation.
     pub fn retain(&mut self, keep: &[bool]) {
         assert_eq!(keep.len(), self.meta.len(), "one flag per candidate");
-        let (na1, nw1, na2) = (self.a_l1.len(), self.w_l1.len(), self.a_l2.len());
+        let n = self.rungs;
         let mut w = 0usize;
         for (r, &k) in keep.iter().enumerate() {
             if !k {
@@ -254,21 +159,12 @@ impl SweepLanes {
             }
             if w != r {
                 self.meta[w] = self.meta[r];
-                self.dram_input.copy_within(r * na2..(r + 1) * na2, w * na2);
-                self.d2d_input.copy_within(r * na2..(r + 1) * na2, w * na2);
-                self.a_l2_read.copy_within(r * na1..(r + 1) * na1, w * na1);
-                self.dram_weight
-                    .copy_within(r * nw1..(r + 1) * nw1, w * nw1);
-                self.d2d_weight.copy_within(r * nw1..(r + 1) * nw1, w * nw1);
+                self.paths.copy_within(r * n..(r + 1) * n, w * n);
             }
             w += 1;
         }
         self.meta.truncate(w);
-        self.dram_input.truncate(w * na2);
-        self.d2d_input.truncate(w * na2);
-        self.a_l2_read.truncate(w * na1);
-        self.dram_weight.truncate(w * nw1);
-        self.d2d_weight.truncate(w * nw1);
+        self.paths.truncate(w * n);
     }
 
     /// Scores candidate `i` at the grid cell addressed by ladder rung
@@ -295,44 +191,19 @@ impl SweepLanes {
         if m.a_l1_floor > a_l1 || m.o_l2_floor > arch.chiplet.o_l2_bytes {
             return None;
         }
-        let eff_w = m.plane_ways * w_l1 * 8;
-        if self.min_w_bits > eff_w {
+        if self.min_w_bits > m.plane_ways * w_l1 * 8 {
             return None;
         }
-        let v = &m.v;
-        let dram_input_bits = self.dram_input[i * self.a_l2.len() + a2];
-        let d2d_input = self.d2d_input[i * self.a_l2.len() + a2];
-        let a_l2_fill = dram_input_bits + d2d_input;
-        let a_l2_read = self.a_l2_read[i * self.a_l1.len() + a1];
-        let a_l1_fill = a_l2_read * m.fill_streams;
-        let dram_weight_bits = self.dram_weight[i * self.w_l1.len() + w1];
-        let d2d_weight = self.d2d_weight[i * self.w_l1.len() + w1];
-        let w_l1_fill = dram_weight_bits + d2d_weight;
-
-        if baton_telemetry::enabled() {
-            if dram_input_bits > v.dram_input_base {
-                count(Counter::PenaltyAL2);
-            }
-            if a_l2_read > v.a_l2_read_base {
-                count(Counter::PenaltyAL1);
-            }
-            if dram_weight_bits > v.dram_weight_base {
-                count(Counter::PenaltyWL1);
-            }
-        }
-
-        let access = AccessCounts {
-            dram_input_bits,
-            dram_weight_bits,
-            dram_output_bits: v.dram_output,
-            d2d_bits: d2d_input + d2d_weight,
-            a_l2_bits: a_l2_fill + a_l2_read,
-            o_l2_bits: v.o_l2_write + v.o_l2_read,
-            a_l1_bits: a_l1_fill + v.a_l1_read,
-            w_l1_bits: w_l1_fill + v.w_l1_read,
-            o_l1_rmw_bits: v.o_l1_rmw,
-            mac_ops: v.mac_ops,
+        let lane = &self.paths[i * self.rungs..(i + 1) * self.rungs];
+        let paths = Paths {
+            dram_input: lane[a2].dram_input,
+            d2d_input: lane[a2].d2d_input,
+            a_l2_read: lane[a1].a_l2_read,
+            dram_weight: lane[w1].dram_weight,
+            d2d_weight: lane[w1].d2d_weight,
         };
+        paths.count_penalties(&m.v);
+        let access = paths.access(&m.v, m.fill_streams);
         let energy = price(&access, arch, tech);
         let (cycles, _) = runtime_bound(m.compute_cycles, &access, arch, tech);
         Some((energy.total_pj(), cycles))
@@ -347,47 +218,18 @@ thread_local! {
     static LANES_POOL: RefCell<Vec<SweepLanes>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A [`SweepLanes`] checked out of the thread-local pool; returns itself on
-/// drop.
-#[derive(Debug)]
-pub struct PooledLanes {
-    inner: Option<SweepLanes>,
-}
-
-impl Deref for PooledLanes {
-    type Target = SweepLanes;
-    fn deref(&self) -> &SweepLanes {
-        self.inner.as_ref().expect("present until drop")
-    }
-}
-
-impl DerefMut for PooledLanes {
-    fn deref_mut(&mut self) -> &mut SweepLanes {
-        self.inner.as_mut().expect("present until drop")
-    }
-}
-
-impl Drop for PooledLanes {
-    fn drop(&mut self) {
-        if let Some(s) = self.inner.take() {
-            // `try_with`: the pool may already be gone during thread
-            // teardown, in which case the lanes are simply freed.
-            let _ = LANES_POOL.try_with(|p| p.borrow_mut().push(s));
-        }
-    }
-}
-
 /// Checks a lane set out of the thread-local pool (allocating a fresh one
 /// only if the pool is empty) and installs the unit's capacity ladders
 /// (bytes) and minimum stream width (`lanes * vector * 8` bits).
-pub fn sweep_lanes_for(a_l1: &[u64], w_l1: &[u64], a_l2: &[u64], min_w_bits: u64) -> PooledLanes {
-    let mut s = LANES_POOL
-        .try_with(|p| p.borrow_mut().pop())
-        .ok()
-        .flatten()
-        .unwrap_or_default();
+pub fn sweep_lanes_for(
+    a_l1: &[u64],
+    w_l1: &[u64],
+    a_l2: &[u64],
+    min_w_bits: u64,
+) -> Pooled<SweepLanes> {
+    let mut s = Pooled::checkout(&LANES_POOL);
     s.reset(a_l1, w_l1, a_l2, min_w_bits);
-    PooledLanes { inner: Some(s) }
+    s
 }
 
 #[cfg(test)]
@@ -401,63 +243,85 @@ mod tests {
     const A_L1: [u64; 3] = [1024, 8 * 1024, 128 * 1024];
     const W_L1: [u64; 3] = [2 * 1024, 18 * 1024, 256 * 1024];
     const A_L2: [u64; 2] = [32 * 1024, 256 * 1024];
+    /// The starved machine of the search's penalty test (A-L2 2 KiB, A-L1
+    /// 320 B), where the C³P penalties fire on most candidates.
+    const STARVED: ([u64; 1], [u64; 1], [u64; 1]) = ([320], [18 * 1024], [2 * 1024]);
 
     #[test]
     fn lane_scores_match_the_materialized_chain_bit_for_bit() {
         // The pinned contract: per-rung lane resolution + `score` ==
         // `LayerProfiles::build` + `resolve_at_capacities` + `price` +
-        // `runtime_bound`, exactly, at every grid cell.
-        let mut arch = presets::case_study_accelerator();
+        // `runtime_bound`, exactly, at every grid cell — on the regular
+        // ladders and on the starved rungs, where the penalties fire.
+        let ladders: [(&[u64], &[u64], &[u64]); 2] =
+            [(&A_L1, &W_L1, &A_L2), (&STARVED.0, &STARVED.1, &STARVED.2)];
+        // Candidates decompose on the unmodified machine; `arch` carries
+        // each scored cell's capacities.
+        let base = presets::case_study_accelerator();
+        let mut arch = base;
         let tech = Technology::paper_16nm();
         let min_w = u64::from(arch.chiplet.core.lanes) * u64::from(arch.chiplet.core.vector) * 8;
+        let mut penalized = 0u32;
         for (bucket, layer) in zoo::representative_layers(224) {
-            let (mut cands, mut ids) = (Vec::new(), Vec::new());
-            enumerate_into(&layer, &arch, EnumOptions::default(), &mut cands, &mut ids);
-            let mut lanes = sweep_lanes_for(&A_L1, &W_L1, &A_L2, min_w);
-            let mut kept: Vec<Mapping> = Vec::new();
-            for (m, &gid) in cands.iter().zip(&ids).take(256) {
-                if lanes.push_candidate(&layer, &arch, m, gid, 0, 0) {
-                    kept.push(*m);
-                } else {
-                    assert!(
-                        baton_mapping::decompose(&layer, &arch, m).is_err(),
-                        "{bucket}"
-                    );
+            for (a_l1s, w_l1s, a_l2s) in ladders {
+                let (mut cands, mut ids) = (Vec::new(), Vec::new());
+                enumerate_into(&layer, &base, EnumOptions::default(), &mut cands, &mut ids);
+                let mut lanes = sweep_lanes_for(a_l1s, w_l1s, a_l2s, min_w);
+                let mut kept: Vec<Mapping> = Vec::new();
+                for (m, &gid) in cands.iter().zip(&ids).take(256) {
+                    if lanes.push_candidate(&layer, &base, m, gid, 0, 0) {
+                        kept.push(*m);
+                    } else {
+                        assert!(
+                            baton_mapping::decompose(&layer, &base, m).is_err(),
+                            "{bucket}"
+                        );
+                    }
                 }
-            }
-            assert!(!kept.is_empty(), "{bucket}: no decomposable candidates");
-            let mut checked = 0u32;
-            for (i, m) in kept.iter().enumerate() {
-                let d = baton_mapping::decompose(&layer, &arch, m).unwrap();
-                let p = LayerProfiles::build(&d);
-                for (a1, &a_l1) in A_L1.iter().enumerate() {
-                    for (w1, &w_l1) in W_L1.iter().enumerate() {
-                        for (a2, &a_l2) in A_L2.iter().enumerate() {
-                            arch.chiplet.core.a_l1_bytes = a_l1;
-                            arch.chiplet.core.w_l1_bytes = w_l1;
-                            arch.chiplet.a_l2_bytes = a_l2;
-                            let eff_w = u64::from(d.plane_ways) * w_l1 * 8;
-                            let got = lanes.score(i, (a1, w1, a2), &arch, &tech);
-                            if min_w > eff_w {
-                                assert!(got.is_none(), "{bucket}: {m:?}");
-                                continue;
+                assert!(!kept.is_empty(), "{bucket}: no decomposable candidates");
+                let mut checked = 0u32;
+                for (i, m) in kept.iter().enumerate() {
+                    let d = baton_mapping::decompose(&layer, &base, m).unwrap();
+                    let p = LayerProfiles::build(&d);
+                    for (a1, &a_l1) in a_l1s.iter().enumerate() {
+                        for (w1, &w_l1) in w_l1s.iter().enumerate() {
+                            for (a2, &a_l2) in a_l2s.iter().enumerate() {
+                                arch.chiplet.core.a_l1_bytes = a_l1;
+                                arch.chiplet.core.w_l1_bytes = w_l1;
+                                arch.chiplet.a_l2_bytes = a_l2;
+                                let eff_w = u64::from(d.plane_ways) * w_l1 * 8;
+                                let got = lanes.score(i, (a1, w1, a2), &arch, &tech);
+                                if min_w > eff_w {
+                                    assert!(got.is_none(), "{bucket}: {m:?}");
+                                    continue;
+                                }
+                                let access =
+                                    resolve_at_capacities(&d, &p, a_l1 * 8, a_l2 * 8, eff_w);
+                                let energy = price(&access, &arch, &tech);
+                                let (cycles, _) =
+                                    runtime_bound(d.compute_cycles, &access, &arch, &tech);
+                                assert_eq!(
+                                    got,
+                                    Some((energy.total_pj(), cycles)),
+                                    "{bucket}: {m:?} cell ({a1},{w1},{a2})"
+                                );
+                                let v = &d.volumes;
+                                if access.dram_input_bits > v.dram_input_base
+                                    || access.a_l1_bits
+                                        > v.a_l2_read_base * p.fill_streams + v.a_l1_read
+                                    || access.dram_weight_bits > v.dram_weight_base
+                                {
+                                    penalized += 1;
+                                }
+                                checked += 1;
                             }
-                            let access = resolve_at_capacities(&d, &p, a_l1 * 8, a_l2 * 8, eff_w);
-                            let energy = price(&access, &arch, &tech);
-                            let (cycles, _) =
-                                runtime_bound(d.compute_cycles, &access, &arch, &tech);
-                            assert_eq!(
-                                got,
-                                Some((energy.total_pj(), cycles)),
-                                "{bucket}: {m:?} cell ({a1},{w1},{a2})"
-                            );
-                            checked += 1;
                         }
                     }
                 }
+                assert!(checked > 64, "{bucket}: only {checked} cells compared");
             }
-            assert!(checked > 64, "{bucket}: only {checked} cells compared");
         }
+        assert!(penalized > 0, "no penalized cell was compared");
     }
 
     #[test]

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use baton_arch::presets::ProportionalBuffers;
 use baton_arch::{validate, ChipletConfig, CoreConfig, PackageConfig, Technology};
 use baton_c3p::{
-    price, resolve_at_capacities, runtime_bound, sweep_lanes_for, LayerProfiles, Objective,
-    PooledLanes, ShapeMemo,
+    price, resolve_at_capacities, runtime_bound, sweep_lanes_for, LayerProfiles, Objective, Pooled,
+    ShapeMemo, SweepLanes,
 };
 use baton_mapping::enumerate::{visit_candidates, EnumOptions};
 use baton_mapping::{decompose, Decomposition, Mapping};
@@ -45,10 +45,10 @@ impl GranularityResult {
 /// assembling buffers proportional to the computation resources (the
 /// Figure 14 methodology), and maps `model` on each.
 ///
-/// Each geometry prices through [`map_model_opts`], i.e. the batched
-/// streaming search engine (DESIGN §6h) — the granularity family rides the
-/// same zero-allocation resolve path the full sweep uses via
-/// [`baton_c3p::SweepLanes`].
+/// Each bar prices through [`map_model_opts`]: the per-layer
+/// branch-and-bound mapping search (DESIGN §6h) on the bar's
+/// proportional-buffer machine, whose survivors the C³P kernel resolves
+/// at that machine's own capacities.
 ///
 /// Geometries with no feasible mapping for some layer are skipped.
 pub fn granularity_sweep(
@@ -457,7 +457,7 @@ fn cell_arch(reference: &PackageConfig, m: &MemorySpace, cell: Cell, o_l2: u64) 
 struct StreamingEngine;
 
 impl SweepEngine for StreamingEngine {
-    type Cands = PooledLanes;
+    type Cands = Pooled<SweepLanes>;
 
     fn build(
         &self,
@@ -465,7 +465,7 @@ impl SweepEngine for StreamingEngine {
         reference: &PackageConfig,
         tech: &Technology,
         opts: &SweepOptions,
-    ) -> BuiltCands<PooledLanes> {
+    ) -> BuiltCands<Pooled<SweepLanes>> {
         let m = &opts.space.memory;
         let core = &reference.chiplet.core;
         let min_w_bits = u64::from(core.lanes) * u64::from(core.vector) * 8;
@@ -495,7 +495,7 @@ impl SweepEngine for StreamingEngine {
 
     fn best_layer_at(
         &self,
-        lanes: &PooledLanes,
+        lanes: &Pooled<SweepLanes>,
         cell: Cell,
         arch: &PackageConfig,
         tech: &Technology,

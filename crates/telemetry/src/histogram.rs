@@ -75,9 +75,10 @@ impl Histogram {
     }
 
     /// Approximate quantile (`q` in `[0, 1]`): the upper bound of the bucket
-    /// holding the q-th sample. Zero when empty; `q` outside `[0, 1]` (or
-    /// NaN, which clamps to 0) is clamped rather than indexing a bogus
-    /// bucket.
+    /// holding the q-th sample, clamped to the exact `[min, max]` so a
+    /// quantile never lies outside the recorded samples. Zero when empty;
+    /// `q` outside `[0, 1]` (or NaN, which clamps to 0) is clamped rather
+    /// than indexing a bogus bucket.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -88,7 +89,7 @@ impl Histogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return Self::bucket_bound(i);
+                return Self::bucket_bound(i).clamp(self.min, self.max);
             }
         }
         self.max
@@ -169,23 +170,48 @@ mod tests {
             assert_eq!(empty.quantile(q), 0, "empty histogram at q={q}");
         }
 
-        // Single sample: every quantile lands in the sample's own bucket.
+        // Single sample: every quantile is the sample itself (its bucket
+        // bound, 127, clamped to the max).
         let mut one = Histogram::new();
         one.record(100); // bucket 6: 64..=127
         for q in [0.0, 0.25, 0.5, 1.0] {
-            assert_eq!(one.quantile(q), 127, "single-sample at q={q}");
+            assert_eq!(one.quantile(q), 100, "single-sample at q={q}");
         }
 
-        // q=0 is the lowest occupied bucket, q=1 the highest; out-of-range
-        // q clamps to those, and NaN behaves like q=0.
+        // q=0 is the lowest occupied bucket, q=1 the highest (clamped to
+        // the max); out-of-range q clamps to those, and NaN behaves like
+        // q=0.
         let mut h = Histogram::new();
         h.record(2); // bucket 1: 2..=3
         h.record(1000); // bucket 9: 512..=1023
         assert_eq!(h.quantile(0.0), 3);
-        assert_eq!(h.quantile(1.0), 1023);
+        assert_eq!(h.quantile(1.0), 1000);
         assert_eq!(h.quantile(-5.0), h.quantile(0.0));
         assert_eq!(h.quantile(9.0), h.quantile(1.0));
         assert_eq!(h.quantile(f64::NAN), h.quantile(0.0));
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_max() {
+        // One slow sweep: its log2 bucket spans 1_048_576..=2_097_151, so
+        // the unclamped p90 reported 2_097_151 against a max of 1_241_922.
+        let mut one = Histogram::new();
+        one.record(1_241_922);
+        assert_eq!(one.quantile(0.9), 1_241_922);
+
+        // Several samples: every quantile stays inside [min, max], and the
+        // top bucket's bound is clamped to the largest sample.
+        let mut h = Histogram::new();
+        for v in [700u64, 3, 5, 900, 1000] {
+            h.record(v);
+        }
+        assert_eq!(h.quantile(0.9), 1000, "bucket 512..=1023 clamped to max");
+        assert_eq!(h.quantile(0.5), 1000, "700 shares the top bucket");
+        assert_eq!(h.quantile(0.2), 3, "bucket 2..=3 is within range");
+        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+            let v = h.quantile(q);
+            assert!((h.min()..=h.max()).contains(&v), "q={q}: {v}");
+        }
     }
 
     #[test]

@@ -25,11 +25,19 @@ fn tiny_model() -> PathBuf {
     let dir = std::env::temp_dir().join("baton-report-test");
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("tiny.baton");
+    // Tests run in parallel and share this file: write a private copy and
+    // rename it into place, so no reader ever sees a half-written model.
+    let staged = dir.join(format!(
+        "tiny.{}.{:?}.tmp",
+        std::process::id(),
+        std::thread::current().id()
+    ));
     std::fs::write(
-        &file,
+        &staged,
         "model tiny @32\nconv name=only in=32x32x8 k=3 s=1 p=1 co=16\n",
     )
     .unwrap();
+    std::fs::rename(&staged, &file).unwrap();
     file
 }
 
