@@ -7,10 +7,12 @@
 //! it) and fills a flat lane of branch-and-bound floors through
 //! [`Floors::from_volumes`], the same `f64` path the scalar search uses, so
 //! prune decisions are bit-identical. Phase B prices every candidate whose
-//! floor does not exceed the shared incumbent with the C³P kernel
-//! ([`crate::kernel`]) as a one-rung resolve at the machine's own
-//! capacities, into reusable scratch, so a steady-state search allocates
-//! nothing.
+//! floor does not exceed its bound with the C³P kernel ([`crate::kernel`])
+//! as a one-rung resolve at the machine's own capacities, into reusable
+//! scratch, so a steady-state search allocates nothing. Two phase-B scans
+//! share phase A: the winner-only search bounds by the shared incumbent,
+//! and the k-best ranking keeps a bounded top-`k` list per chunk and
+//! bounds by the `k`-th score.
 //!
 //! Counter semantics match the scalar path exactly at one thread:
 //! `DecomposeCalls` and the reject counters are bumped per *candidate*
@@ -57,6 +59,16 @@ pub(crate) struct ChunkOutcome {
     pub pruned: u64,
 }
 
+/// One chunk's share of a k-best ranking.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkTopK {
+    /// At most `k` `(score, evaluation)` pairs, sorted by score with ties
+    /// in candidate order.
+    pub best: Vec<(f64, Evaluation)>,
+    /// Candidates skipped because their floor exceeded the `k`-th score.
+    pub pruned: u64,
+}
+
 thread_local! {
     /// Retired scratches, reused by later searches on the same thread. The
     /// sequential fan-out fast path runs on the calling thread, so repeated
@@ -74,23 +86,18 @@ pub(crate) fn scratch(n_geoms: usize) -> Pooled<BatchScratch> {
 }
 
 impl BatchScratch {
-    /// Branch-and-bound scan of one candidate chunk.
-    ///
-    /// Phase A fills the floor lane (geometry memo + shared floor math);
-    /// phase B walks it in candidate order, pruning against the shared
-    /// `incumbent` and evaluating survivors with the C³P kernel.
-    /// `geom_ids[i]` must be the enumerator's id for `cands[i]`.
-    #[allow(clippy::too_many_arguments)] // the full search context, passed flat
-    pub(crate) fn evaluate_chunk(
+    /// Phase A: fills the floor lane for one chunk (geometry memo + shared
+    /// floor math), infinite for a rejected geometry. Both scans below
+    /// start here, so they prune on the same bit-identical floors.
+    fn fill_floors(
         &mut self,
         layer: &ConvSpec,
         arch: &PackageConfig,
         tech: &Technology,
         objective: Objective,
-        incumbent: &AtomicBest,
         cands: &[Mapping],
         geom_ids: &[u32],
-    ) -> ChunkOutcome {
+    ) {
         debug_assert_eq!(cands.len(), geom_ids.len());
         self.floor_score.clear();
         for (m, &gid) in cands.iter().zip(geom_ids) {
@@ -104,7 +111,26 @@ impl BatchScratch {
                 });
             self.floor_score.push(floor);
         }
+    }
 
+    /// Branch-and-bound scan of one candidate chunk.
+    ///
+    /// Phase A fills the floor lane; phase B walks it in candidate order,
+    /// pruning against the shared `incumbent` and evaluating survivors
+    /// with the C³P kernel. `geom_ids[i]` must be the enumerator's id for
+    /// `cands[i]`.
+    #[allow(clippy::too_many_arguments)] // the full search context, passed flat
+    pub(crate) fn evaluate_chunk(
+        &mut self,
+        layer: &ConvSpec,
+        arch: &PackageConfig,
+        tech: &Technology,
+        objective: Objective,
+        incumbent: &AtomicBest,
+        cands: &[Mapping],
+        geom_ids: &[u32],
+    ) -> ChunkOutcome {
+        self.fill_floors(layer, arch, tech, objective, cands, geom_ids);
         let mut out = ChunkOutcome::default();
         for (i, (m, &gid)) in cands.iter().zip(geom_ids).enumerate() {
             let Some(geom) = self.memo.resolved(gid) else {
@@ -133,26 +159,55 @@ impl BatchScratch {
         out
     }
 
-    /// Evaluates every decomposable candidate in the chunk (no pruning —
-    /// the k-best ranking needs all feasible scores), returning
-    /// `(score, evaluation)` pairs in candidate order.
-    pub(crate) fn evaluate_all(
+    /// Bounded top-`k` scan of one candidate chunk (`k >= 1`).
+    ///
+    /// Phase A fills the floor lane; phase B keeps the chunk's `k` best
+    /// `(score, evaluation)` pairs sorted by score, ties in candidate
+    /// order. A candidate is skipped unpriced when its floor is strictly
+    /// above the chunk's own `k`-th score or the shared `kth` threshold,
+    /// which every chunk holding `k` entries lowers to its `k`-th score.
+    /// Any chunk's `k`-th score bounds the global `k`-th from above and a
+    /// floor never exceeds its score, so a skipped candidate scores
+    /// strictly worse than `k` others and cannot make the global top `k`.
+    #[allow(clippy::too_many_arguments)] // the full search context, passed flat
+    pub(crate) fn top_k_chunk(
         &mut self,
         layer: &ConvSpec,
         arch: &PackageConfig,
         tech: &Technology,
         objective: Objective,
+        k: usize,
+        kth: &AtomicBest,
         cands: &[Mapping],
         geom_ids: &[u32],
-    ) -> Vec<(f64, Evaluation)> {
-        debug_assert_eq!(cands.len(), geom_ids.len());
-        let mut out = Vec::new();
-        for (m, &gid) in cands.iter().zip(geom_ids) {
-            let Ok(geom) = self.memo.get(layer, arch, m, gid) else {
+    ) -> ChunkTopK {
+        debug_assert!(k >= 1);
+        self.fill_floors(layer, arch, tech, objective, cands, geom_ids);
+        // Grows as entries arrive: `k` is caller-chosen and may be huge.
+        let mut out = ChunkTopK::default();
+        for (i, (m, &gid)) in cands.iter().zip(geom_ids).enumerate() {
+            let Some(geom) = self.memo.resolved(gid) else {
                 continue;
             };
-            let ev = evaluate_survivor(&mut self.nest, layer, arch, tech, m, &geom);
-            out.push((objective.score(&ev, tech), ev));
+            let own = out.best.get(k - 1).map_or(f64::INFINITY, |(s, _)| *s);
+            // Strict `>`: a floor tying the `k`-th score may still place.
+            if self.floor_score[i] > own.min(kth.get()) {
+                out.pruned += 1;
+                continue;
+            }
+            let ev = evaluate_survivor(&mut self.nest, layer, arch, tech, m, geom);
+            let score = objective.score(&ev, tech);
+            // After every equal score: the earlier candidate wins ties.
+            let at = out
+                .best
+                .partition_point(|(s, _)| s.total_cmp(&score).is_le());
+            if at < k {
+                out.best.truncate(k - 1);
+                out.best.insert(at, (score, ev));
+                if out.best.len() == k {
+                    kth.observe(out.best[k - 1].0);
+                }
+            }
         }
         out
     }

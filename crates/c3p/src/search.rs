@@ -242,12 +242,16 @@ pub fn search_layer_reference(
 /// Returns the `k` best evaluations by the objective, best first — useful
 /// for robustness studies (how much worse is the runner-up?) and for
 /// handing a compiler several near-optimal schedules to choose from.
+/// `k = 0` is treated as 1.
 ///
-/// Candidates are evaluated in parallel over the same chunked batch-engine
-/// fan-out the winner-only search uses (no incumbent pruning: every
-/// feasible score is needed for the ranking). The ordered reduce plus a
-/// stable sort on exact scores keeps the ranking bit-identical to the
-/// sequential scan — ties stay in candidate order — for any thread count.
+/// Candidates are scanned over the same chunked batch-engine fan-out the
+/// winner-only search uses, as a bounded branch-and-bound: each chunk keeps
+/// its `k` best in score order, and a candidate whose floor exceeds the
+/// chunk's own `k`-th score, or the shared `k`-th threshold any full chunk
+/// lowers, is never priced. The ordered reduce concatenates the chunk lists
+/// and stable-sorts them on exact scores, so the ranking is bit-identical
+/// to a stable sort of every feasible candidate — ties stay in candidate
+/// order — for any thread count.
 ///
 /// # Errors
 ///
@@ -261,13 +265,22 @@ pub fn search_layer_k_best(
 ) -> Result<Vec<Evaluation>, SearchError> {
     let _sp = span_labeled("search_layer", || layer.name().to_string());
     let m_t0 = baton_telemetry::metrics::enabled().then(std::time::Instant::now);
-    let (n, evaluated) = fan_out(
+    let k = k.max(1);
+    let kth = AtomicBest::new();
+    let (n, chunks) = fan_out(
         layer,
         arch,
         EnumOptions::default(),
-        |scratch, cands, ids| scratch.evaluate_all(layer, arch, tech, objective, cands, ids),
+        |scratch, cands, ids| {
+            scratch.top_k_chunk(layer, arch, tech, objective, k, &kth, cands, ids)
+        },
     );
-    let mut scored: Vec<(f64, Evaluation)> = evaluated.into_iter().flatten().collect();
+    let pruned = chunks.iter().map(|c| c.pruned).sum();
+    let mut scored: Vec<(f64, Evaluation)> = chunks.into_iter().flat_map(|c| c.best).collect();
+    if baton_telemetry::enabled() {
+        count_n(Counter::SearchPruned, pruned);
+    }
+    observe_search(objective, m_t0);
     if scored.is_empty() {
         return Err(SearchError {
             layer: layer.name().to_string(),
@@ -275,8 +288,7 @@ pub fn search_layer_k_best(
         });
     }
     scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-    scored.truncate(k.max(1));
-    observe_search(objective, m_t0);
+    scored.truncate(k);
     Ok(scored.into_iter().map(|(_, ev)| ev).collect())
 }
 
@@ -403,6 +415,60 @@ mod tests {
             let got = search_layer(&layer, &arch, &tech, obj).unwrap();
             assert_eq!(reference, got, "{obj:?}");
         }
+    }
+
+    #[test]
+    fn k_best_records_failed_searches_and_its_prunes() {
+        use baton_telemetry::metrics::{self, SeriesValue};
+        // Samples in this objective's `baton_search_duration_seconds`
+        // series. Other tests search concurrently while the layer is on,
+        // so counts are compared as lower bounds.
+        let observed = |objective: Objective| -> u64 {
+            let snap = metrics::registry().snapshot();
+            let family = snap
+                .iter()
+                .find(|f| f.name == "baton_search_duration_seconds");
+            family
+                .and_then(|f| {
+                    f.series
+                        .iter()
+                        .find(|(labels, _)| labels.iter().any(|(_, v)| v == objective.label()))
+                })
+                .map_or(0, |(_, v)| match v {
+                    SeriesValue::Histogram(h) => h.count(),
+                    _ => panic!("search duration must be a histogram"),
+                })
+        };
+        let (mut arch, tech) = setup();
+        let layer = zoo::vgg16(224).layer("conv5_2").cloned().unwrap();
+        metrics::enable();
+        let _session = baton_telemetry::attach_with_sink(&Default::default(), None);
+
+        let pruned_before = baton_telemetry::counters::snapshot().get(Counter::SearchPruned);
+        let before = observed(Objective::Edp);
+        let top = search_layer_k_best(&layer, &arch, &tech, Objective::Edp, 3).unwrap();
+        assert_eq!(top.len(), 3);
+        let pruned = baton_telemetry::counters::snapshot().get(Counter::SearchPruned);
+        assert!(
+            pruned > pruned_before,
+            "the k-th score bound pruned nothing"
+        );
+        assert!(
+            observed(Objective::Edp) > before,
+            "a k-best search was not observed"
+        );
+
+        // An O-L2 too small for any candidate: the failed search must be
+        // observed too.
+        arch.chiplet.o_l2_bytes = 1;
+        let before = observed(Objective::Edp);
+        let err = search_layer_k_best(&layer, &arch, &tech, Objective::Edp, 3).unwrap_err();
+        assert!(err.to_string().contains("conv5_2"));
+        assert!(
+            observed(Objective::Edp) > before,
+            "an infeasible k-best search was not observed"
+        );
+        metrics::reset();
     }
 
     #[test]

@@ -17,9 +17,9 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use baton_arch::{presets, Technology};
-use baton_c3p::{search_layer, sweep_lanes_for, Objective};
+use baton_c3p::{search_layer, search_layer_k_best, sweep_lanes_for, Objective};
 use baton_mapping::enumerate::{enumerate_into, EnumOptions};
-use baton_model::ConvSpec;
+use baton_model::{zoo, ConvSpec};
 use baton_telemetry::alloc::{totals, AllocScope, CountingAlloc};
 use baton_telemetry::{counters, Counter};
 
@@ -47,6 +47,14 @@ const ALLOCS_PER_EVAL_BUDGET: f64 = 50.0;
 /// per-point or per-candidate materialization (the pre-streaming path
 /// paid ~15 allocations per candidate just building profiles).
 const SWEEP_ALLOCS_PER_POINT_BUDGET: f64 = 5.0;
+
+/// Bytes one warm k = 9 `search_layer_k_best` may allocate (k = 9 is the
+/// largest ranking the `serve_cold` benchmark's `/map` keys request). The bounded top-k scan keeps at most `k`
+/// evaluations per chunk and measures ~0.16 MB on resnet50
+/// `res3a_branch2b`; collecting and sorting every feasible candidate's
+/// `Evaluation` instead allocated ~20.5 MB, so any return of that
+/// materialization trips this at once.
+const K_BEST_BYTES_BUDGET: u64 = 1 << 20;
 
 /// The ledger is process-global and the test harness runs tests on
 /// parallel threads, so every test here that allocates or reads the
@@ -195,6 +203,32 @@ fn steady_state_sweep_repricing_stays_within_the_allocation_budget() {
     assert!(
         net_live.abs() < 1_048_576,
         "sweep repricing leaked {net_live} live bytes across {REPS} dropped units"
+    );
+}
+
+#[test]
+fn warm_k_best_ranking_stays_within_the_byte_budget() {
+    let _ledger = exclusive_ledger();
+    // One worker, so the whole ranking runs on this thread.
+    baton_parallel::configure_threads(Some(1));
+    let layer = zoo::resnet50(224)
+        .layer("res3a_branch2b")
+        .cloned()
+        .expect("zoo layer");
+    let arch = presets::case_study_accelerator();
+    let tech = Technology::paper_16nm();
+    let rank = || search_layer_k_best(&layer, &arch, &tech, Objective::Energy, 9).unwrap();
+
+    // Warm-up: the pooled enumeration buffers and batch scratch grow once.
+    rank();
+    let before = totals();
+    let top = rank();
+    let bytes = totals().bytes_allocated - before.bytes_allocated;
+    assert_eq!(top.len(), 9);
+    println!("k-best bytes allocated: {bytes}");
+    assert!(
+        bytes <= K_BEST_BYTES_BUDGET,
+        "warm k = 9 ranking allocated {bytes} bytes (budget {K_BEST_BYTES_BUDGET})"
     );
 }
 

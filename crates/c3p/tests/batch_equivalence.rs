@@ -11,12 +11,20 @@
 //! exactly (`Evaluation` equality is field-wise over exact `u64`/`f64`
 //! values — no tolerance), and the infeasible case must produce the same
 //! `SearchError`.
+//!
+//! The k-best ranking gets its own differential: [`search_layer_k_best`]
+//! prunes against per-chunk and shared `k`-th scores, and must still equal
+//! the stable sort of every feasible candidate's scalar evaluation,
+//! truncated to `k.max(1)`, at every `k`, objective and thread count.
 
 use baton_arch::{presets, PackageConfig, Technology};
-use baton_c3p::{search_layer_reference, search_layer_with, Objective};
-use baton_mapping::enumerate::EnumOptions;
-use baton_mapping::RotationMode;
-use baton_model::ConvSpec;
+use baton_c3p::{
+    evaluate_decomposition, search_layer_k_best, search_layer_reference, search_layer_with,
+    Evaluation, Objective,
+};
+use baton_mapping::enumerate::{candidates, EnumOptions};
+use baton_mapping::{decompose, RotationMode};
+use baton_model::{zoo, ConvSpec};
 use proptest::prelude::*;
 
 /// Enumeration option sets with `'static` ladders, exercising sparse and
@@ -92,8 +100,9 @@ proptest! {
     fn k_best_head_matches_the_reference_winner(
         layer in layers(),
     ) {
-        // The k-best path shares the batch engine without pruning; its head
-        // must be the reference winner whenever one exists.
+        // The k-best ranking prunes against its own k-th score, not the
+        // incumbent; its head must still be the reference winner whenever
+        // one exists.
         let (arch, tech) = setup();
         let objective = Objective::Energy;
         let want = search_layer_reference(
@@ -138,5 +147,77 @@ fn infeasible_machines_return_identical_errors() {
         .unwrap_err();
         baton_parallel::configure_threads(None);
         assert_eq!(want, got, "threads={threads}");
+    }
+}
+
+/// Ranking sizes for the k-best differential: `0` (treated as 1), the
+/// winner alone, short lists, the `serve_cold` benchmark's largest ranking
+/// (`top` 8 plus the winner) and `/map`'s largest (`top` 100 plus the
+/// winner).
+const KS: [usize; 6] = [0, 1, 2, 5, 9, 101];
+
+/// The k-best oracle: every feasible candidate of the default enumeration,
+/// priced by the scalar path and stable-sorted by exact score, so ties stay
+/// in candidate order. `None` when no candidate is feasible.
+fn full_ranking(
+    layer: &ConvSpec,
+    arch: &PackageConfig,
+    tech: &Technology,
+    objective: Objective,
+) -> Option<Vec<Evaluation>> {
+    let mut scored: Vec<(f64, Evaluation)> = candidates(layer, arch)
+        .iter()
+        .filter_map(|m| {
+            let d = decompose(layer, arch, m).ok()?;
+            let ev = evaluate_decomposition(&d, arch, tech, m);
+            Some((objective.score(&ev, tech), ev))
+        })
+        .collect();
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+    (!scored.is_empty()).then(|| scored.into_iter().map(|(_, ev)| ev).collect())
+}
+
+/// Checks `search_layer_k_best` against [`full_ranking`] for every `k` in
+/// [`KS`], every objective and 1, 2 and 4 threads.
+fn assert_k_best_matches_the_full_sort(layer: &ConvSpec) {
+    let (arch, tech) = setup();
+    for objective in OBJECTIVES {
+        let ranking = full_ranking(layer, &arch, &tech, objective);
+        for threads in [1usize, 2, 4] {
+            baton_parallel::configure_threads(Some(threads));
+            for k in KS {
+                let got = search_layer_k_best(layer, &arch, &tech, objective, k);
+                match &ranking {
+                    Some(all) => {
+                        let want = &all[..all.len().min(k.max(1))];
+                        assert_eq!(
+                            got.as_deref(),
+                            Ok(want),
+                            "k={k} threads={threads} objective={objective:?} layer={layer:?}"
+                        );
+                    }
+                    None => assert!(got.is_err(), "k={k}: {layer:?} has no feasible mapping"),
+                }
+            }
+            baton_parallel::configure_threads(None);
+        }
+    }
+}
+
+#[test]
+fn k_best_equals_the_full_stable_sort_on_zoo_layers() {
+    for name in ["conv4", "conv9"] {
+        let layer = zoo::darknet19(224).layer(name).cloned().unwrap();
+        assert_k_best_matches_the_full_sort(&layer);
+    }
+}
+
+proptest! {
+    // Each case runs 54 ranked searches against one scalar ranking per
+    // objective; the release `determinism` CI job runs more cases.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 8 } else { 32 }))]
+    #[test]
+    fn k_best_equals_the_full_stable_sort_on_random_layers(layer in layers()) {
+        assert_k_best_matches_the_full_sort(&layer);
     }
 }
