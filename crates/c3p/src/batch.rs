@@ -31,7 +31,7 @@ use baton_telemetry::{count, Counter};
 
 use crate::bounds::Floors;
 use crate::evaluate::{price, runtime_bound, Evaluation};
-use crate::kernel::{resolve_rung, GeomMemo, Pooled, Rung};
+use crate::kernel::{GeomMemo, Pooled, Rung, Staircases};
 use crate::search::Objective;
 
 /// Reusable struct-of-arrays buffers for one search worker; every buffer
@@ -232,7 +232,7 @@ fn evaluate_survivor(
         a_l2_bits: Some(arch.chiplet.a_l2_bytes * 8),
         w_eff_bits: Some(geom.effective_w_l1_bits()),
     };
-    let paths = resolve_rung(nest, &v, geom.n_p(), (rot_in, rot_w), rung);
+    let paths = Staircases::walk(nest, geom.n_p(), (rot_in, rot_w)).at(&v, rung);
     paths.count_penalties(&v);
     let access = paths.access(&v, u64::from(geom.weight_streams()));
     let energy = price(&access, arch, tech);
@@ -267,7 +267,7 @@ mod tests {
             let mut scratch = scratch(0);
             let mut checked = 0u32;
             for (m, &gid) in cands.iter().zip(&ids).take(512) {
-                let Ok(geom) = scratch.memo.get(&layer, &arch, m, gid) else {
+                let Ok(geom) = scratch.memo.get(&layer, &arch, m, gid).copied() else {
                     assert!(
                         baton_mapping::decompose(&layer, &arch, m).is_err(),
                         "{bucket}"
@@ -298,7 +298,7 @@ mod tests {
         let mut scratch = scratch(0);
         let mut penalized = 0u32;
         for (m, &gid) in cands.iter().zip(&ids).take(512) {
-            let Ok(geom) = scratch.memo.get(&layer, &arch, m, gid) else {
+            let Ok(geom) = scratch.memo.get(&layer, &arch, m, gid).copied() else {
                 continue;
             };
             let d = baton_mapping::decompose(&layer, &arch, m).unwrap();

@@ -1,15 +1,21 @@
 //! The one production C³P kernel, shared by the mapping search and the
 //! pre-design memory sweep.
 //!
-//! [`resolve_rung`] prices a candidate's five capacity-dependent data paths
-//! at one rung of buffer capacities with the streaming
-//! [`c3p_penalty_multiplier`] walk, and [`Paths::access`] assembles them
-//! into [`AccessCounts`]. The sweep resolves once per rung of its capacity
-//! ladders; the search is the one-rung case, at the machine's own
-//! capacities; the branch-and-bound floors assemble [`Paths::base`].
-//! [`GeomMemo`] and [`Pooled`] are the scratch management both paths share.
-//! The search and sweep unit tests and the equivalence harnesses in
-//! `tests/` pin all of it to the materialized oracle bit for bit.
+//! A candidate has five capacity-dependent data paths, each priced by the
+//! C³P region walk of [`crate::walk`] over its footprint table (with the
+//! home-slice rule applied on the DRAM paths). The kernel has no walk of
+//! its own: [`Staircases::walk`] folds every path into its [`Staircase`]
+//! in two walks (one per tensor, since paths of one tensor share their
+//! regions), and [`Staircases::at`] reads the five paths at one [`Rung`]
+//! of buffer capacities. The search reads one rung, the machine's own
+//! capacities; the sweep reads every rung of its capacity ladders off the
+//! same walk.
+//!
+//! [`Paths::access`] assembles a resolve into [`AccessCounts`]; the
+//! branch-and-bound floors assemble [`Paths::base`]. [`GeomMemo`] and
+//! [`Pooled`] are the scratch management both callers share. The search and
+//! sweep unit tests and the equivalence harnesses in `tests/` pin all of it
+//! to the materialized oracle bit for bit.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -23,7 +29,7 @@ use baton_model::ConvSpec;
 use baton_telemetry::{count, Counter};
 
 use crate::evaluate::AccessCounts;
-use crate::walk::c3p_penalty_multiplier;
+use crate::walk::Staircase;
 
 /// Buffer capacities in bits for one resolve. `None` skips that buffer's
 /// paths and leaves them 0 (a sweep rung past the end of a shorter ladder).
@@ -52,73 +58,132 @@ pub(crate) struct Paths {
     pub d2d_weight: u64,
 }
 
-/// Resolves, at one rung, the five paths of the candidate whose nest
-/// `nest` holds (built with the `rotated` flags that
-/// [`MappingGeometry::volumes_for`] returned beside `v`): each is its base
-/// volume times the streaming C³P reload multiplier, with the same sliced
-/// footprints and saturating products as `LayerProfiles::build` +
-/// `resolve_at_capacities`.
-#[inline]
-pub(crate) fn resolve_rung(
-    nest: &NestScratch,
-    v: &Volumes,
-    n_p: u32,
-    (rotate_inputs, rotate_weights): (bool, bool),
-    rung: Rung,
-) -> Paths {
-    let loops = &nest.loops;
-    let n_p = u64::from(n_p).max(1);
-    // Home-slice tier: above the rotation loop only `1/N_P` of the shared
-    // working set must stay resident to avoid DRAM reloads (the slicing
-    // rule of `LayerProfiles::build`, applied lazily via the closure).
-    let rot_pos = loops.iter().position(|l| l.level == LoopLevel::Rotation);
-    let cut = rot_pos.map(|p| p + 1).unwrap_or(0);
-    let sliced = |fp: &[u64], rotated: bool, i: usize| -> u64 {
-        if rotated && i >= cut {
-            fp[i] / n_p
+/// Names one of the five paths of [`Paths`].
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    DramInput,
+    D2dInput,
+    AL2Read,
+    DramWeight,
+    D2dWeight,
+}
+
+/// A built candidate nest viewed as the five paths' walk inputs: which
+/// footprint table each path reads, and the home-slice tier — above the
+/// rotation loop only `1/N_P` of a rotated working set must stay resident
+/// to avoid DRAM reloads (the slicing rule of `LayerProfiles::build`,
+/// applied lazily per footprint read).
+struct PathWalks<'a> {
+    nest: &'a NestScratch,
+    n_p: u64,
+    /// First nest position above the rotation loop (0 if there is none).
+    cut: usize,
+    rotate_inputs: bool,
+    rotate_weights: bool,
+}
+
+impl<'a> PathWalks<'a> {
+    /// `nest` must be built with the `rotated` flags that
+    /// [`MappingGeometry::volumes_for`] returned for the candidate.
+    #[inline]
+    fn new(nest: &'a NestScratch, n_p: u32, (rotate_inputs, rotate_weights): (bool, bool)) -> Self {
+        let rot_pos = nest
+            .loops
+            .iter()
+            .position(|l| l.level == LoopLevel::Rotation);
+        Self {
+            nest,
+            n_p: u64::from(n_p).max(1),
+            cut: rot_pos.map(|p| p + 1).unwrap_or(0),
+            rotate_inputs,
+            rotate_weights,
+        }
+    }
+
+    /// `path`'s working set covering everything strictly inside nest
+    /// position `i`, in bits.
+    #[inline]
+    fn footprint(&self, path: Path, i: usize) -> u64 {
+        let (fp, sliced) = match path {
+            Path::DramInput => (&self.nest.chiplet_input, self.rotate_inputs),
+            Path::D2dInput => (&self.nest.chiplet_input, false),
+            Path::AL2Read => (&self.nest.core_input, false),
+            Path::DramWeight => (&self.nest.stream_weight, self.rotate_weights),
+            Path::D2dWeight => (&self.nest.stream_weight, false),
+        };
+        if sliced && i >= self.cut {
+            fp[i] / self.n_p
         } else {
             fp[i]
         }
-    };
+    }
+}
 
-    let mut p = Paths::default();
-    if let Some(cap) = rung.a_l2_bits {
-        p.dram_input = v.dram_input_base.saturating_mul(c3p_penalty_multiplier(
-            loops,
-            |i| sliced(&nest.chiplet_input, rotate_inputs, i),
+/// A candidate's five paths as [`Staircase`]s, named as in [`Paths`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Staircases {
+    dram_input: Staircase,
+    d2d_input: Staircase,
+    a_l2_read: Staircase,
+    dram_weight: Staircase,
+    d2d_weight: Staircase,
+}
+
+impl Staircases {
+    /// Walks the candidate's nest once for its three input paths and once
+    /// for its two weight paths (paths of one tensor share their regions).
+    /// `nest` must be built with the `rotated` flags that
+    /// [`MappingGeometry::volumes_for`] returned for the candidate.
+    #[inline]
+    pub(crate) fn walk(nest: &NestScratch, n_p: u32, rotated: (bool, bool)) -> Self {
+        let walks = PathWalks::new(nest, n_p, rotated);
+        let fp = |path, i| walks.footprint(path, i);
+        let [dram_input, d2d_input, a_l2_read] = Staircase::walk(
+            &nest.loops,
+            |i| {
+                [
+                    fp(Path::DramInput, i),
+                    fp(Path::D2dInput, i),
+                    fp(Path::AL2Read, i),
+                ]
+            },
             Dim::input_relevant,
-            cap,
-        ));
-        p.d2d_input = v.d2d_input_base.saturating_mul(c3p_penalty_multiplier(
-            loops,
-            |i| nest.chiplet_input[i],
-            Dim::input_relevant,
-            cap,
-        ));
-    }
-    if let Some(cap) = rung.a_l1_bits {
-        p.a_l2_read = v.a_l2_read_base.saturating_mul(c3p_penalty_multiplier(
-            loops,
-            |i| nest.core_input[i],
-            Dim::input_relevant,
-            cap,
-        ));
-    }
-    if let Some(cap) = rung.w_eff_bits {
-        p.dram_weight = v.dram_weight_base.saturating_mul(c3p_penalty_multiplier(
-            loops,
-            |i| sliced(&nest.stream_weight, rotate_weights, i),
+        );
+        let [dram_weight, d2d_weight] = Staircase::walk(
+            &nest.loops,
+            |i| [fp(Path::DramWeight, i), fp(Path::D2dWeight, i)],
             Dim::weight_relevant,
-            cap,
-        ));
-        p.d2d_weight = v.d2d_weight_base.saturating_mul(c3p_penalty_multiplier(
-            loops,
-            |i| nest.stream_weight[i],
-            Dim::weight_relevant,
-            cap,
-        ));
+        );
+        Self {
+            dram_input,
+            d2d_input,
+            a_l2_read,
+            dram_weight,
+            d2d_weight,
+        }
     }
-    p
+
+    /// The paths at one rung: each path whose buffer has a capacity at
+    /// `rung` is its base volume in `v` (the `volumes_for` result the nest
+    /// was built beside) times its C³P reload multiplier at that capacity,
+    /// with the same sliced footprints and saturating products as
+    /// `LayerProfiles::build` + `resolve_at_capacities`; the rest stay 0.
+    #[inline]
+    pub(crate) fn at(&self, v: &Volumes, rung: Rung) -> Paths {
+        let mut p = Paths::default();
+        if let Some(cap) = rung.a_l2_bits {
+            p.dram_input = v.dram_input_base.saturating_mul(self.dram_input.at(cap));
+            p.d2d_input = v.d2d_input_base.saturating_mul(self.d2d_input.at(cap));
+        }
+        if let Some(cap) = rung.a_l1_bits {
+            p.a_l2_read = v.a_l2_read_base.saturating_mul(self.a_l2_read.at(cap));
+        }
+        if let Some(cap) = rung.w_eff_bits {
+            p.dram_weight = v.dram_weight_base.saturating_mul(self.dram_weight.at(cap));
+            p.d2d_weight = v.d2d_weight_base.saturating_mul(self.d2d_weight.at(cap));
+        }
+        p
+    }
 }
 
 impl Paths {
@@ -192,7 +257,9 @@ impl GeomMemo {
 
     /// Memo lookup with per-candidate counter replay: bumps
     /// `DecomposeCalls` always and the specific reject counter on `Err`,
-    /// exactly like one [`baton_mapping::decompose`] call would.
+    /// exactly like one [`baton_mapping::decompose`] call would. The
+    /// geometry is returned by reference: it is larger than the work most
+    /// callers do with it.
     #[inline]
     pub(crate) fn get(
         &mut self,
@@ -200,19 +267,21 @@ impl GeomMemo {
         arch: &PackageConfig,
         mapping: &Mapping,
         geom_id: u32,
-    ) -> Result<MappingGeometry, MappingError> {
+    ) -> Result<&MappingGeometry, MappingError> {
         count(Counter::DecomposeCalls);
         let idx = geom_id as usize;
         if idx >= self.0.len() {
             self.0.resize(idx + 1, None);
         }
-        let res = *self.0[idx].get_or_insert_with(|| mapping_geometry(layer, arch, mapping));
+        let res = self.0[idx]
+            .get_or_insert_with(|| mapping_geometry(layer, arch, mapping))
+            .as_ref();
         if baton_telemetry::enabled() {
             if let Err(e) = res {
                 count(e.counter());
             }
         }
-        res
+        res.map_err(|e| *e)
     }
 
     /// The geometry [`Self::get`] resolved for `geom_id`, without counting

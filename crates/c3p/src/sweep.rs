@@ -4,12 +4,15 @@
 //! (five breakpoint vectors plus two sliced footprint copies — ~15
 //! allocations) and then re-scans the breakpoints at every `(A-L1, W-L1,
 //! A-L2)` grid cell. But a sweep unit only ever asks for accesses at the
-//! *rungs of its capacity ladders*. [`SweepLanes`] therefore calls the C³P
-//! kernel (`c3p::kernel`) once per ladder rung per candidate — the
-//! resolver the mapping search calls once per survivor — into pooled,
-//! thread-local lanes. Repricing a design point then costs five lane
-//! lookups, the kernel's assembly, and the energy/runtime models;
-//! steady-state sweep units allocate nothing.
+//! *rungs of its capacity ladders*. [`SweepLanes`] therefore walks a
+//! candidate's nest once per tensor into the C³P kernel's inline
+//! staircases (`c3p::kernel::Staircases`, one `(Cc_k, P_k)` list per path)
+//! and reads every ladder rung off them as a threshold product into
+//! pooled, thread-local lanes. Repricing a design point then costs five lane
+//! lookups, the kernel's assembly, and the energy model (plus the runtime
+//! model for [`SweepLanes::score`]; corner pruning ranks by
+//! [`SweepLanes::energy`] alone); steady-state sweep units allocate
+//! nothing.
 //!
 //! Bit-identity with the materialized chain (`LayerProfiles::build` +
 //! [`resolve_at_capacities`]) is pinned by the tests below and by the
@@ -27,8 +30,8 @@ use baton_arch::{PackageConfig, Technology};
 use baton_mapping::{Mapping, NestScratch, Volumes};
 use baton_model::ConvSpec;
 
-use crate::evaluate::{price, runtime_bound};
-use crate::kernel::{resolve_rung, GeomMemo, Paths, Pooled, Rung};
+use crate::evaluate::{price, runtime_bound, AccessCounts};
+use crate::kernel::{GeomMemo, Paths, Pooled, Rung, Staircases};
 
 /// Per-candidate scalar metadata, kept alongside the resolved lanes.
 #[derive(Debug, Clone, Copy)]
@@ -104,9 +107,10 @@ impl SweepLanes {
         self.meta.is_empty()
     }
 
-    /// Decomposes one enumerated candidate (through the geometry memo) and
-    /// resolves its capacity-dependent paths at every ladder rung. Returns
-    /// `false` if the mapping is illegal for the layer/machine pair.
+    /// Decomposes one enumerated candidate (through the geometry memo),
+    /// walks its five capacity-dependent paths into staircases once, and
+    /// resolves them at every ladder rung from those. Returns `false` if
+    /// the mapping is illegal for the layer/machine pair.
     ///
     /// The per-rung values are bit-identical to
     /// [`resolve_at_capacities`](crate::evaluate::resolve_at_capacities) on
@@ -127,14 +131,14 @@ impl SweepLanes {
         let (v, rot_in, rot_w) = geom.volumes_for(mapping.rotation);
         geom.build_nest_into(layer, mapping, rot_in, rot_w, &mut self.nest);
         let plane_ways = u64::from(geom.plane_ways());
+        let stairs = Staircases::walk(&self.nest, geom.n_p(), (rot_in, rot_w));
         for r in 0..self.rungs {
             let rung = Rung {
                 a_l1_bits: self.a_l1.get(r).map(|b| b * 8),
                 a_l2_bits: self.a_l2.get(r).map(|b| b * 8),
                 w_eff_bits: self.w_l1.get(r).map(|b| plane_ways * b * 8),
             };
-            let paths = resolve_rung(&self.nest, &v, geom.n_p(), (rot_in, rot_w), rung);
-            self.paths.push(paths);
+            self.paths.push(stairs.at(&v, rung));
         }
         self.meta.push(CandMeta {
             v,
@@ -175,13 +179,45 @@ impl SweepLanes {
     /// The check order (floors, then stream width, then resolution) and the
     /// penalty-counter conditions replicate the materialized scoring chain
     /// exactly, so the counter stream is identical point for point.
+    #[inline]
     pub fn score(
+        &self,
+        i: usize,
+        cell: (usize, usize, usize),
+        arch: &PackageConfig,
+        tech: &Technology,
+    ) -> Option<(f64, u64)> {
+        let access = self.access(i, cell, arch)?;
+        let energy = price(&access, arch, tech);
+        let (cycles, _) = runtime_bound(self.meta[i].compute_cycles, &access, arch, tech);
+        Some((energy.total_pj(), cycles))
+    }
+
+    /// The energy half of [`Self::score`], bit for bit and with the same
+    /// feasibility checks and penalty counters, without the runtime model:
+    /// what corner pruning ranks by.
+    #[inline]
+    pub fn energy(
+        &self,
+        i: usize,
+        cell: (usize, usize, usize),
+        arch: &PackageConfig,
+        tech: &Technology,
+    ) -> Option<f64> {
+        let access = self.access(i, cell, arch)?;
+        Some(price(&access, arch, tech).total_pj())
+    }
+
+    /// Candidate `i`'s feasibility checks, lane lookups, penalty counters
+    /// and access assembly at one cell, shared by [`Self::score`] and
+    /// [`Self::energy`].
+    #[inline]
+    fn access(
         &self,
         i: usize,
         (a1, w1, a2): (usize, usize, usize),
         arch: &PackageConfig,
-        tech: &Technology,
-    ) -> Option<(f64, u64)> {
+    ) -> Option<AccessCounts> {
         let m = &self.meta[i];
         let a_l1 = self.a_l1[a1];
         let w_l1 = self.w_l1[w1];
@@ -203,10 +239,7 @@ impl SweepLanes {
             d2d_weight: lane[w1].d2d_weight,
         };
         paths.count_penalties(&m.v);
-        let access = paths.access(&m.v, m.fill_streams);
-        let energy = price(&access, arch, tech);
-        let (cycles, _) = runtime_bound(m.compute_cycles, &access, arch, tech);
-        Some((energy.total_pj(), cycles))
+        Some(paths.access(&m.v, m.fill_streams))
     }
 }
 
@@ -291,6 +324,11 @@ mod tests {
                                 arch.chiplet.a_l2_bytes = a_l2;
                                 let eff_w = u64::from(d.plane_ways) * w_l1 * 8;
                                 let got = lanes.score(i, (a1, w1, a2), &arch, &tech);
+                                assert_eq!(
+                                    lanes.energy(i, (a1, w1, a2), &arch, &tech),
+                                    got.map(|(e, _)| e),
+                                    "{bucket}: energy-only score"
+                                );
                                 if min_w > eff_w {
                                     assert!(got.is_none(), "{bucket}: {m:?}");
                                     continue;

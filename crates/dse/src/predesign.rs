@@ -391,8 +391,8 @@ fn candidate_floors(layer: &ConvSpec, reference: &PackageConfig, mapping: &Mappi
 
 /// The eight pruning corners of the memory grid, as rung-index cells, in
 /// the fixed `A-L1 x W-L1 x A-L2` first/last nesting order. Single-rung
-/// ladders repeat their only rung (and so repeat corners), preserving the
-/// historical score-call sequence exactly.
+/// ladders repeat their only rung (and so repeat corners), so every
+/// candidate is always scored eight times, as the penalty counters count.
 fn corner_cells(m: &MemorySpace) -> [Cell; 8] {
     let a1 = [0, m.a_l1.len() - 1];
     let w = [0, m.w_l1.len() - 1];
@@ -418,22 +418,76 @@ fn corner_cells(m: &MemorySpace) -> [Cell; 8] {
     out
 }
 
+/// How [`corner_keep`] picks each corner's best `keep_per_corner`.
+#[derive(Debug, Clone, Copy)]
+enum Selection {
+    /// Collect every feasible score and stable-sort them all: the
+    /// reference engine's selection, kept as the oracle for [`TopK`].
+    FullSort,
+    /// A bounded [`TopK`], reused across corners.
+    Bounded,
+}
+
+/// A bounded top-`k` buffer of `(score, index)` pairs.
+#[derive(Debug, Default)]
+struct TopK(Vec<(f64, usize)>);
+
+impl TopK {
+    /// The `k` lowest pairs of `scored` in [`f64::total_cmp`] order, ties
+    /// to the earliest index — exactly the first `k` of a stable sort of
+    /// all of them — holding at most `k` at a time. `scored` must come in
+    /// ascending index order.
+    fn select(&mut self, scored: impl Iterator<Item = (f64, usize)>, k: usize) -> &[(f64, usize)] {
+        let best = &mut self.0;
+        best.clear();
+        for (score, i) in scored {
+            // The common case, one comparison: a full buffer whose k-th
+            // score is at most this one (the earlier index wins ties).
+            if best.len() == k && best.last().is_none_or(|(s, _)| s.total_cmp(&score).is_le()) {
+                continue;
+            }
+            best.truncate(k - 1);
+            let at = best.partition_point(|(s, _)| s.total_cmp(&score).is_le());
+            best.insert(at, (score, i));
+        }
+        best
+    }
+}
+
+/// The first `k` of every `(score, index)` pair, stable-sorted by
+/// [`f64::total_cmp`]: [`Selection::FullSort`].
+fn sorted_top_k(scored: impl Iterator<Item = (f64, usize)>, k: usize) -> Vec<(f64, usize)> {
+    let mut all: Vec<(f64, usize)> = scored.collect();
+    all.sort_by(|a, b| a.0.total_cmp(&b.0));
+    all.truncate(k);
+    all
+}
+
 /// Corner pruning, shared by both engines: keeps the union of the best
-/// `keep_per_corner` candidates (by energy, stable under score ties) at
-/// each of the eight memory corners.
+/// `keep_per_corner` candidates (by energy, ties to the earliest candidate)
+/// at each of the eight memory corners. `energy_at` gets the candidate, the
+/// corner's cell and a copy of `reference` with that cell's capacities; it
+/// is called for every candidate at every corner under either selection,
+/// so the scoring counters do not depend on it.
 fn corner_keep(
     n: usize,
+    reference: &PackageConfig,
     opts: &SweepOptions,
-    mut score_at: impl FnMut(usize, Cell) -> Option<f64>,
+    selection: Selection,
+    mut energy_at: impl FnMut(usize, Cell, &PackageConfig) -> Option<f64>,
 ) -> Vec<bool> {
+    let m = &opts.space.memory;
+    let k = opts.keep_per_corner;
     let mut keep: Vec<bool> = vec![false; n];
-    for cell in corner_cells(&opts.space.memory) {
-        let mut scored: Vec<(f64, usize)> = (0..n)
-            .filter_map(|i| score_at(i, cell).map(|e| (e, i)))
-            .collect();
-        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        for &(_, i) in scored.iter().take(opts.keep_per_corner) {
-            keep[i] = true;
+    let mut mark = |best: &[(f64, usize)]| best.iter().for_each(|&(_, i)| keep[i] = true);
+    // No selection can outgrow the candidate count.
+    let mut top = TopK(Vec::with_capacity(k.min(n)));
+    for cell in corner_cells(m) {
+        let arch = cell_arch(reference, m, cell, opts.o_l2_bytes);
+        let scored = (0..n).filter_map(|i| energy_at(i, cell, &arch).map(|e| (e, i)));
+        match selection {
+            Selection::FullSort => mark(&sorted_top_k(scored, k)),
+            Selection::Bounded => mark(top.select(scored, k)),
         }
     }
     keep
@@ -470,19 +524,23 @@ impl SweepEngine for StreamingEngine {
         let core = &reference.chiplet.core;
         let min_w_bits = u64::from(core.lanes) * u64::from(core.vector) * 8;
         let mut lanes = sweep_lanes_for(&m.a_l1, &m.w_l1, &m.a_l2, min_w_bits);
+        let push = span("sweep_push");
         visit_candidates(layer, reference, opts.enum_options, |geom_id, mapping| {
             let (a_l1_floor, o_l2_floor) = candidate_floors(layer, reference, &mapping);
             lanes.push_candidate(layer, reference, &mapping, geom_id, a_l1_floor, o_l2_floor);
         });
+        drop(push);
         let candidates = lanes.len() as u64;
         let feasible = !lanes.is_empty();
         if feasible {
-            let keep = corner_keep(lanes.len(), opts, |i, cell| {
-                let arch = cell_arch(reference, m, cell, opts.o_l2_bytes);
-                lanes
-                    .score(i, (cell.a1, cell.w1, cell.a2), &arch, tech)
-                    .map(|(e, _)| e)
-            });
+            let _corners = span("sweep_corners");
+            let keep = corner_keep(
+                lanes.len(),
+                reference,
+                opts,
+                Selection::Bounded,
+                |i, cell, arch| lanes.energy(i, (cell.a1, cell.w1, cell.a2), arch, tech),
+            );
             lanes.retain(&keep);
         }
         BuiltCands {
@@ -528,23 +586,32 @@ impl SweepEngine for ReferenceEngine {
         tech: &Technology,
         opts: &SweepOptions,
     ) -> BuiltCands<Vec<Candidate>> {
+        let push = span("sweep_push");
         let cands = layer_candidates(layer, reference, opts);
+        drop(push);
         let candidates = cands.len() as u64;
         let feasible = !cands.is_empty();
         let pruned = if feasible {
+            let _corners = span("sweep_corners");
             let m = &opts.space.memory;
-            let keep = corner_keep(cands.len(), opts, |i, cell| {
-                score_candidate(
-                    &cands[i],
-                    m.a_l1[cell.a1],
-                    m.w_l1[cell.w1],
-                    m.a_l2[cell.a2],
-                    opts.o_l2_bytes,
-                    reference,
-                    tech,
-                )
-                .map(|(e, _)| e)
-            });
+            let keep = corner_keep(
+                cands.len(),
+                reference,
+                opts,
+                Selection::FullSort,
+                |i, cell, arch| {
+                    score_candidate(
+                        &cands[i],
+                        m.a_l1[cell.a1],
+                        m.w_l1[cell.w1],
+                        m.a_l2[cell.a2],
+                        opts.o_l2_bytes,
+                        arch,
+                        tech,
+                    )
+                    .map(|(e, _)| e)
+                },
+            );
             cands
                 .into_iter()
                 .zip(keep)
@@ -825,6 +892,7 @@ fn sweep_geometry<E: SweepEngine>(
     }
     stats.feasible = true;
 
+    let _grid = span("sweep_grid");
     for (a1, &a_l1) in opts.space.memory.a_l1.iter().enumerate() {
         for (w1, &w_l1) in opts.space.memory.w_l1.iter().enumerate() {
             for (a2, &a_l2) in opts.space.memory.a_l2.iter().enumerate() {
@@ -1317,6 +1385,76 @@ mod tests {
         // The oversized A-L1 pays more energy per access with no extra
         // reuse to harvest on these layers.
         assert!(big.energy_pj > small.energy_pj);
+    }
+
+    /// `scores[i]` is candidate `i`'s score (`None`: infeasible); both
+    /// selections come back as `(score bits, index)` so NaNs compare.
+    fn selections(scores: &[Option<f64>], k: usize) -> [Vec<(u64, usize)>; 2] {
+        let scored = || {
+            scores
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.map(|s| (s, i)))
+        };
+        let bits = |best: &[(f64, usize)]| best.iter().map(|&(s, i)| (s.to_bits(), i)).collect();
+        let mut top = TopK::default();
+        [
+            bits(top.select(scored(), k)),
+            bits(&sorted_top_k(scored(), k)),
+        ]
+    }
+
+    #[test]
+    fn bounded_selection_matches_the_full_stable_sort_on_fixed_cases() {
+        let nan = f64::NAN;
+        let cases: [Vec<Option<f64>>; 5] = [
+            // Many equal scores: ties go to the earliest index.
+            vec![Some(5.0); 12],
+            vec![
+                Some(3.0),
+                None,
+                Some(1.0),
+                Some(3.0),
+                Some(1.0),
+                None,
+                Some(2.0),
+                Some(1.0),
+            ],
+            // A corner where every candidate is infeasible.
+            vec![None; 9],
+            // NaN, infinity and signed zeros, ordered by `total_cmp`.
+            vec![
+                Some(nan),
+                Some(f64::INFINITY),
+                Some(0.0),
+                Some(nan),
+                Some(-0.0),
+                Some(1.0),
+            ],
+            Vec::new(),
+        ];
+        for scores in &cases {
+            // `k = 0`, `k < n`, `k = n` and `k > n`.
+            for k in [0, 1, 2, 3, scores.len(), scores.len() + 1, 100] {
+                let [bounded, sorted] = selections(scores, k);
+                assert_eq!(bounded, sorted, "{scores:?}, k {k}");
+                assert_eq!(bounded.len(), k.min(scores.iter().flatten().count()));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn bounded_selection_matches_the_full_stable_sort(
+            raw in proptest::collection::vec(0u32..5, 0..60),
+            k in 0usize..8
+        ) {
+            // Four score values (0 = infeasible) force heavy duplication.
+            let scores: Vec<Option<f64>> =
+                raw.iter().map(|&v| (v != 0).then(|| f64::from(v))).collect();
+            let [bounded, sorted] = selections(&scores, k);
+            proptest::prop_assert_eq!(bounded, sorted);
+        }
     }
 }
 

@@ -1073,6 +1073,20 @@ fn bench_sweep(
         &counter_delta,
         &span::phase_stats(),
     );
+    // The unit's stage spans leave out its set-up and shape memo; report
+    // that remainder so the stages add up to the unit total. Its key is not
+    // a `phase.*.total_ms` one: a small difference of timed spans is noise
+    // the baseline gate must not compare.
+    let stage_ms = |p: &str| snapshot.nums.get(&format!("phase.{p}.total_ms")).copied();
+    if let Some(unit_ms) = stage_ms("sweep_geometry") {
+        let staged: f64 = ["sweep_push", "sweep_corners", "sweep_grid"]
+            .into_iter()
+            .filter_map(stage_ms)
+            .sum();
+        snapshot
+            .nums
+            .insert("phase.sweep_unattributed_ms".into(), unit_ms - staged);
+    }
     // No per-eval rate here: the streaming sweep prices points, not
     // materialized evaluations.
     insert_alloc_metrics(&mut snapshot, &alloc_before, 0);

@@ -389,6 +389,26 @@ mod tests {
     }
 
     #[test]
+    fn sweep_unattributed_remainder_does_not_gate() {
+        // `baton bench --sweep` reports the sweep unit's time outside its
+        // stage spans under this key; a residual of a few ms swings by
+        // more than any tolerance between runs.
+        let mut base = synthetic(100.0, 60.0, 10000.0);
+        base.nums.insert("phase.sweep_unattributed_ms".into(), 2.0);
+        let mut cur = base.clone();
+        cur.nums.insert("phase.sweep_unattributed_ms".into(), 3.0);
+        assert!(compare_snapshots(&cur, &base, 50.0).is_empty());
+        cur.nums.insert("phase.sweep_unattributed_ms".into(), -1.0);
+        assert!(compare_snapshots(&cur, &base, 50.0).is_empty());
+        // The stage spans themselves still gate.
+        base.nums.insert("phase.sweep_push.total_ms".into(), 200.0);
+        cur.nums.insert("phase.sweep_push.total_ms".into(), 400.0);
+        let regs = compare_snapshots(&cur, &base, 50.0);
+        let keys: Vec<&str> = regs.iter().map(|r| r.key.as_str()).collect();
+        assert_eq!(keys, ["phase.sweep_push.total_ms"]);
+    }
+
+    #[test]
     fn improvements_and_missing_keys_do_not_gate() {
         let base = synthetic(100.0, 60.0, 10000.0);
         let faster = synthetic(50.0, 30.0, 20000.0);
