@@ -4,7 +4,8 @@
 //! and scans its candidate chunks in two phases. Phase A resolves each
 //! candidate's geometry through the [`GeomMemo`] (once per enumerator
 //! `geom_id`, replayed for the up-to-8 order/rotation siblings that share
-//! it) and fills a flat lane of branch-and-bound floors through
+//! it), then computes each `(geometry, rotation)` branch-and-bound floor
+//! once, kept in the memo beside the geometry, through
 //! [`Floors::from_volumes`], the same `f64` path the scalar search uses, so
 //! prune decisions are bit-identical. Phase B prices every candidate whose
 //! floor does not exceed its bound with the C³P kernel ([`crate::kernel`])
@@ -27,7 +28,7 @@ use baton_arch::{PackageConfig, Technology};
 use baton_mapping::{Mapping, MappingGeometry, NestScratch};
 use baton_model::ConvSpec;
 use baton_parallel::AtomicBest;
-use baton_telemetry::{count, Counter};
+use baton_telemetry::{count, stage_span, Counter};
 
 use crate::bounds::Floors;
 use crate::evaluate::{price, runtime_bound, Evaluation};
@@ -38,11 +39,9 @@ use crate::search::Objective;
 /// is cleared with capacity kept.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
-    /// Geometry memo, indexed by the enumerator's dense `geom_id`.
+    /// Geometry memo, indexed by the enumerator's dense `geom_id`, with
+    /// the branch-and-bound floor of each `(geometry, rotation)`.
     memo: GeomMemo,
-    /// Per-candidate lane: the branch-and-bound floor score (lower bound;
-    /// infinite for a rejected geometry).
-    floor_score: Vec<f64>,
     /// Reusable nest/footprint buffers for the survivor walks.
     nest: NestScratch,
 }
@@ -65,6 +64,8 @@ pub(crate) struct ChunkTopK {
     /// At most `k` `(score, evaluation)` pairs, sorted by score with ties
     /// in candidate order.
     pub best: Vec<(f64, Evaluation)>,
+    /// Candidates that were priced (decomposable, not pruned).
+    pub feasible: u64,
     /// Candidates skipped because their floor exceeded the `k`-th score.
     pub pruned: u64,
 }
@@ -86,9 +87,10 @@ pub(crate) fn scratch(n_geoms: usize) -> Pooled<BatchScratch> {
 }
 
 impl BatchScratch {
-    /// Phase A: fills the floor lane for one chunk (geometry memo + shared
-    /// floor math), infinite for a rejected geometry. Both scans below
-    /// start here, so they prune on the same bit-identical floors.
+    /// Phase A: resolves every candidate's geometry through the memo,
+    /// then each `(geometry, rotation)` floor the memo does not hold yet
+    /// (shared floor math). Both scans below start here, so they prune on
+    /// the same bit-identical floors.
     fn fill_floors(
         &mut self,
         layer: &ConvSpec,
@@ -99,26 +101,28 @@ impl BatchScratch {
         geom_ids: &[u32],
     ) {
         debug_assert_eq!(cands.len(), geom_ids.len());
-        self.floor_score.clear();
+        {
+            let _geometry = stage_span("search_geometry");
+            for (m, &gid) in cands.iter().zip(geom_ids) {
+                let _ = self.memo.get(layer, arch, m, gid);
+            }
+        }
+        let _floor = stage_span("search_floor");
         for (m, &gid) in cands.iter().zip(geom_ids) {
-            let floor = self
-                .memo
-                .get(layer, arch, m, gid)
-                .map_or(f64::INFINITY, |geom| {
-                    let (v, _, _) = geom.volumes_for(m.rotation);
-                    let (streams, cycles) = (geom.weight_streams(), geom.compute_cycles());
-                    Floors::from_volumes(&v, streams, cycles, arch, tech).score(objective, tech)
-                });
-            self.floor_score.push(floor);
+            self.memo.floor(gid, m.rotation, |geom| {
+                let (v, _, _) = geom.volumes_for(m.rotation);
+                let (streams, cycles) = (geom.weight_streams(), geom.compute_cycles());
+                Floors::from_volumes(&v, streams, cycles, arch, tech).score(objective, tech)
+            });
         }
     }
 
     /// Branch-and-bound scan of one candidate chunk.
     ///
-    /// Phase A fills the floor lane; phase B walks it in candidate order,
-    /// pruning against the shared `incumbent` and evaluating survivors
-    /// with the C³P kernel. `geom_ids[i]` must be the enumerator's id for
-    /// `cands[i]`.
+    /// Phase A fills the memo's floors; phase B reads them in candidate
+    /// order, pruning against the shared `incumbent` and evaluating
+    /// survivors with the C³P kernel. `geom_ids[i]` must be the
+    /// enumerator's id for `cands[i]`.
     #[allow(clippy::too_many_arguments)] // the full search context, passed flat
     pub(crate) fn evaluate_chunk(
         &mut self,
@@ -131,15 +135,16 @@ impl BatchScratch {
         geom_ids: &[u32],
     ) -> ChunkOutcome {
         self.fill_floors(layer, arch, tech, objective, cands, geom_ids);
+        let _price = stage_span("search_price");
         let mut out = ChunkOutcome::default();
-        for (i, (m, &gid)) in cands.iter().zip(geom_ids).enumerate() {
-            let Some(geom) = self.memo.resolved(gid) else {
+        for (m, &gid) in cands.iter().zip(geom_ids) {
+            let Some((geom, floor)) = self.memo.resolved(gid, m.rotation) else {
                 continue;
             };
             // Strict `>`: a floor that merely ties the incumbent may still
             // BE the incumbent-quality candidate (floors are exact when no
             // capacity penalty triggers).
-            if self.floor_score[i] > incumbent.get() {
+            if floor > incumbent.get() {
                 out.pruned += 1;
                 continue;
             }
@@ -161,7 +166,7 @@ impl BatchScratch {
 
     /// Bounded top-`k` scan of one candidate chunk (`k >= 1`).
     ///
-    /// Phase A fills the floor lane; phase B keeps the chunk's `k` best
+    /// Phase A fills the memo's floors; phase B keeps the chunk's `k` best
     /// `(score, evaluation)` pairs sorted by score, ties in candidate
     /// order. A candidate is skipped unpriced when its floor is strictly
     /// above the chunk's own `k`-th score or the shared `kth` threshold,
@@ -183,20 +188,22 @@ impl BatchScratch {
     ) -> ChunkTopK {
         debug_assert!(k >= 1);
         self.fill_floors(layer, arch, tech, objective, cands, geom_ids);
+        let _price = stage_span("search_price");
         // Grows as entries arrive: `k` is caller-chosen and may be huge.
         let mut out = ChunkTopK::default();
-        for (i, (m, &gid)) in cands.iter().zip(geom_ids).enumerate() {
-            let Some(geom) = self.memo.resolved(gid) else {
+        for (m, &gid) in cands.iter().zip(geom_ids) {
+            let Some((geom, floor)) = self.memo.resolved(gid, m.rotation) else {
                 continue;
             };
             let own = out.best.get(k - 1).map_or(f64::INFINITY, |(s, _)| *s);
             // Strict `>`: a floor tying the `k`-th score may still place.
-            if self.floor_score[i] > own.min(kth.get()) {
+            if floor > own.min(kth.get()) {
                 out.pruned += 1;
                 continue;
             }
             let ev = evaluate_survivor(&mut self.nest, layer, arch, tech, m, geom);
             let score = objective.score(&ev, tech);
+            out.feasible += 1;
             // After every equal score: the earlier candidate wins ties.
             let at = out
                 .best
@@ -313,19 +320,58 @@ mod tests {
     }
 
     #[test]
+    fn every_siblings_memoized_floor_is_floors_of_its_decomposition() {
+        // Phase A computes one floor per `(geometry, rotation)` and every
+        // order sibling reads it back: each must still be exactly the
+        // floor of the candidate's own decomposition.
+        let arch = presets::case_study_accelerator();
+        let tech = Technology::paper_16nm();
+        for (bucket, layer) in zoo::representative_layers(224) {
+            let (mut cands, mut ids) = (Vec::new(), Vec::new());
+            let n_geoms =
+                enumerate_into(&layer, &arch, EnumOptions::default(), &mut cands, &mut ids).geoms;
+            let floors: Vec<Option<Floors>> = cands
+                .iter()
+                .map(|m| {
+                    let d = baton_mapping::decompose(&layer, &arch, m).ok()?;
+                    Some(Floors::of(&d, &arch, &tech))
+                })
+                .collect();
+            for objective in [Objective::Energy, Objective::Edp, Objective::Runtime] {
+                let mut scratch = scratch(n_geoms);
+                // Uneven chunks, so siblings of one geometry land in
+                // different chunks, as on the search workers.
+                for (c, i) in cands.chunks(700).zip(ids.chunks(700)) {
+                    scratch.fill_floors(&layer, &arch, &tech, objective, c, i);
+                }
+                for ((m, &gid), want) in cands.iter().zip(&ids).zip(&floors) {
+                    let got = scratch.memo.resolved(gid, m.rotation).map(|(_, f)| f);
+                    let want = want.map(|f| f.score(objective, &tech));
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "{bucket} {objective:?}: {m:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn scratch_pool_round_trips() {
         let arch = presets::case_study_accelerator();
         let layer = zoo::resnet50(224).layer("res2a_branch2b").cloned().unwrap();
         let m = baton_mapping::enumerate::candidates(&layer, &arch)[0];
         let mut a = scratch(16);
         assert!(a.memo.get(&layer, &arch, &m, 15).is_ok());
-        a.floor_score.reserve(16);
+        assert_eq!(a.memo.floor(15, m.rotation, |_| 1.0), Some(1.0));
+        assert_eq!(a.memo.floor(15, m.rotation, |_| 2.0), Some(1.0));
         drop(a);
         let b = scratch(4);
         assert!(
-            b.memo.resolved(15).is_none(),
+            b.memo.resolved(15, m.rotation).is_none(),
             "checkout must reset the memo"
         );
-        assert!(b.floor_score.capacity() >= 16, "pool must keep capacity");
+        assert!(b.memo.capacity() >= 16, "pool must keep capacity");
     }
 }

@@ -18,12 +18,14 @@
 //! to the materialized oracle bit for bit.
 
 use std::cell::RefCell;
+use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
 use std::thread::LocalKey;
 
 use baton_arch::PackageConfig;
 use baton_mapping::{
-    mapping_geometry, Dim, LoopLevel, Mapping, MappingError, MappingGeometry, NestScratch, Volumes,
+    mapping_geometry_with, ChannelKey, ChannelTerms, Dim, LoopLevel, Mapping, MappingError,
+    MappingGeometry, NestScratch, PlaneAxis, PlaneKey, PlaneTerms, RotationMode, TermMemo, Volumes,
 };
 use baton_model::ConvSpec;
 use baton_telemetry::{count, Counter};
@@ -240,19 +242,140 @@ impl Paths {
     }
 }
 
-/// Geometry memo indexed by the enumerator's dense `geom_id`: one entry
-/// serves all order/rotation siblings of a distinct geometry. It grows on
-/// demand, because the streaming visitor does not know the id count up
-/// front.
+/// Direct-mapped cache of one axis' tiling terms: a key hashes to one of
+/// `N` slots, and a key that collides with another overwrites it (the
+/// evicted terms are simply recomputed on their next use). Inline, so a
+/// fresh worker's scratch allocates nothing for it.
+#[derive(Debug)]
+struct TermTable<K, T, const N: usize>([Option<(K, T)>; N]);
+
+impl<K: Copy, T: Copy, const N: usize> Default for TermTable<K, T, N> {
+    fn default() -> Self {
+        Self([None; N])
+    }
+}
+
+impl<K: Copy + Eq + Hash, T: Copy, const N: usize> TermTable<K, T, N> {
+    fn clear(&mut self) {
+        self.0.fill(None);
+    }
+
+    #[inline]
+    fn get(&mut self, key: K, terms: impl FnOnce() -> T) -> T {
+        let mut h = SlotHasher(0);
+        key.hash(&mut h);
+        let slot = &mut self.0[(h.0 >> 32) as usize % N];
+        match slot {
+            Some((k, t)) if *k == key => *t,
+            _ => slot.insert((key, terms())).1,
+        }
+    }
+}
+
+/// Multiply-rotate hash over a few small integers (the `FxHash` step):
+/// spreads the term keys over the table slots at a fraction of SipHash's
+/// cost.
+struct SlotHasher(u64);
+
+impl Hasher for SlotHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// Slots per plane axis. A zoo layer's search sees at most 153 distinct
+/// keys per plane axis; over the six zoo models fewer than 1 % of lookups
+/// recompute a key that a collision evicted.
+const PLANE_SLOTS: usize = 128;
+/// Slots for the output-channel axis, whose keys are fewer (at most 24 in
+/// a zoo layer).
+const CHANNEL_SLOTS: usize = 64;
+
+/// The per-axis term caches of one `(layer, arch)`: the [`TermMemo`] that
+/// [`GeomMemo`] decomposes its geometries through.
 #[derive(Debug, Default)]
-pub(crate) struct GeomMemo(Vec<Option<Result<MappingGeometry, MappingError>>>);
+struct AxisTerms {
+    rows: TermTable<PlaneKey, PlaneTerms, PLANE_SLOTS>,
+    cols: TermTable<PlaneKey, PlaneTerms, PLANE_SLOTS>,
+    channels: TermTable<ChannelKey, ChannelTerms, CHANNEL_SLOTS>,
+}
+
+impl TermMemo for AxisTerms {
+    #[inline]
+    fn plane(
+        &mut self,
+        axis: PlaneAxis,
+        key: PlaneKey,
+        terms: impl FnOnce() -> PlaneTerms,
+    ) -> PlaneTerms {
+        match axis {
+            PlaneAxis::Rows => self.rows.get(key, terms),
+            PlaneAxis::Cols => self.cols.get(key, terms),
+        }
+    }
+
+    #[inline]
+    fn channel(&mut self, key: ChannelKey, terms: impl FnOnce() -> ChannelTerms) -> ChannelTerms {
+        self.channels.get(key, terms)
+    }
+}
+
+/// One distinct geometry of the memo: its decomposition, and the search's
+/// branch-and-bound floor per rotation mode (NaN until computed).
+#[derive(Debug, Clone, Copy)]
+struct GeomEntry {
+    geom: Result<MappingGeometry, MappingError>,
+    floors: [f64; 2],
+}
+
+/// The [`GeomEntry::floors`] slot of `rotation`.
+#[inline]
+fn rotation_slot(rotation: RotationMode) -> usize {
+    match rotation {
+        RotationMode::Ring => 0,
+        RotationMode::DramOnly => 1,
+    }
+}
+
+/// Geometry memo indexed by the enumerator's dense `geom_id`: one entry
+/// serves all order/rotation siblings of a distinct geometry, and keeps
+/// each rotation's floor beside it. A miss decomposes through per-axis term
+/// caches, since distinct geometries share far fewer distinct H, W and CO
+/// tilings. Both are valid for one `(layer, arch)` only; [`Self::reset`]
+/// clears them. The entry table grows on demand, because the streaming
+/// visitor does not know the id count up front.
+#[derive(Debug, Default)]
+pub(crate) struct GeomMemo {
+    entries: Vec<Option<GeomEntry>>,
+    terms: AxisTerms,
+}
 
 impl GeomMemo {
-    /// Forgets every entry, keeping the capacity, and reserves room for
-    /// `ids` geometry ids (0 when the count is not known up front).
+    /// Forgets every entry and term, keeping the capacity, and reserves
+    /// room for `ids` geometry ids (0 when the count is not known up
+    /// front).
     pub(crate) fn reset(&mut self, ids: usize) {
-        self.0.clear();
-        self.0.reserve(ids);
+        self.entries.clear();
+        self.entries.reserve(ids);
+        self.terms.rows.clear();
+        self.terms.cols.clear();
+        self.terms.channels.clear();
     }
 
     /// Memo lookup with per-candidate counter replay: bumps
@@ -270,11 +393,16 @@ impl GeomMemo {
     ) -> Result<&MappingGeometry, MappingError> {
         count(Counter::DecomposeCalls);
         let idx = geom_id as usize;
-        if idx >= self.0.len() {
-            self.0.resize(idx + 1, None);
+        if idx >= self.entries.len() {
+            self.entries.resize(idx + 1, None);
         }
-        let res = self.0[idx]
-            .get_or_insert_with(|| mapping_geometry(layer, arch, mapping))
+        let terms = &mut self.terms;
+        let res = self.entries[idx]
+            .get_or_insert_with(|| GeomEntry {
+                geom: mapping_geometry_with(layer, arch, mapping, terms),
+                floors: [f64::NAN; 2],
+            })
+            .geom
             .as_ref();
         if baton_telemetry::enabled() {
             if let Err(e) = res {
@@ -284,11 +412,44 @@ impl GeomMemo {
         res.map_err(|e| *e)
     }
 
-    /// The geometry [`Self::get`] resolved for `geom_id`, without counting
-    /// a second decompose; `None` if it was rejected or not resolved yet.
+    /// The floor of `geom_id`'s geometry under `rotation`: `floor` computes
+    /// it on first use, and later siblings read it back. `None` if the
+    /// geometry was rejected or not resolved yet.
     #[inline]
-    pub(crate) fn resolved(&self, geom_id: u32) -> Option<&MappingGeometry> {
-        self.0.get(geom_id as usize)?.as_ref()?.as_ref().ok()
+    pub(crate) fn floor(
+        &mut self,
+        geom_id: u32,
+        rotation: RotationMode,
+        floor: impl FnOnce(&MappingGeometry) -> f64,
+    ) -> Option<f64> {
+        let entry = self.entries.get_mut(geom_id as usize)?.as_mut()?;
+        let geom = entry.geom.as_ref().ok()?;
+        let slot = &mut entry.floors[rotation_slot(rotation)];
+        if slot.is_nan() {
+            *slot = floor(geom);
+        }
+        Some(*slot)
+    }
+
+    /// The geometry [`Self::get`] resolved for `geom_id`, without counting
+    /// a second decompose, with its floor under `rotation` (NaN unless
+    /// [`Self::floor`] computed it); `None` if it was rejected or not
+    /// resolved yet.
+    #[inline]
+    pub(crate) fn resolved(
+        &self,
+        geom_id: u32,
+        rotation: RotationMode,
+    ) -> Option<(&MappingGeometry, f64)> {
+        let entry = self.entries.get(geom_id as usize)?.as_ref()?;
+        let geom = entry.geom.as_ref().ok()?;
+        Some((geom, entry.floors[rotation_slot(rotation)]))
+    }
+
+    /// Geometry ids the entry table holds room for.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.entries.capacity()
     }
 }
 
@@ -333,5 +494,150 @@ impl<T: Default + 'static> Drop for Pooled<T> {
         // thread teardown, in which case the value is simply freed.
         let retired = std::mem::take(&mut self.inner);
         let _ = self.pool.try_with(|p| p.borrow_mut().push(retired));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    use baton_arch::{presets, ChipletConfig, CoreConfig};
+    use baton_mapping::enumerate::{enumerate_into, EnumOptions};
+    use baton_mapping::mapping_geometry;
+    use baton_model::zoo;
+    use proptest::prelude::*;
+
+    /// Resets `memo` for `(layer, arch)` and checks that every enumerated
+    /// candidate's memoized geometry (error included) equals a fresh,
+    /// memo-free [`mapping_geometry`]. The fresh side runs once per
+    /// geometry id, on its first candidate; the memo side once per
+    /// candidate. Returns the number of distinct geometries compared.
+    fn assert_memo_matches_fresh(
+        memo: &mut GeomMemo,
+        layer: &ConvSpec,
+        arch: &PackageConfig,
+    ) -> usize {
+        let (mut cands, mut ids) = (Vec::new(), Vec::new());
+        let n_geoms =
+            enumerate_into(layer, arch, EnumOptions::default(), &mut cands, &mut ids).geoms;
+        memo.reset(n_geoms);
+        let mut fresh = vec![None; n_geoms];
+        for (m, &gid) in cands.iter().zip(&ids) {
+            let want = *fresh[gid as usize].get_or_insert_with(|| mapping_geometry(layer, arch, m));
+            let got = memo.get(layer, arch, m, gid).copied();
+            assert_eq!(got, want, "{}: {m:?}", layer.name());
+        }
+        n_geoms
+    }
+
+    #[test]
+    fn memoized_geometry_matches_fresh_on_every_zoo_candidate() {
+        // One memo for every distinct layer shape of the six zoo models,
+        // reset between shapes as the search resets it between searches.
+        let arch = presets::case_study_accelerator();
+        let models = [
+            zoo::alexnet(224),
+            zoo::vgg16(224),
+            zoo::resnet50(224),
+            zoo::darknet19(224),
+            zoo::mobilenet_v2(224),
+            zoo::yolo_v2(224),
+        ];
+        let mut memo = GeomMemo::default();
+        let mut shapes = HashSet::new();
+        let mut geoms = 0;
+        for layer in models.iter().flat_map(|m| m.layers()) {
+            if shapes.insert(layer.shape_key()) {
+                geoms += assert_memo_matches_fresh(&mut memo, layer, &arch);
+            }
+        }
+        assert!(
+            shapes.len() > 60 && geoms > 100_000,
+            "{} shapes, {geoms} geometries",
+            shapes.len()
+        );
+    }
+
+    #[test]
+    fn term_tables_hold_every_key_they_are_given() {
+        // A key found in its slot returns the stored terms; a colliding key
+        // evicts it, and the evicted key recomputes on its next use.
+        let mut table = TermTable::<u32, u64, 4>::default();
+        let mut computed = 0;
+        let mut get = |t: &mut TermTable<u32, u64, 4>, k: u32| {
+            t.get(k, || {
+                computed += 1;
+                u64::from(k) * 10
+            })
+        };
+        for k in 0..64 {
+            assert_eq!(get(&mut table, k), u64::from(k) * 10);
+            assert_eq!(get(&mut table, k), u64::from(k) * 10);
+        }
+        assert_eq!(computed, 64, "a repeated key must hit");
+        table.clear();
+        assert!(table.0.iter().all(Option::is_none));
+    }
+
+    /// Random layers: plain convolutions (strides up to 4, so also stride >
+    /// kernel), depthwise convolutions, and fully-connected layers down to
+    /// the thin heads that take the enumerator's fallback.
+    fn layers() -> impl Strategy<Value = ConvSpec> {
+        (
+            (0usize..3, 1u32..=40),
+            1u32..=96,
+            0usize..4,
+            1u32..=4,
+            0u32..=2,
+            1u32..=160,
+        )
+            .prop_filter_map("valid layer", |((kind, hw), ci, ki, s, pad, co)| {
+                match kind {
+                    0 => ConvSpec::new("conv", hw, hw, ci, [1, 3, 5, 7][ki], s, pad, co),
+                    1 => {
+                        let k = [3, 5][ki % 2];
+                        ConvSpec::depthwise("dw", hw, hw, ci, k, s.min(2), k / 2)
+                    }
+                    // 1 to 12 outputs: below the chiplet count, a head has
+                    // no legal partition and takes the fallback geometry.
+                    _ => ConvSpec::fully_connected("fc", ci * 5, co % 12 + 1),
+                }
+                .ok()
+            })
+    }
+
+    /// Random machines: 1 to 8 chiplets, 1 to 16 cores (hybrid chiplet
+    /// partitions from 4 cores up), and other lane and vector widths.
+    fn machines() -> impl Strategy<Value = PackageConfig> {
+        (0usize..4, 0usize..5, 0usize..3, 0usize..3, 1u64..=4).prop_map(|(np, nc, l, p, scale)| {
+            let core = CoreConfig::new(
+                [4, 8, 16][l],
+                [4, 8, 16][p],
+                1536,
+                800 * scale,
+                18 * 1024 * scale,
+            );
+            let chiplet =
+                ChipletConfig::new([1, 2, 4, 8, 16][nc], core, 64 * 1024 * scale, 64 * 1024);
+            PackageConfig::new([1, 2, 4, 8][np], chiplet)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// One memo reused for two `(layer, arch)` pairs in a row, reset
+        /// between them, agrees with fresh geometry on both.
+        #[test]
+        fn memoized_geometry_matches_fresh_on_generated_shapes(
+            first in (layers(), machines()),
+            second in (layers(), machines()),
+        ) {
+            let mut memo = GeomMemo::default();
+            for (layer, arch) in [&first, &second, &first] {
+                assert_memo_matches_fresh(&mut memo, layer, arch);
+            }
+        }
     }
 }

@@ -21,6 +21,7 @@ use baton_mapping::enumerate::{candidates_with, enumerate_into, EnumOptions};
 use baton_mapping::{decompose, Mapping};
 use baton_model::ConvSpec;
 use baton_parallel::AtomicBest;
+use baton_telemetry::span::SpanGuard;
 use baton_telemetry::{count, count_n, span_labeled, Counter};
 use serde::{Deserialize, Serialize};
 
@@ -64,9 +65,47 @@ impl Objective {
 /// search entry points so the family renders one `# HELP` line.
 const SEARCH_SECONDS_HELP: &str = "Per-layer mapping search latency by objective.";
 
-/// Records one search duration into the labelled metrics registry (no-op
-/// unless `baton serve` enabled the layer).
-fn observe_search(objective: Objective, started: Option<std::time::Instant>) {
+/// What one finished search reports, whichever scan ran it.
+struct SearchSummary {
+    /// Candidates enumerated.
+    candidates: usize,
+    /// Candidates priced (decomposable, not pruned).
+    feasible: u64,
+    /// Candidates skipped on their floor.
+    pruned: u64,
+    /// The winning score, if any candidate was feasible.
+    best_score: Option<f64>,
+}
+
+/// The epilogue both search entry points share: the prune and
+/// completed/failed counters and one `search_layer` event (when a session
+/// is attached), then the duration in the labelled metrics registry
+/// (no-op unless `baton serve` enabled the layer).
+fn finish_search(
+    layer: &ConvSpec,
+    objective: Objective,
+    span: &SpanGuard,
+    started: Option<std::time::Instant>,
+    summary: SearchSummary,
+) {
+    if baton_telemetry::enabled() {
+        count_n(Counter::SearchPruned, summary.pruned);
+        count(if summary.best_score.is_some() {
+            Counter::SearchesCompleted
+        } else {
+            Counter::SearchesFailed
+        });
+        let mut ev = baton_telemetry::event("search_layer")
+            .str("layer", layer.name())
+            .u64("candidates", summary.candidates as u64)
+            .u64("feasible", summary.feasible)
+            .u64("pruned", summary.pruned)
+            .u64("dur_us", span.elapsed_us());
+        if let Some(score) = summary.best_score {
+            ev = ev.f64("best_score", score);
+        }
+        ev.emit();
+    }
     if let Some(t0) = started {
         baton_telemetry::metrics::observe_duration(
             "baton_search_duration_seconds",
@@ -176,25 +215,13 @@ pub fn search_layer_with(
             }
         }
     }
-    if baton_telemetry::enabled() {
-        count_n(Counter::SearchPruned, pruned);
-        count(if best.is_some() {
-            Counter::SearchesCompleted
-        } else {
-            Counter::SearchesFailed
-        });
-        let mut ev = baton_telemetry::event("search_layer")
-            .str("layer", layer.name())
-            .u64("candidates", n as u64)
-            .u64("feasible", feasible)
-            .u64("pruned", pruned)
-            .u64("dur_us", sp.elapsed_us());
-        if let Some((score, _)) = &best {
-            ev = ev.f64("best_score", *score);
-        }
-        ev.emit();
-    }
-    observe_search(objective, m_t0);
+    let summary = SearchSummary {
+        candidates: n,
+        feasible,
+        pruned,
+        best_score: best.as_ref().map(|(s, _)| *s),
+    };
+    finish_search(layer, objective, &sp, m_t0, summary);
     best.map(|(_, ev)| ev).ok_or_else(|| SearchError {
         layer: layer.name().to_string(),
         candidates: n,
@@ -263,7 +290,7 @@ pub fn search_layer_k_best(
     objective: Objective,
     k: usize,
 ) -> Result<Vec<Evaluation>, SearchError> {
-    let _sp = span_labeled("search_layer", || layer.name().to_string());
+    let sp = span_labeled("search_layer", || layer.name().to_string());
     let m_t0 = baton_telemetry::metrics::enabled().then(std::time::Instant::now);
     let k = k.max(1);
     let kth = AtomicBest::new();
@@ -276,19 +303,23 @@ pub fn search_layer_k_best(
         },
     );
     let pruned = chunks.iter().map(|c| c.pruned).sum();
+    let feasible = chunks.iter().map(|c| c.feasible).sum();
     let mut scored: Vec<(f64, Evaluation)> = chunks.into_iter().flat_map(|c| c.best).collect();
-    if baton_telemetry::enabled() {
-        count_n(Counter::SearchPruned, pruned);
-    }
-    observe_search(objective, m_t0);
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+    scored.truncate(k);
+    let summary = SearchSummary {
+        candidates: n,
+        feasible,
+        pruned,
+        best_score: scored.first().map(|(s, _)| *s),
+    };
+    finish_search(layer, objective, &sp, m_t0, summary);
     if scored.is_empty() {
         return Err(SearchError {
             layer: layer.name().to_string(),
             candidates: n,
         });
     }
-    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-    scored.truncate(k);
     Ok(scored.into_iter().map(|(_, ev)| ev).collect())
 }
 
@@ -444,14 +475,20 @@ mod tests {
         metrics::enable();
         let _session = baton_telemetry::attach_with_sink(&Default::default(), None);
 
-        let pruned_before = baton_telemetry::counters::snapshot().get(Counter::SearchPruned);
+        let counter = |c: Counter| baton_telemetry::counters::snapshot().get(c);
+
+        let pruned_before = counter(Counter::SearchPruned);
+        let completed_before = counter(Counter::SearchesCompleted);
         let before = observed(Objective::Edp);
         let top = search_layer_k_best(&layer, &arch, &tech, Objective::Edp, 3).unwrap();
         assert_eq!(top.len(), 3);
-        let pruned = baton_telemetry::counters::snapshot().get(Counter::SearchPruned);
         assert!(
-            pruned > pruned_before,
+            counter(Counter::SearchPruned) > pruned_before,
             "the k-th score bound pruned nothing"
+        );
+        assert!(
+            counter(Counter::SearchesCompleted) > completed_before,
+            "a k-best search was not counted as completed"
         );
         assert!(
             observed(Objective::Edp) > before,
@@ -459,11 +496,16 @@ mod tests {
         );
 
         // An O-L2 too small for any candidate: the failed search must be
-        // observed too.
+        // counted and observed too.
         arch.chiplet.o_l2_bytes = 1;
+        let failed_before = counter(Counter::SearchesFailed);
         let before = observed(Objective::Edp);
         let err = search_layer_k_best(&layer, &arch, &tech, Objective::Edp, 3).unwrap_err();
         assert!(err.to_string().contains("conv5_2"));
+        assert!(
+            counter(Counter::SearchesFailed) > failed_before,
+            "an infeasible k-best search was not counted as failed"
+        );
         assert!(
             observed(Objective::Edp) > before,
             "an infeasible k-best search was not observed"

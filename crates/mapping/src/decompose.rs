@@ -520,6 +520,169 @@ impl MappingGeometry {
     }
 }
 
+/// The key of one plane axis' tiling terms ([`PlaneTerms`]) within one
+/// `(layer, arch)`: every mapping-dependent input of those terms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PlaneKey {
+    /// Package planar-grid rows (H) or columns (W); 0 for a channel
+    /// package partition, whose chiplets all tile the whole plane.
+    pub package_parts: u32,
+    /// Chiplet core-grid rows (H) or columns (W); 1 for a channel chiplet
+    /// partition.
+    pub grid: u32,
+    /// Chiplet-tile extent along the axis.
+    pub tile: u32,
+    /// Core-tile extent along the axis.
+    pub core: u32,
+}
+
+/// The tiling terms of one plane axis (H or W), each summed or maxed over
+/// the axis alone. [`mapping_geometry_with`] multiplies the H and W terms
+/// together (all tiling arithmetic is separable per axis).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlaneTerms {
+    /// Input-window extent summed over the chiplet tiles of every part.
+    tile_winsum: u64,
+    /// Input-window extent summed over the core tiles of every part.
+    core_winsum: u64,
+    /// Core tiles over every part.
+    core_tiles: u64,
+    /// Output extent summed over the package parts.
+    part_sum: u64,
+    /// Critical-path steps: the worst part's tiles, each paced by its
+    /// largest balanced core share.
+    cycles: u64,
+    /// Chiplet-tile loop count (max over parts).
+    chiplet_steps: u64,
+    /// Core-tile loop count inside one chiplet tile.
+    core_steps: u64,
+}
+
+impl PlaneTerms {
+    /// The terms of an output axis of `extent` under a sliding window of
+    /// `stride` and `kernel`, tiled as `key` says.
+    fn of(extent: u32, stride: u32, kernel: u32, key: PlaneKey) -> Self {
+        let part = if key.package_parts == 0 {
+            Axis::single(extent)
+        } else {
+            Axis::balanced(extent, key.package_parts)
+        };
+        // Chiplet tiles, then core tiles inside each (two-level refinement
+        // keeps exact multiplicities of every distinct extent).
+        let tiles = part.refine(|e| Axis::tiled(e, key.tile));
+        let core_tiles =
+            tiles.refine(|e| Axis::balanced(e, key.grid).refine(|s| Axis::tiled(s, key.core)));
+        let worst = Axis::tiled(part.max(), key.tile);
+        Self {
+            tile_winsum: tiles.window_sum(stride, kernel),
+            core_winsum: core_tiles.window_sum(stride, kernel),
+            core_tiles: core_tiles.count(),
+            part_sum: part.sum(),
+            cycles: worst.sum_by(|e| u64::from(ceil_div(e, key.grid))),
+            chiplet_steps: axis_tile_count(&part, key.tile),
+            core_steps: core_loop_count(part.max().min(key.tile), key.grid, key.core),
+        }
+    }
+}
+
+/// The key of the output-channel axis' terms ([`ChannelTerms`]) within one
+/// `(layer, arch)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ChannelKey {
+    /// Whether the package partition is planar (every chiplet holds all
+    /// output channels) rather than a channel split across chiplets.
+    pub package_planar: bool,
+    /// Weight streams per chiplet.
+    pub streams: u32,
+    /// Chiplet-tile depth in output channels.
+    pub tile: u32,
+}
+
+/// The tiling terms of the output-channel axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChannelTerms {
+    /// Lane steps summed over every stream group of every chiplet tile of
+    /// every part.
+    steps_total: u64,
+    /// Critical-path lane steps of the worst part.
+    cycles: u64,
+    /// Chiplet-tile loop count (max over parts).
+    chiplet_steps: u64,
+    /// Lane-step loop count of one stream inside one chiplet tile.
+    core_steps: u64,
+}
+
+impl ChannelTerms {
+    /// The terms of `co` output channels on `n_p` chiplets of `lanes`-lane
+    /// cores, tiled as `key` says.
+    fn of(co: u32, n_p: u32, lanes: u32, key: ChannelKey) -> Self {
+        let part = if key.package_planar {
+            Axis::single(co)
+        } else {
+            Axis::balanced(co, n_p)
+        };
+        // Each chiplet tile's CO extent splits into `streams` groups, and
+        // each group iterates lanes-sized steps.
+        let groups = part
+            .refine(|e| Axis::tiled(e, key.tile))
+            .refine(|e| Axis::balanced(e, key.streams));
+        let worst = Axis::tiled(part.max(), key.tile);
+        let lane_steps = |e: u32| u64::from(ceil_div(ceil_div(e, key.streams), lanes));
+        Self {
+            steps_total: groups.sum_by(|g| u64::from(ceil_div(g, lanes))),
+            cycles: worst.sum_by(lane_steps),
+            chiplet_steps: axis_tile_count(&part, key.tile),
+            core_steps: lane_steps(key.tile.min(part.max())),
+        }
+    }
+}
+
+/// Which plane axis a [`PlaneKey`] belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlaneAxis {
+    /// Output rows (H).
+    Rows,
+    /// Output columns (W).
+    Cols,
+}
+
+/// Where [`mapping_geometry_with`] gets each axis' tiling terms.
+///
+/// The terms are a pure function of their key and of `(layer, arch)`, so
+/// an implementation may return what `terms` gave for an equal key
+/// earlier, as long as the layer and the machine are the same.
+pub trait TermMemo {
+    /// The terms of plane axis `axis` under `key`; `terms` computes them.
+    fn plane(
+        &mut self,
+        axis: PlaneAxis,
+        key: PlaneKey,
+        terms: impl FnOnce() -> PlaneTerms,
+    ) -> PlaneTerms;
+
+    /// The output-channel terms under `key`; `terms` computes them.
+    fn channel(&mut self, key: ChannelKey, terms: impl FnOnce() -> ChannelTerms) -> ChannelTerms;
+}
+
+/// Computes every term afresh: the [`TermMemo`] of [`mapping_geometry`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoMemo;
+
+impl TermMemo for NoMemo {
+    fn plane(
+        &mut self,
+        _: PlaneAxis,
+        _: PlaneKey,
+        terms: impl FnOnce() -> PlaneTerms,
+    ) -> PlaneTerms {
+        terms()
+    }
+
+    fn channel(&mut self, _: ChannelKey, terms: impl FnOnce() -> ChannelTerms) -> ChannelTerms {
+        terms()
+    }
+}
+
 /// Computes the order/rotation-independent geometry of `mapping` for
 /// `layer` on `arch`: structural validation, buffer-feasibility floors, and
 /// all base quantities that do not depend on temporal order or rotation
@@ -538,6 +701,24 @@ pub fn mapping_geometry(
     layer: &ConvSpec,
     arch: &PackageConfig,
     mapping: &Mapping,
+) -> Result<MappingGeometry, MappingError> {
+    mapping_geometry_with(layer, arch, mapping, &mut NoMemo)
+}
+
+/// [`mapping_geometry`] with the per-axis tiling terms drawn through
+/// `memo`: the structural and buffer-feasibility checks run every time,
+/// then the H, W and CO terms ([`PlaneTerms`], [`ChannelTerms`]) come from
+/// `memo`, and the geometry is their products. The result is the same for
+/// any `memo` that keeps the [`TermMemo`] contract.
+///
+/// # Errors
+///
+/// As [`mapping_geometry`].
+pub fn mapping_geometry_with(
+    layer: &ConvSpec,
+    arch: &PackageConfig,
+    mapping: &Mapping,
+    memo: &mut impl TermMemo,
 ) -> Result<MappingGeometry, MappingError> {
     let n_p = arch.chiplets;
     let n_c = arch.chiplet.cores;
@@ -645,46 +826,42 @@ pub fn mapping_geometry(
 
     let package_planar = matches!(mapping.package, PackagePartition::Planar(_));
 
-    // --- Package partition: per-chiplet part axes ---------------------------
-    // Plane parts (rows/cols with multiplicity across chiplets) and channel
-    // parts.
-    let (part_h, part_w, part_co): (Axis, Axis, Axis) = match &mapping.package {
-        // C-type: every chiplet tiles the same full plane; CO splits.
-        PackagePartition::Channel => (Axis::single(ho), Axis::single(wo), Axis::balanced(co, n_p)),
-        // P-type: the plane splits across chiplets; CO stays whole.
-        PackagePartition::Planar(g) => (
-            Axis::balanced(ho, g.rows()),
-            Axis::balanced(wo, g.cols()),
-            Axis::single(co),
-        ),
+    // --- Per-axis tiling terms ------------------------------------------------
+    let (package_rows, package_cols) = match &mapping.package {
+        PackagePartition::Channel => (0, 0),
+        PackagePartition::Planar(g) => (g.rows(), g.cols()),
     };
-
-    // Chiplet-tile tilings per axis (two-level refinement keeps exact
-    // multiplicities of every distinct tile extent).
-    let tiles_h = part_h.refine(|e| Axis::tiled(e, tile.ho));
-    let tiles_w = part_w.refine(|e| Axis::tiled(e, tile.wo));
-    let tiles_co = part_co.refine(|e| Axis::tiled(e, tile.co));
-
-    // Core sub-tiling inside a chiplet tile.
     let (grid_rows, grid_cols) = match &mapping.chiplet {
         ChipletPartition::Channel => (1, 1),
         ChipletPartition::Planar(g) => (g.rows(), g.cols()),
         ChipletPartition::Hybrid { grid, .. } => (grid.rows(), grid.cols()),
     };
-    let core_tiles_h =
-        tiles_h.refine(|e| Axis::balanced(e, grid_rows).refine(|s| Axis::tiled(s, ho_c)));
-    let core_tiles_w =
-        tiles_w.refine(|e| Axis::balanced(e, grid_cols).refine(|s| Axis::tiled(s, wo_c)));
-    // Channel steps: each chiplet tile's CO extent splits into `streams`
-    // groups, each group iterates lanes-sized steps.
-    let group_co = tiles_co.refine(|e| Axis::balanced(e, streams));
-    let co_steps_total: u64 = group_co.sum_by(|g| u64::from(ceil_div(g, lanes)));
+    let key_h = PlaneKey {
+        package_parts: package_rows,
+        grid: grid_rows,
+        tile: tile.ho,
+        core: ho_c,
+    };
+    let key_w = PlaneKey {
+        package_parts: package_cols,
+        grid: grid_cols,
+        tile: tile.wo,
+        core: wo_c,
+    };
+    let key_co = ChannelKey {
+        package_planar,
+        streams,
+        tile: tile.co,
+    };
+    let h = memo.plane(PlaneAxis::Rows, key_h, || PlaneTerms::of(ho, sh, kh, key_h));
+    let w = memo.plane(PlaneAxis::Cols, key_w, || PlaneTerms::of(wo, sw, kw, key_w));
+    let c = memo.channel(key_co, || ChannelTerms::of(co, n_p, lanes, key_co));
     let ci_chunks = u64::from(ceil_div(ci_g, vector));
 
     // --- Input volumes ------------------------------------------------------
     let act = ACT_BITS;
     // Window sums over chiplet tiles, per plane pass (no CO revisits).
-    let tile_winsum = tiles_h.window_sum(sh, kh) * tiles_w.window_sum(sw, kw);
+    let tile_winsum = h.tile_winsum * w.tile_winsum;
     // Input channels consumed by one chiplet for one plane tile pass.
     let ci_consumed_per_chiplet: u64 = if depthwise {
         // Each chiplet touches only the input channels of its CO part.
@@ -704,16 +881,16 @@ pub fn mapping_geometry(
 
     // A-L2 -> bus reads: once per core-tile plane position per chiplet tile
     // pass, multicast across channel groups.
-    let core_winsum = core_tiles_h.window_sum(sh, kh) * core_tiles_w.window_sum(sw, kw);
+    let core_winsum = h.core_winsum * w.core_winsum;
     let a_l2_read_base = core_winsum * ci_consumed_per_chiplet * act * chiplet_plane_factor;
 
     // PE-side A-L1 reads: one P-vector per (pixel, kh, kw, ci-chunk) per
-    // channel step, broadcast to all lanes. `co_steps_total` already
-    // aggregates over all chiplet CO parts, and the plane-axis sums
-    // aggregate over all plane parts, so no chiplet factor appears here.
-    let pixels: u64 = part_h.sum() * part_w.sum();
+    // channel step, broadcast to all lanes. The CO steps aggregate over all
+    // chiplet CO parts, and the plane-axis sums aggregate over all plane
+    // parts, so no chiplet factor appears here.
+    let pixels: u64 = h.part_sum * w.part_sum;
     let kernel_pts = u64::from(kh) * u64::from(kw);
-    let a_l1_read = pixels * co_steps_total * kernel_pts * ci_chunks * u64::from(vector) * act;
+    let a_l1_read = pixels * c.steps_total * kernel_pts * ci_chunks * u64::from(vector) * act;
 
     // --- Weight volumes -----------------------------------------------------
     // (The DRAM/D2D split is rotation-dependent and lives in
@@ -722,12 +899,12 @@ pub fn mapping_geometry(
 
     // W-L1 -> PE reads: one L x P block per (core-tile plane position,
     // channel step, kh, kw, ci chunk), broadcast across a stream's cores.
-    // As with `a_l1_read`, plane-axis counts and `co_steps_total` aggregate
+    // As with `a_l1_read`, plane-axis counts and the CO steps aggregate
     // over parts in complementary directions, so their product is the
     // package-wide total.
-    let core_plane_positions = core_tiles_h.count() * core_tiles_w.count();
+    let core_plane_positions = h.core_tiles * w.core_tiles;
     let w_l1_read = core_plane_positions
-        * co_steps_total
+        * c.steps_total
         * kernel_pts
         * ci_chunks
         * u64::from(vector)
@@ -740,16 +917,9 @@ pub fn mapping_geometry(
 
     // --- Compute time -------------------------------------------------------
     // Critical path: the worst chiplet part, each tile paced by its slowest
-    // core (largest balanced sub-extent, ceil-divided lane steps). All three
-    // axes are separable.
+    // core (largest balanced sub-extent, ceil-divided lane steps).
     let mac_ops = layer.macs();
-    let worst_h = Axis::tiled(part_h.max(), tile.ho);
-    let worst_w = Axis::tiled(part_w.max(), tile.wo);
-    let worst_co = Axis::tiled(part_co.max(), tile.co);
-    let cyc_h = worst_h.sum_by(|e| u64::from(ceil_div(e, grid_rows)));
-    let cyc_w = worst_w.sum_by(|e| u64::from(ceil_div(e, grid_cols)));
-    let cyc_co = worst_co.sum_by(|e| u64::from(ceil_div(ceil_div(e, streams), lanes)));
-    let compute_cycles = (cyc_h * cyc_w * cyc_co * kernel_pts * ci_chunks).max(1);
+    let compute_cycles = (h.cycles * w.cycles * c.cycles * kernel_pts * ci_chunks).max(1);
     let total_units = u64::from(n_p) * u64::from(n_c) * u64::from(lanes) * u64::from(vector);
     let utilization = mac_ops as f64 / (compute_cycles as f64 * total_units as f64);
 
@@ -773,32 +943,19 @@ pub fn mapping_geometry(
         utilization,
         package_planar,
         depthwise,
-        t_co: tiles_co_steps(&part_co, tile.co),
-        t_h: axis_tile_count(&part_h, tile.ho),
-        t_w: axis_tile_count(&part_w, tile.wo),
-        c_co: u64::from(ceil_div(
-            ceil_div(tile.co.min(part_co.max()), streams),
-            lanes,
-        )),
-        c_h: core_loop_count(part_h.max().min(tile.ho), grid_rows, ho_c),
-        c_w: core_loop_count(part_w.max().min(tile.wo), grid_cols, wo_c),
+        t_co: c.chiplet_steps,
+        t_h: h.chiplet_steps,
+        t_w: w.chiplet_steps,
+        c_co: c.core_steps,
+        c_h: h.core_steps,
+        c_w: w.core_steps,
         grid_rows,
         grid_cols,
         ci_needed: ci_consumed_per_chiplet,
     })
 }
 
-/// Number of chiplet-tile steps along the CO axis (max over parts).
-fn tiles_co_steps(part_co: &Axis, tile_co: u32) -> u64 {
-    part_co
-        .pairs()
-        .iter()
-        .map(|&(e, _)| Axis::tiled(e, tile_co).count())
-        .max()
-        .unwrap_or(1)
-}
-
-/// Number of chiplet-tile steps along a plane axis (max over parts).
+/// Number of chiplet-tile steps along an axis (max over parts).
 fn axis_tile_count(part: &Axis, tile: u32) -> u64 {
     part.pairs()
         .iter()

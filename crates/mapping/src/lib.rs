@@ -42,7 +42,9 @@ pub mod tile;
 
 pub use coverage::{verify_coverage, Coverage};
 pub use decompose::{
-    decompose, mapping_geometry, Decomposition, MappingError, MappingGeometry, NestScratch, Volumes,
+    decompose, mapping_geometry, mapping_geometry_with, ChannelKey, ChannelTerms, Decomposition,
+    MappingError, MappingGeometry, NestScratch, NoMemo, PlaneAxis, PlaneKey, PlaneTerms, TermMemo,
+    Volumes,
 };
 pub use mapping::Mapping;
 pub use nest::{Loop, LoopLevel, LoopNest};

@@ -877,10 +877,15 @@ fn profile_model(
         }
         println!();
     }
-    print!(
-        "{}",
-        nn_baton::telemetry::render_summary(&counters::snapshot(), &span::phase_stats())
-    );
+    let (totals, phases) = (counters::snapshot(), span::phase_stats());
+    print!("{}", nn_baton::telemetry::render_summary(&totals, &phases));
+    // The search's stage residual, as `--json` and `baton bench` report it.
+    let stages = BenchSnapshot::build("profile", model.name(), 0.0, &totals, &phases);
+    for (key, ms) in &stages.nums {
+        if key.ends_with("_unattributed_ms") {
+            println!("  {key:<36} {ms:>10.1} ms");
+        }
+    }
     Ok(())
 }
 
@@ -1073,20 +1078,6 @@ fn bench_sweep(
         &counter_delta,
         &span::phase_stats(),
     );
-    // The unit's stage spans leave out its set-up and shape memo; report
-    // that remainder so the stages add up to the unit total. Its key is not
-    // a `phase.*.total_ms` one: a small difference of timed spans is noise
-    // the baseline gate must not compare.
-    let stage_ms = |p: &str| snapshot.nums.get(&format!("phase.{p}.total_ms")).copied();
-    if let Some(unit_ms) = stage_ms("sweep_geometry") {
-        let staged: f64 = ["sweep_push", "sweep_corners", "sweep_grid"]
-            .into_iter()
-            .filter_map(stage_ms)
-            .sum();
-        snapshot
-            .nums
-            .insert("phase.sweep_unattributed_ms".into(), unit_ms - staged);
-    }
     // No per-eval rate here: the streaming sweep prices points, not
     // materialized evaluations.
     insert_alloc_metrics(&mut snapshot, &alloc_before, 0);

@@ -9,6 +9,10 @@
 //! * `wall_ms.total` — end-to-end wall time of the benched run,
 //! * `phase.<p>.count|total_ms|mean_us|max_us|p90_us` — per-phase span
 //!   statistics from the telemetry histograms,
+//! * `phase.search_unattributed_ms` / `phase.sweep_unattributed_ms` — the
+//!   time of a layer search (`search_layer`) or a sweep unit
+//!   (`sweep_geometry`) outside its stage spans (see [`STAGE_SPLITS`]), so
+//!   the stages add up to the total; not gated,
 //! * `counter.<metric>` — every non-zero telemetry counter, keyed by its
 //!   canonical Prometheus series name ([`Counter::metric_name`], e.g.
 //!   `counter.baton_evaluations_total`) so snapshots and `/metrics` scrapes
@@ -47,6 +51,25 @@ pub struct BenchSnapshot {
 /// Snapshot schema version, bumped when key meanings change.
 pub const SCHEMA: u64 = 1;
 
+/// The stage splits a snapshot reports a residual for: `(name, unit
+/// phase, stage phases)`. A layer search times its chunks' geometry, floor
+/// and pricing stages; the rest of `search_layer` is enumeration, set-up
+/// and the reduce. The search stages run on the search workers, so the
+/// residual is a wall-time remainder only at one thread. A sweep unit times
+/// its candidate push, corner pruning and grid scoring.
+pub const STAGE_SPLITS: [(&str, &str, [&str; 3]); 2] = [
+    (
+        "search",
+        "search_layer",
+        ["search_geometry", "search_floor", "search_price"],
+    ),
+    (
+        "sweep",
+        "sweep_geometry",
+        ["sweep_push", "sweep_corners", "sweep_grid"],
+    ),
+];
+
 impl BenchSnapshot {
     /// Builds a snapshot from a benched run's telemetry.
     ///
@@ -75,6 +98,16 @@ impl BenchSnapshot {
             s.nums.insert(k("mean_us"), h.mean());
             s.nums.insert(k("max_us"), h.max() as f64);
             s.nums.insert(k("p90_us"), h.quantile(0.9) as f64);
+        }
+        // The key is not a `phase.*.total_ms` one: a small difference of
+        // timed spans is noise the baseline gate must not compare.
+        for (name, unit, stages) in STAGE_SPLITS {
+            let total_ms = |p: &str| s.nums.get(&format!("phase.{p}.total_ms")).copied();
+            if let Some(unit_ms) = total_ms(unit) {
+                let staged: f64 = stages.into_iter().filter_map(total_ms).sum();
+                s.nums
+                    .insert(format!("phase.{name}_unattributed_ms"), unit_ms - staged);
+            }
         }
         for c in baton_telemetry::counters::ALL_COUNTERS {
             let v = counters.get(c);
@@ -284,6 +317,28 @@ mod tests {
         assert_eq!(s.nums["throughput.evals_per_sec"], 0.0);
         // Empty phases are skipped.
         assert!(!s.nums.keys().any(|k| k.starts_with("phase.idle")));
+    }
+
+    #[test]
+    fn build_reports_each_stage_split_residual() {
+        let ms = |v: &[u64]| {
+            let mut h = Histogram::new();
+            v.iter().for_each(|&us| h.record(us));
+            h
+        };
+        let counters = CounterSnapshot::default();
+        let phases = [
+            ("search_floor", ms(&[1000])),
+            ("search_geometry", ms(&[2000, 1000])),
+            ("search_layer", ms(&[7000])),
+            ("search_price", ms(&[500])),
+            ("sweep_push", ms(&[4000])),
+        ];
+        let s = BenchSnapshot::build("smoke", "alexnet", 9.0, &counters, &phases);
+        // 7 ms of search less 4.5 ms of stages.
+        assert!((s.nums["phase.search_unattributed_ms"] - 2.5).abs() < 1e-9);
+        // A stage without its unit phase reports no residual.
+        assert!(!s.nums.contains_key("phase.sweep_unattributed_ms"));
     }
 
     #[test]

@@ -79,11 +79,15 @@ pub use histogram::Histogram;
 pub use progress::Progress;
 pub use report::render_summary;
 pub use sink::{event, JsonLinesSink, MemorySink, Sink};
-pub use span::{span, span_labeled};
+pub use span::{span, span_labeled, stage_span};
 
 /// Global on/off switch for the whole layer. Relaxed is sufficient: the
 /// flag only gates best-effort metrics, never synchronizes data.
 static ENABLED: AtomicBool = AtomicBool::new(false);
+
+/// Whether the attached session has a sink. Events go nowhere else, so
+/// without one [`event`] builds nothing (no buffer, no lock).
+static SINK_ATTACHED: AtomicBool = AtomicBool::new(false);
 
 /// Stderr log verbosity (0 = silent, 1 = `-v`, 2 = `-vv`).
 static VERBOSITY: AtomicU8 = AtomicU8::new(0);
@@ -110,6 +114,12 @@ pub fn enabled() -> bool {
 #[inline]
 pub fn verbosity() -> u8 {
     VERBOSITY.load(Ordering::Relaxed)
+}
+
+/// True when an attached session writes events to a sink.
+#[inline]
+pub(crate) fn sink_attached() -> bool {
+    SINK_ATTACHED.load(Ordering::Relaxed)
 }
 
 /// True when progress meters should render.
@@ -173,6 +183,7 @@ pub fn attach_with_sink(config: &TelemetryConfig, sink: Option<Box<dyn Sink>>) -
     let mut slot = active();
     counters::reset();
     span::reset();
+    SINK_ATTACHED.store(sink.is_some(), Ordering::Relaxed);
     *slot = Some(ActiveSession {
         epoch: Instant::now(),
         sink,
@@ -193,6 +204,7 @@ impl Drop for Session {
         }
         end.emit();
         ENABLED.store(false, Ordering::Relaxed);
+        SINK_ATTACHED.store(false, Ordering::Relaxed);
         VERBOSITY.store(0, Ordering::Relaxed);
         PROGRESS.store(false, Ordering::Relaxed);
         let mut slot = active();

@@ -84,11 +84,12 @@ impl Sink for MemorySink {
 }
 
 /// Starts a structured event of the given kind. Returns an inert builder
-/// when no session is attached, so callers need no `enabled()` check of
+/// when no session is attached or the session has no sink (the event would
+/// go nowhere), so callers need no `enabled()` check of
 /// their own (field values passed by argument are still evaluated — use
 /// [`crate::enabled`] to guard expensive ones).
 pub fn event(kind: &str) -> EventBuilder {
-    if !crate::enabled() {
+    if !crate::enabled() || !crate::sink_attached() {
         return EventBuilder { buf: None };
     }
     let mut buf = String::with_capacity(96);
@@ -176,6 +177,17 @@ impl EventBuilder {
 mod tests {
     use super::*;
     use crate::{attach_with_sink, test_lock, TelemetryConfig};
+
+    #[test]
+    fn events_build_nothing_without_a_sink() {
+        let _guard = test_lock::hold();
+        let session = attach_with_sink(&TelemetryConfig::default(), None);
+        assert!(event("x").u64("n", 1).buf.is_none());
+        drop(session);
+        let (sink, _lines) = MemorySink::new();
+        let _s = attach_with_sink(&TelemetryConfig::default(), Some(Box::new(sink)));
+        assert!(event("x").u64("n", 1).buf.is_some());
+    }
 
     #[test]
     fn events_encode_all_field_types_as_valid_json() {

@@ -75,6 +75,22 @@ pub fn span(phase: &'static str) -> SpanGuard {
     }
 }
 
+/// Starts timing `phase` for the session's phase histograms only: unlike
+/// [`span`], it never joins a request trace. For stages timed many times
+/// inside one traced operation (a search's chunks), whose per-request
+/// detail would crowd the span tree. Inert when no session is attached.
+pub fn stage_span(phase: &'static str) -> SpanGuard {
+    let session = crate::enabled();
+    SpanGuard {
+        phase,
+        label: None,
+        start: session.then(Instant::now),
+        alloc: session.then(AllocScope::start),
+        session,
+        trace: None,
+    }
+}
+
 /// Starts timing `phase` with a label (e.g. a layer name). The label
 /// closure only runs when a session or a request trace will observe it.
 pub fn span_labeled(phase: &'static str, label: impl FnOnce() -> String) -> SpanGuard {

@@ -489,6 +489,25 @@ mod tests {
     }
 
     #[test]
+    fn stage_spans_time_the_session_but_stay_out_of_request_traces() {
+        let _guard = enabled_for_test();
+        let _session = crate::attach_with_sink(&Default::default(), None);
+        let trace = TraceHandle::start();
+        {
+            let _ctx = trace.install();
+            let _outer = span("outer");
+            drop(crate::span::stage_span("chunk_stage"));
+        }
+        let done = trace.finish("GET /x", 200);
+        let names: Vec<_> = done.spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["outer"]);
+        let phases = crate::span::phase_stats();
+        assert!(phases
+            .iter()
+            .any(|(n, h)| *n == "chunk_stage" && h.count() == 1));
+    }
+
+    #[test]
     fn sibling_spans_share_a_parent_after_rewind() {
         let _guard = enabled_for_test();
         let trace = TraceHandle::start();
