@@ -1,34 +1,37 @@
 //! Batched struct-of-arrays branch-and-bound over one search's candidates.
 //!
 //! Each search worker checks a [`BatchScratch`] out of a thread-local pool
-//! and scans its candidate chunks in two phases. Phase A resolves each
-//! candidate's geometry through the [`GeomMemo`] (once per enumerator
-//! `geom_id`, replayed for the up-to-8 order/rotation siblings that share
-//! it), then computes each `(geometry, rotation)` branch-and-bound floor
-//! once, kept in the memo beside the geometry, through
-//! [`Floors::from_volumes`], the same `f64` path the scalar search uses, so
-//! prune decisions are bit-identical. Phase B prices every candidate whose
-//! floor does not exceed its bound with the C³P kernel ([`crate::kernel`])
-//! as a one-rung resolve at the machine's own capacities, into reusable
-//! scratch, so a steady-state search allocates nothing. Two phase-B scans
-//! share phase A: the winner-only search bounds by the shared incumbent,
-//! and the k-best ranking keeps a bounded top-`k` list per chunk and
-//! bounds by the `k`-th score.
+//! and scans index ranges of the search's [`CandidateSpace`] in two phases.
+//! Phase A visits each `(geometry, rotation)` pair the range touches once:
+//! it resolves the geometry through the [`GeomMemo`] (once per enumerator
+//! `geom_id`, shared by the up-to-8 order/rotation siblings), then computes
+//! the pair's branch-and-bound floor into the memo's dense floor lane,
+//! through [`Floors::from_volumes`], the same `f64` path the scalar search
+//! uses, so prune decisions are bit-identical. Phase B walks the range in
+//! canonical order against that lane and builds a [`Mapping`] only for a
+//! candidate whose floor does not exceed its bound, which it prices with
+//! the C³P kernel ([`crate::kernel`]) as a one-rung resolve at the machine's
+//! own capacities, into reusable scratch, so a steady-state search
+//! allocates nothing. Two phase-B scans share phase A: the winner-only
+//! search bounds by the shared incumbent, and the k-best ranking keeps a
+//! bounded top-`k` list per chunk and bounds by the `k`-th score.
 //!
-//! Counter semantics match the scalar path exactly at one thread:
-//! `DecomposeCalls` and the reject counters are bumped per *candidate*
-//! (memo hits replay the cached error), `Evaluations`/`BestImprovements`/
-//! penalty counters fire per evaluated survivor, and prune checks observe
-//! the shared incumbent at the same point in candidate order as the scalar
-//! scan.
+//! Counter semantics match a per-candidate decompose exactly: phase A adds
+//! the range's length to `DecomposeCalls`, phase B bumps a rejected
+//! candidate's reject counter as it passes it, `Evaluations`/
+//! `BestImprovements`/penalty counters fire per evaluated survivor, and
+//! prune checks observe the shared incumbent at the same point in candidate
+//! order as the scalar scan.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use baton_arch::{PackageConfig, Technology};
+use baton_mapping::enumerate::CandidateSpace;
 use baton_mapping::{Mapping, MappingGeometry, NestScratch};
 use baton_model::ConvSpec;
 use baton_parallel::AtomicBest;
-use baton_telemetry::{count, stage_span, Counter};
+use baton_telemetry::{count, count_n, stage_span, Counter};
 
 use crate::bounds::Floors;
 use crate::evaluate::{price, runtime_bound, Evaluation};
@@ -40,7 +43,7 @@ use crate::search::Objective;
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     /// Geometry memo, indexed by the enumerator's dense `geom_id`, with
-    /// the branch-and-bound floor of each `(geometry, rotation)`.
+    /// the dense lane of each `(geometry, rotation)` floor.
     memo: GeomMemo,
     /// Reusable nest/footprint buffers for the survivor walks.
     nest: NestScratch,
@@ -87,42 +90,43 @@ pub(crate) fn scratch(n_geoms: usize) -> Pooled<BatchScratch> {
 }
 
 impl BatchScratch {
-    /// Phase A: resolves every candidate's geometry through the memo,
-    /// then each `(geometry, rotation)` floor the memo does not hold yet
-    /// (shared floor math). Both scans below start here, so they prune on
-    /// the same bit-identical floors.
+    /// Phase A: resolves each geometry the candidates of `range` use
+    /// through the memo, then each of their `(geometry, rotation)` floors
+    /// the lane does not hold yet (shared floor math). Both scans below
+    /// start here, so they prune on the same bit-identical floors.
     fn fill_floors(
         &mut self,
         layer: &ConvSpec,
         arch: &PackageConfig,
         tech: &Technology,
         objective: Objective,
-        cands: &[Mapping],
-        geom_ids: &[u32],
+        space: &CandidateSpace,
+        range: Range<usize>,
     ) {
-        debug_assert_eq!(cands.len(), geom_ids.len());
+        // One decompose per candidate, as the scalar scan counts them; the
+        // memo replays each sibling's outcome.
+        count_n(Counter::DecomposeCalls, range.len() as u64);
         {
             let _geometry = stage_span("search_geometry");
-            for (m, &gid) in cands.iter().zip(geom_ids) {
-                let _ = self.memo.get(layer, arch, m, gid);
-            }
+            space.touched(range.clone()).for_each(|s| {
+                let _ = self.memo.resolve(layer, arch, s.geom, || space.mapping(s));
+            });
         }
         let _floor = stage_span("search_floor");
-        for (m, &gid) in cands.iter().zip(geom_ids) {
-            self.memo.floor(gid, m.rotation, |geom| {
-                let (v, _, _) = geom.volumes_for(m.rotation);
+        space.touched(range).for_each(|s| {
+            self.memo.floor(s, |geom| {
+                let (v, _, _) = geom.volumes_for(s.rotation);
                 let (streams, cycles) = (geom.weight_streams(), geom.compute_cycles());
                 Floors::from_volumes(&v, streams, cycles, arch, tech).score(objective, tech)
             });
-        }
+        });
     }
 
-    /// Branch-and-bound scan of one candidate chunk.
+    /// Branch-and-bound scan of the candidates of `range`.
     ///
     /// Phase A fills the memo's floors; phase B reads them in candidate
     /// order, pruning against the shared `incumbent` and evaluating
-    /// survivors with the C³P kernel. `geom_ids[i]` must be the
-    /// enumerator's id for `cands[i]`.
+    /// survivors with the C³P kernel.
     #[allow(clippy::too_many_arguments)] // the full search context, passed flat
     pub(crate) fn evaluate_chunk(
         &mut self,
@@ -131,40 +135,45 @@ impl BatchScratch {
         tech: &Technology,
         objective: Objective,
         incumbent: &AtomicBest,
-        cands: &[Mapping],
-        geom_ids: &[u32],
+        space: &CandidateSpace,
+        range: Range<usize>,
     ) -> ChunkOutcome {
-        self.fill_floors(layer, arch, tech, objective, cands, geom_ids);
+        self.fill_floors(layer, arch, tech, objective, space, range.clone());
         let _price = stage_span("search_price");
         let mut out = ChunkOutcome::default();
-        for (m, &gid) in cands.iter().zip(geom_ids) {
-            let Some((geom, floor)) = self.memo.resolved(gid, m.rotation) else {
-                continue;
-            };
-            // Strict `>`: a floor that merely ties the incumbent may still
-            // BE the incumbent-quality candidate (floors are exact when no
-            // capacity penalty triggers).
-            if floor > incumbent.get() {
-                out.pruned += 1;
-                continue;
-            }
-            let ev = evaluate_survivor(&mut self.nest, layer, arch, tech, m, geom);
-            let score = objective.score(&ev, tech);
-            let prev = incumbent.offer(score);
-            if score < prev {
-                count(Counter::BestImprovements);
-            }
-            out.feasible += 1;
-            // Strict `<`: first candidate index wins ties, exactly like the
-            // sequential scan.
-            if out.best.as_ref().map(|(s, _)| score < *s).unwrap_or(true) {
-                out.best = Some((score, ev));
+        for run in space.runs(range) {
+            for pair in run.pairs() {
+                // Strict `>`: a floor that merely ties the incumbent may
+                // still BE the incumbent-quality candidate (floors are exact
+                // when no capacity penalty triggers). A rejected geometry's
+                // NaN lane never prunes; it is skipped below.
+                if self.memo.lane(pair) > incumbent.get() {
+                    out.pruned += 1;
+                    continue;
+                }
+                let s = run.slot(pair);
+                let Some(geom) = self.memo.replayed(s.geom) else {
+                    continue;
+                };
+                let m = space.mapping(s);
+                let ev = evaluate_survivor(&mut self.nest, layer, arch, tech, &m, geom);
+                let score = objective.score(&ev, tech);
+                let prev = incumbent.offer(score);
+                if score < prev {
+                    count(Counter::BestImprovements);
+                }
+                out.feasible += 1;
+                // Strict `<`: first candidate index wins ties, exactly like
+                // the sequential scan.
+                if out.best.as_ref().map(|(s, _)| score < *s).unwrap_or(true) {
+                    out.best = Some((score, ev));
+                }
             }
         }
         out
     }
 
-    /// Bounded top-`k` scan of one candidate chunk (`k >= 1`).
+    /// Bounded top-`k` scan of the candidates of `range` (`k >= 1`).
     ///
     /// Phase A fills the memo's floors; phase B keeps the chunk's `k` best
     /// `(score, evaluation)` pairs sorted by score, ties in candidate
@@ -183,36 +192,40 @@ impl BatchScratch {
         objective: Objective,
         k: usize,
         kth: &AtomicBest,
-        cands: &[Mapping],
-        geom_ids: &[u32],
+        space: &CandidateSpace,
+        range: Range<usize>,
     ) -> ChunkTopK {
         debug_assert!(k >= 1);
-        self.fill_floors(layer, arch, tech, objective, cands, geom_ids);
+        self.fill_floors(layer, arch, tech, objective, space, range.clone());
         let _price = stage_span("search_price");
         // Grows as entries arrive: `k` is caller-chosen and may be huge.
         let mut out = ChunkTopK::default();
-        for (m, &gid) in cands.iter().zip(geom_ids) {
-            let Some((geom, floor)) = self.memo.resolved(gid, m.rotation) else {
-                continue;
-            };
-            let own = out.best.get(k - 1).map_or(f64::INFINITY, |(s, _)| *s);
-            // Strict `>`: a floor tying the `k`-th score may still place.
-            if floor > own.min(kth.get()) {
-                out.pruned += 1;
-                continue;
-            }
-            let ev = evaluate_survivor(&mut self.nest, layer, arch, tech, m, geom);
-            let score = objective.score(&ev, tech);
-            out.feasible += 1;
-            // After every equal score: the earlier candidate wins ties.
-            let at = out
-                .best
-                .partition_point(|(s, _)| s.total_cmp(&score).is_le());
-            if at < k {
-                out.best.truncate(k - 1);
-                out.best.insert(at, (score, ev));
-                if out.best.len() == k {
-                    kth.observe(out.best[k - 1].0);
+        for run in space.runs(range) {
+            for pair in run.pairs() {
+                let own = out.best.get(k - 1).map_or(f64::INFINITY, |(s, _)| *s);
+                // Strict `>`: a floor tying the `k`-th score may still place.
+                if self.memo.lane(pair) > own.min(kth.get()) {
+                    out.pruned += 1;
+                    continue;
+                }
+                let s = run.slot(pair);
+                let Some(geom) = self.memo.replayed(s.geom) else {
+                    continue;
+                };
+                let m = space.mapping(s);
+                let ev = evaluate_survivor(&mut self.nest, layer, arch, tech, &m, geom);
+                let score = objective.score(&ev, tech);
+                out.feasible += 1;
+                // After every equal score: the earlier candidate wins ties.
+                let at = out
+                    .best
+                    .partition_point(|(s, _)| s.total_cmp(&score).is_le());
+                if at < k {
+                    out.best.truncate(k - 1);
+                    out.best.insert(at, (score, ev));
+                    if out.best.len() == k {
+                        kth.observe(out.best[k - 1].0);
+                    }
                 }
             }
         }
@@ -327,30 +340,34 @@ mod tests {
         let arch = presets::case_study_accelerator();
         let tech = Technology::paper_16nm();
         for (bucket, layer) in zoo::representative_layers(224) {
-            let (mut cands, mut ids) = (Vec::new(), Vec::new());
-            let n_geoms =
-                enumerate_into(&layer, &arch, EnumOptions::default(), &mut cands, &mut ids).geoms;
-            let floors: Vec<Option<Floors>> = cands
-                .iter()
-                .map(|m| {
-                    let d = baton_mapping::decompose(&layer, &arch, m).ok()?;
+            let mut space = CandidateSpace::default();
+            let stats = space.fill(&layer, &arch, EnumOptions::default());
+            let floors: Vec<Option<Floors>> = space
+                .slots(0..stats.emitted)
+                .map(|s| {
+                    let d = baton_mapping::decompose(&layer, &arch, &space.mapping(s)).ok()?;
                     Some(Floors::of(&d, &arch, &tech))
                 })
                 .collect();
             for objective in [Objective::Energy, Objective::Edp, Objective::Runtime] {
-                let mut scratch = scratch(n_geoms);
+                let mut scratch = scratch(stats.geoms);
                 // Uneven chunks, so siblings of one geometry land in
                 // different chunks, as on the search workers.
-                for (c, i) in cands.chunks(700).zip(ids.chunks(700)) {
-                    scratch.fill_floors(&layer, &arch, &tech, objective, c, i);
+                for start in (0..stats.emitted).step_by(700) {
+                    let end = (start + 700).min(stats.emitted);
+                    scratch.fill_floors(&layer, &arch, &tech, objective, &space, start..end);
                 }
-                for ((m, &gid), want) in cands.iter().zip(&ids).zip(&floors) {
-                    let got = scratch.memo.resolved(gid, m.rotation).map(|(_, f)| f);
+                for (s, want) in space.slots(0..stats.emitted).zip(&floors) {
+                    let got = scratch
+                        .memo
+                        .replayed(s.geom)
+                        .map(|_| scratch.memo.lane(s.pair()));
                     let want = want.map(|f| f.score(objective, &tech));
                     assert_eq!(
                         got.map(f64::to_bits),
                         want.map(f64::to_bits),
-                        "{bucket} {objective:?}: {m:?}"
+                        "{bucket} {objective:?}: {:?}",
+                        space.mapping(s)
                     );
                 }
             }
@@ -361,15 +378,18 @@ mod tests {
     fn scratch_pool_round_trips() {
         let arch = presets::case_study_accelerator();
         let layer = zoo::resnet50(224).layer("res2a_branch2b").cloned().unwrap();
-        let m = baton_mapping::enumerate::candidates(&layer, &arch)[0];
+        let mut space = CandidateSpace::default();
+        space.fill(&layer, &arch, EnumOptions::default());
+        let s = space.slots(0..1).next().unwrap();
         let mut a = scratch(16);
-        assert!(a.memo.get(&layer, &arch, &m, 15).is_ok());
-        assert_eq!(a.memo.floor(15, m.rotation, |_| 1.0), Some(1.0));
-        assert_eq!(a.memo.floor(15, m.rotation, |_| 2.0), Some(1.0));
+        assert!(a.memo.get(&layer, &arch, &space.mapping(s), s.geom).is_ok());
+        assert_eq!(a.memo.floor(s, |_| 1.0), Some(1.0));
+        assert_eq!(a.memo.floor(s, |_| 2.0), Some(1.0));
+        assert_eq!(a.memo.lane(s.pair()), 1.0);
         drop(a);
         let b = scratch(4);
         assert!(
-            b.memo.resolved(15, m.rotation).is_none(),
+            b.memo.replayed(s.geom).is_none() && b.memo.lane(s.pair()).is_nan(),
             "checkout must reset the memo"
         );
         assert!(b.memo.capacity() >= 16, "pool must keep capacity");

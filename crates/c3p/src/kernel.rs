@@ -23,9 +23,10 @@ use std::ops::{Deref, DerefMut};
 use std::thread::LocalKey;
 
 use baton_arch::PackageConfig;
+use baton_mapping::enumerate::Slot;
 use baton_mapping::{
     mapping_geometry_with, ChannelKey, ChannelTerms, Dim, LoopLevel, Mapping, MappingError,
-    MappingGeometry, NestScratch, PlaneAxis, PlaneKey, PlaneTerms, RotationMode, TermMemo, Volumes,
+    MappingGeometry, NestScratch, PlaneAxis, PlaneKey, PlaneTerms, TermMemo, Volumes,
 };
 use baton_model::ConvSpec;
 use baton_telemetry::{count, Counter};
@@ -336,46 +337,57 @@ impl TermMemo for AxisTerms {
     }
 }
 
-/// One distinct geometry of the memo: its decomposition, and the search's
-/// branch-and-bound floor per rotation mode (NaN until computed).
-#[derive(Debug, Clone, Copy)]
-struct GeomEntry {
-    geom: Result<MappingGeometry, MappingError>,
-    floors: [f64; 2],
-}
-
-/// The [`GeomEntry::floors`] slot of `rotation`.
-#[inline]
-fn rotation_slot(rotation: RotationMode) -> usize {
-    match rotation {
-        RotationMode::Ring => 0,
-        RotationMode::DramOnly => 1,
-    }
-}
-
 /// Geometry memo indexed by the enumerator's dense `geom_id`: one entry
-/// serves all order/rotation siblings of a distinct geometry, and keeps
-/// each rotation's floor beside it. A miss decomposes through per-axis term
-/// caches, since distinct geometries share far fewer distinct H, W and CO
-/// tilings. Both are valid for one `(layer, arch)` only; [`Self::reset`]
-/// clears them. The entry table grows on demand, because the streaming
-/// visitor does not know the id count up front.
+/// serves all order/rotation siblings of a distinct geometry, and a dense
+/// lane beside the entries keeps the search's branch-and-bound floor per
+/// `(geometry, rotation)` pair id
+/// ([`pair_id`](baton_mapping::enumerate::pair_id), NaN until computed). A
+/// miss decomposes through per-axis term caches, since distinct geometries
+/// share far fewer distinct H, W and CO tilings. All of it is valid for one
+/// `(layer, arch)` only; [`Self::reset`] clears it. The tables grow on
+/// demand, because a streaming caller does not know the id count up front.
 #[derive(Debug, Default)]
 pub(crate) struct GeomMemo {
-    entries: Vec<Option<GeomEntry>>,
+    entries: Vec<Option<Result<MappingGeometry, MappingError>>>,
+    /// Floors by pair id: two per geometry id.
+    floors: Vec<f64>,
     terms: AxisTerms,
 }
 
 impl GeomMemo {
-    /// Forgets every entry and term, keeping the capacity, and reserves
-    /// room for `ids` geometry ids (0 when the count is not known up
-    /// front).
+    /// Forgets every entry, floor and term, keeping the capacity, and
+    /// reserves room for `ids` geometry ids (0 when the count is not known
+    /// up front).
     pub(crate) fn reset(&mut self, ids: usize) {
         self.entries.clear();
         self.entries.reserve(ids);
+        self.floors.clear();
+        self.floors.reserve(2 * ids);
         self.terms.rows.clear();
         self.terms.cols.clear();
         self.terms.channels.clear();
+    }
+
+    /// `geom_id`'s entry, decomposing `mapping()` (any candidate of that
+    /// geometry) on a miss. Counts nothing.
+    #[inline]
+    pub(crate) fn resolve(
+        &mut self,
+        layer: &ConvSpec,
+        arch: &PackageConfig,
+        geom_id: u32,
+        mapping: impl FnOnce() -> Mapping,
+    ) -> Result<&MappingGeometry, MappingError> {
+        let idx = geom_id as usize;
+        if idx >= self.entries.len() {
+            self.entries.resize(idx + 1, None);
+            self.floors.resize(2 * (idx + 1), f64::NAN);
+        }
+        let terms = &mut self.terms;
+        self.entries[idx]
+            .get_or_insert_with(|| mapping_geometry_with(layer, arch, &mapping(), terms))
+            .as_ref()
+            .map_err(|e| *e)
     }
 
     /// Memo lookup with per-candidate counter replay: bumps
@@ -392,58 +404,54 @@ impl GeomMemo {
         geom_id: u32,
     ) -> Result<&MappingGeometry, MappingError> {
         count(Counter::DecomposeCalls);
-        let idx = geom_id as usize;
-        if idx >= self.entries.len() {
-            self.entries.resize(idx + 1, None);
+        let res = self.resolve(layer, arch, geom_id, || *mapping);
+        if let Err(e) = res {
+            count(e.counter());
         }
-        let terms = &mut self.terms;
-        let res = self.entries[idx]
-            .get_or_insert_with(|| GeomEntry {
-                geom: mapping_geometry_with(layer, arch, mapping, terms),
-                floors: [f64::NAN; 2],
-            })
-            .geom
-            .as_ref();
-        if baton_telemetry::enabled() {
-            if let Err(e) = res {
-                count(e.counter());
-            }
-        }
-        res.map_err(|e| *e)
+        res
     }
 
-    /// The floor of `geom_id`'s geometry under `rotation`: `floor` computes
+    /// The floor of `slot`'s `(geometry, rotation)` pair: `floor` computes
     /// it on first use, and later siblings read it back. `None` if the
     /// geometry was rejected or not resolved yet.
     #[inline]
     pub(crate) fn floor(
         &mut self,
-        geom_id: u32,
-        rotation: RotationMode,
+        slot: Slot,
         floor: impl FnOnce(&MappingGeometry) -> f64,
     ) -> Option<f64> {
-        let entry = self.entries.get_mut(geom_id as usize)?.as_mut()?;
-        let geom = entry.geom.as_ref().ok()?;
-        let slot = &mut entry.floors[rotation_slot(rotation)];
-        if slot.is_nan() {
-            *slot = floor(geom);
+        let geom = self
+            .entries
+            .get(slot.geom as usize)?
+            .as_ref()?
+            .as_ref()
+            .ok()?;
+        let lane = &mut self.floors[slot.pair()];
+        if lane.is_nan() {
+            *lane = floor(geom);
         }
-        Some(*slot)
+        Some(*lane)
     }
 
-    /// The geometry [`Self::get`] resolved for `geom_id`, without counting
-    /// a second decompose, with its floor under `rotation` (NaN unless
-    /// [`Self::floor`] computed it); `None` if it was rejected or not
-    /// resolved yet.
+    /// The floor of `pair` as the lane holds it: NaN unless [`Self::floor`]
+    /// computed it, so always NaN for a rejected geometry.
     #[inline]
-    pub(crate) fn resolved(
-        &self,
-        geom_id: u32,
-        rotation: RotationMode,
-    ) -> Option<(&MappingGeometry, f64)> {
-        let entry = self.entries.get(geom_id as usize)?.as_ref()?;
-        let geom = entry.geom.as_ref().ok()?;
-        Some((geom, entry.floors[rotation_slot(rotation)]))
+    pub(crate) fn lane(&self, pair: usize) -> f64 {
+        self.floors.get(pair).copied().unwrap_or(f64::NAN)
+    }
+
+    /// The geometry resolved for `geom_id`, for one candidate of it: a
+    /// rejected geometry bumps its reject counter, as that candidate's
+    /// decompose would, and gives `None`, as does one not resolved yet.
+    #[inline]
+    pub(crate) fn replayed(&self, geom_id: u32) -> Option<&MappingGeometry> {
+        match self.entries.get(geom_id as usize)?.as_ref()? {
+            Ok(geom) => Some(geom),
+            Err(e) => {
+                count(e.counter());
+                None
+            }
+        }
     }
 
     /// Geometry ids the entry table holds room for.

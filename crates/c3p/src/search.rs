@@ -1,33 +1,33 @@
 //! Exhaustive per-layer mapping search (the post-design flow's inner loop).
 //!
 //! The search is a parallel branch-and-bound over batched
-//! struct-of-arrays scratch: candidates are enumerated into reusable
-//! thread-local buffers, fanned out in chunks over
-//! [`baton_parallel::map_chunks`] workers that share one [`AtomicBest`]
-//! incumbent, and each worker memoizes geometry per `geom_id`, prunes
-//! candidates whose [`Floors`](crate::bounds::Floors) lower bound already
-//! scores worse than the incumbent, and prices each survivor with the C³P
-//! kernel the memory sweep uses, as a one-rung resolve at the machine's own
-//! capacities. All mechanisms are exact — the floor never exceeds the
+//! struct-of-arrays scratch: the layer's [`CandidateSpace`] is filled into
+//! the thread's pooled one, its index range is fanned out in chunks
+//! over [`baton_parallel::map_chunks`] workers that share one
+//! [`AtomicBest`] incumbent, and each worker memoizes geometry per
+//! `geom_id`, prunes candidates whose [`Floors`](crate::bounds::Floors)
+//! lower bound already scores worse than the incumbent, and prices each
+//! survivor with the C³P kernel the memory sweep uses, as a one-rung
+//! resolve at the machine's own capacities. Only survivors are built as
+//! [`Mapping`]s. All mechanisms are exact — the floor never exceeds the
 //! true score and the ordered reduce breaks ties by candidate index — so
 //! the result is bit-identical to [`search_layer_reference`], the plain
 //! scalar scan, for any thread count.
 
-use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 
 use baton_arch::{PackageConfig, Technology};
-use baton_mapping::enumerate::{candidates_with, enumerate_into, EnumOptions};
+use baton_mapping::enumerate::{candidates_with, CandidateSpace, EnumOptions};
 use baton_mapping::{decompose, Mapping};
 use baton_model::ConvSpec;
 use baton_parallel::AtomicBest;
 use baton_telemetry::span::SpanGuard;
-use baton_telemetry::{count, count_n, span_labeled, Counter};
+use baton_telemetry::{count, count_n, span_labeled, stage_span, Counter};
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{self, BatchScratch};
 use crate::evaluate::{evaluate_decomposition, Evaluation};
-use crate::kernel::Pooled;
 
 /// Optimization objective for the mapping search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -151,33 +151,30 @@ pub fn search_layer(
     search_layer_with(layer, arch, tech, objective, EnumOptions::default())
 }
 
-thread_local! {
-    /// Retired enumeration buffers (candidates + geometry ids): searches run
-    /// back to back on one thread re-enumerate into the same allocations.
-    static ENUM_BUFFERS: RefCell<Vec<(Vec<Mapping>, Vec<u32>)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-/// Enumerates `layer`'s candidates into pooled buffers and runs `scan`
-/// over them in chunks on the search workers, each worker with a pooled
-/// [`BatchScratch`]. Returns the candidate count and the chunk results in
-/// input order.
+/// Fills `layer`'s candidate space into the thread's pooled one and runs
+/// `scan` over its index range in chunks on the search workers, each
+/// worker with a pooled [`BatchScratch`]. Returns the candidate count and
+/// the chunk results in index order.
 fn fan_out<R: Send>(
     layer: &ConvSpec,
     arch: &PackageConfig,
     opts: EnumOptions,
-    scan: impl Fn(&mut BatchScratch, &[Mapping], &[u32]) -> R + Sync,
+    scan: impl Fn(&mut BatchScratch, &CandidateSpace, Range<usize>) -> R + Sync,
 ) -> (usize, Vec<R>) {
-    let mut buffers = Pooled::checkout(&ENUM_BUFFERS);
-    let (cands, ids) = &mut *buffers;
-    let n_geoms = enumerate_into(layer, arch, opts, cands, ids).geoms;
-    let workers = baton_parallel::threads();
-    let chunk = baton_parallel::chunk_size(cands.len(), workers);
-    let init = || batch::scratch(n_geoms);
-    let out = baton_parallel::map_chunks(cands, workers, chunk, init, |s, at, c| {
-        scan(s, c, &ids[at..at + c.len()])
-    });
-    (cands.len(), out)
+    CandidateSpace::pooled(|space| {
+        let stats = {
+            let _enumerate = stage_span("search_enumerate");
+            space.fill(layer, arch, opts)
+        };
+        let space = &*space;
+        let workers = baton_parallel::threads();
+        let chunk = baton_parallel::chunk_size(stats.emitted, workers);
+        let init = || batch::scratch(stats.geoms);
+        let out = baton_parallel::map_chunks(stats.emitted, workers, chunk, init, |s, range| {
+            scan(s, space, range)
+        });
+        (stats.emitted, out)
+    })
 }
 
 /// Searches with explicit enumeration options.
@@ -198,8 +195,8 @@ pub fn search_layer_with(
     // Chunk outcomes come back in input order; each carries its own
     // first-wins best, so the ordered reduce below recovers the global
     // earliest-index argmin exactly like a sequential scan.
-    let (n, outcomes) = fan_out(layer, arch, opts, |scratch, cands, ids| {
-        scratch.evaluate_chunk(layer, arch, tech, objective, &incumbent, cands, ids)
+    let (n, outcomes) = fan_out(layer, arch, opts, |scratch, space, range| {
+        scratch.evaluate_chunk(layer, arch, tech, objective, &incumbent, space, range)
     });
 
     let (mut feasible, mut pruned) = (0u64, 0u64);
@@ -298,8 +295,8 @@ pub fn search_layer_k_best(
         layer,
         arch,
         EnumOptions::default(),
-        |scratch, cands, ids| {
-            scratch.top_k_chunk(layer, arch, tech, objective, k, &kth, cands, ids)
+        |scratch, space, range| {
+            scratch.top_k_chunk(layer, arch, tech, objective, k, &kth, space, range)
         },
     );
     let pruned = chunks.iter().map(|c| c.pruned).sum();

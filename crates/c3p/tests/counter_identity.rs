@@ -1,0 +1,57 @@
+//! Counter identity of the mapping search.
+//!
+//! Every speed change to the search claims to do the same work in less
+//! time: the same candidates enumerated, deduplicated and rejected, the
+//! same decompositions replayed, the same candidates pruned and priced.
+//! The counters are that claim's witness, so this binary pins them exactly
+//! for one fixed workload: every AlexNet layer searched for energy on the
+//! case-study accelerator, at one thread (where the branch-and-bound sees
+//! the incumbent in candidate order), as `baton profile alexnet --threads 1`
+//! runs it. Its own binary, with one test: the counters are process-global.
+
+use baton_arch::{presets, Technology};
+use baton_c3p::{search_layer, Objective};
+use baton_model::zoo;
+use baton_telemetry::{counters, Counter};
+
+#[test]
+fn alexnet_search_counters_are_pinned() {
+    baton_parallel::configure_threads(Some(1));
+    let _session = baton_telemetry::attach_with_sink(&Default::default(), None);
+    let arch = presets::case_study_accelerator();
+    let tech = Technology::paper_16nm();
+
+    let before = counters::snapshot();
+    for layer in zoo::alexnet(224).layers() {
+        search_layer(layer, &arch, &tech, Objective::Energy).expect("feasible layer");
+    }
+    let delta = counters::snapshot().since(&before);
+
+    let want = [
+        (Counter::CandidatesGenerated, 67_800),
+        (Counter::CandidatesDeduped, 20_664),
+        (Counter::CandidatesStructurallyRejected, 17_022),
+        (Counter::DecomposeCalls, 67_800),
+        (Counter::RejectOL2Overflow, 816),
+        (Counter::Evaluations, 2_424),
+        (Counter::SearchPruned, 64_560),
+        (Counter::BestImprovements, 123),
+        (Counter::PenaltyAL2, 116),
+        (Counter::PenaltyAL1, 2_175),
+        (Counter::PenaltyWL1, 814),
+    ];
+    let got: Vec<(Counter, u64)> = want.iter().map(|&(c, _)| (c, delta.get(c))).collect();
+    assert_eq!(got, want);
+    // No other rejection kind fires on this workload.
+    for c in [
+        Counter::RejectGridMismatch,
+        Counter::RejectPlaneTooFine,
+        Counter::RejectChannelsTooFew,
+        Counter::RejectOL1Overflow,
+        Counter::RejectAL1Overflow,
+        Counter::RejectWL1Overflow,
+    ] {
+        assert_eq!(delta.get(c), 0, "{c:?}");
+    }
+    baton_parallel::configure_threads(None);
+}

@@ -7,14 +7,19 @@
 //! set: every legal spatial pair, both temporal orders per level, a ladder of
 //! chiplet-tile shapes and the partition-pattern grids.
 //!
-//! Candidates are produced by [`visit_candidates`], a visitor that emits the
-//! canonical candidate stream directly — already deduplicated and in the
-//! stable [`mapping_key`] order — so the search hot path never materializes,
-//! sorts, or discards duplicate mappings. Alongside each mapping the visitor
-//! hands out a *geometry id*: a dense index over the distinct
-//! `(package, chiplet, tile)` triples, which the batched evaluator uses to
-//! memoize the order/rotation-independent decomposition arithmetic (every
-//! geometry is shared by the 4 temporal-order combos x rotation variants).
+//! The set is a [`CandidateSpace`]: a list of `(package, chiplet)` groups and
+//! a list of distinct `(tile, core plane)` geometries, with no candidate
+//! stored. Canonical candidate `i` — already deduplicated, in the stable
+//! [`mapping_key`] order — decodes to `(group, temporal-order combo, tile,
+//! rotation)` by arithmetic, so a search can key its work on the *geometry
+//! id* (a dense index over the distinct `(package, chiplet, tile)` triples,
+//! shared by the 4 temporal-order combos x rotation variants) and build a
+//! [`Mapping`] only for the candidates it prices. [`visit_candidates`],
+//! [`enumerate_into`] and [`candidates_with`] are expansions of the space.
+
+use std::cell::Cell;
+use std::iter::StepBy;
+use std::ops::Range;
 
 use crate::mapping::Mapping;
 use crate::primitives::{ChipletPartition, PackagePartition, RotationMode, TemporalOrder};
@@ -48,7 +53,7 @@ impl Default for EnumOptions {
     }
 }
 
-/// Enumeration totals reported by [`visit_candidates`].
+/// Enumeration totals reported by [`CandidateSpace::fill`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EnumStats {
     /// Canonical (deduplicated) candidates emitted.
@@ -58,10 +63,366 @@ pub struct EnumStats {
     pub geoms: usize,
 }
 
+/// Temporal-order combos per geometry: `(package order, chiplet order)`
+/// pairs, in key order.
+const COMBOS: u32 = (TemporalOrder::ALL.len() * TemporalOrder::ALL.len()) as u32;
+
+/// The `(package order, chiplet order)` pair of combo `c`.
+#[inline]
+fn combo_orders(c: u32) -> (TemporalOrder, TemporalOrder) {
+    let n = TemporalOrder::ALL.len() as u32;
+    (
+        TemporalOrder::ALL[(c / n) as usize],
+        TemporalOrder::ALL[(c % n) as usize],
+    )
+}
+
+/// Both rotations in key order (Ring < DramOnly): the canonical stream
+/// sorts rotation last, whatever the option slice's order.
+const ROTATIONS: [RotationMode; 2] = [RotationMode::Ring, RotationMode::DramOnly];
+
+/// The enumerated rotations, in key order.
+fn rotation_set(ring: bool, dram_only: bool) -> &'static [RotationMode] {
+    match (ring, dram_only) {
+        (true, true) => &ROTATIONS,
+        (true, false) => &ROTATIONS[..1],
+        (false, true) => &ROTATIONS[1..],
+        (false, false) => &[],
+    }
+}
+
+/// Dense id of a `(geometry, rotation)` pair: `2 * geom`, plus 1 for
+/// DramOnly. Within one temporal-order combo a group's candidates have
+/// ascending pair ids, so a scan reads a per-pair table in order.
+#[inline]
+pub fn pair_id(geom: u32, rotation: RotationMode) -> usize {
+    2 * geom as usize + usize::from(rotation == RotationMode::DramOnly)
+}
+
+/// One `(package, chiplet)` partition pair of a [`CandidateSpace`]: its
+/// candidates are every temporal-order combo x tile x rotation, in that
+/// order, and its tiles own consecutive geometry ids.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    package: PackagePartition,
+    chiplet: ChipletPartition,
+    /// Geometry id of the group's first tile.
+    geom_base: u32,
+    /// Distinct tiles (at least one).
+    tiles: u32,
+    /// Canonical index of the group's first candidate.
+    cand_base: usize,
+    /// Rotations enumerated per tile (at least one).
+    rotations: &'static [RotationMode],
+}
+
+impl Group {
+    /// Candidates per temporal-order combo: each `(tile, rotation)` once.
+    #[inline]
+    fn per_combo(&self) -> usize {
+        self.tiles as usize * self.rotations.len()
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        COMBOS as usize * self.per_combo()
+    }
+
+    #[inline]
+    fn end(&self) -> usize {
+        self.cand_base + self.len()
+    }
+
+    /// The run of `combo`'s `(tile, rotation)` positions `at`: pair ids
+    /// step by 1 when the group has both rotations, else by 2.
+    fn run(&self, group: usize, combo: usize, at: Range<usize>) -> Run {
+        let base = 2 * self.geom_base as usize;
+        let (start, end, step) = match self.rotations {
+            [only] => {
+                let r = pair_id(0, *only);
+                (base + 2 * at.start + r, base + 2 * at.end, 2)
+            }
+            _ => (base + at.start, base + at.end, 1),
+        };
+        Run {
+            start,
+            end,
+            step,
+            group: group as u32,
+            combo: combo as u32,
+        }
+    }
+}
+
+/// One candidate of a [`CandidateSpace`] as a scan visits it: the geometry
+/// id and rotation a search keys its memo on, and what
+/// [`CandidateSpace::mapping`] needs to build the full [`Mapping`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    /// Dense geometry id of the candidate's `(package, chiplet, tile)`.
+    pub geom: u32,
+    /// The candidate's rotation mode.
+    pub rotation: RotationMode,
+    group: u32,
+    combo: u32,
+}
+
+impl Slot {
+    /// The candidate's `(geometry, rotation)` [`pair_id`].
+    #[inline]
+    pub fn pair(&self) -> usize {
+        pair_id(self.geom, self.rotation)
+    }
+}
+
+/// Consecutive canonical candidates within one `(package, chiplet)` group
+/// and temporal-order combo; see [`CandidateSpace::runs`].
+#[derive(Debug, Clone, Copy)]
+pub struct Run {
+    start: usize,
+    end: usize,
+    step: usize,
+    group: u32,
+    combo: u32,
+}
+
+impl Run {
+    /// The run's candidates as ascending [`pair_id`]s, in canonical order.
+    #[inline]
+    pub fn pairs(&self) -> StepBy<Range<usize>> {
+        (self.start..self.end).step_by(self.step)
+    }
+
+    /// The run's candidates, in canonical order.
+    pub fn slots(self) -> impl Iterator<Item = Slot> {
+        self.pairs().map(move |pair| self.slot(pair))
+    }
+
+    /// The candidate of this run with pair id `pair`.
+    #[inline]
+    pub fn slot(&self, pair: usize) -> Slot {
+        Slot {
+            geom: (pair / 2) as u32,
+            rotation: ROTATIONS[pair % 2],
+            group: self.group,
+            combo: self.combo,
+        }
+    }
+}
+
+/// The canonical candidate set of one `(layer, arch, options)`, held as its
+/// structure rather than as mappings.
+///
+/// Canonical index `i` lies in a `(package, chiplet)` group; within it the
+/// index runs over temporal-order combo, then tile, then rotation, which is
+/// strictly ascending [`mapping_key`] order. Duplicates are suppressed *at
+/// the source*: distinct `(fh, fw, fc)` ladder entries that collapse onto
+/// the same tile are counted and dropped before any candidate exists. The
+/// structural filter is a per-axis minimum, so a group's tiles are the
+/// product of three deduplicated per-axis ladders, already in tile order.
+/// [`Self::fill`] is the one definition of that order; every other
+/// enumeration entry point expands it. The buffers keep their capacity
+/// across fills, so a pooled space refills without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct CandidateSpace {
+    groups: Vec<Group>,
+    /// `(chiplet tile, core plane)` per geometry id.
+    geoms: Vec<(Tile, (u32, u32))>,
+    /// Scratch: one group's legal tile rows, columns and channels.
+    rows: Vec<u32>,
+    cols: Vec<u32>,
+    chans: Vec<u32>,
+    len: usize,
+}
+
+thread_local! {
+    /// The thread's retired space: back-to-back fills on one thread reuse
+    /// its allocations.
+    static RETIRED: Cell<CandidateSpace> = Cell::new(CandidateSpace::default());
+}
+
+impl CandidateSpace {
+    /// Runs `f` on this thread's pooled space (an empty one while a caller
+    /// further up the stack holds it) and returns the space, capacity kept,
+    /// to the pool.
+    pub fn pooled<R>(f: impl FnOnce(&mut CandidateSpace) -> R) -> R {
+        let mut space = RETIRED.take();
+        let out = f(&mut space);
+        RETIRED.set(space);
+        out
+    }
+
+    /// Replaces the space with the candidates of `layer` on `arch`.
+    /// Structurally illegal combinations are filtered; buffer feasibility is
+    /// left to [`crate::decompose()`](crate::decompose::decompose), which
+    /// performs the exact checks.
+    ///
+    /// `Counter::CandidatesGenerated` counts the candidates,
+    /// [`Counter::CandidatesDeduped`] the ladder duplicates dropped (as the
+    /// candidates a build-then-dedup pipeline would discard) and
+    /// `Counter::CandidatesStructurallyRejected` the ladder combos the
+    /// structural filter removed.
+    pub fn fill(&mut self, layer: &ConvSpec, arch: &PackageConfig, opts: EnumOptions) -> EnumStats {
+        self.groups.clear();
+        self.geoms.clear();
+        self.len = 0;
+        let n_p = arch.chiplets;
+        let n_c = arch.chiplet.cores;
+        let (ho, wo, co) = (layer.ho(), layer.wo(), layer.co());
+        let ring = opts.rotations.contains(&RotationMode::Ring);
+        let dram_only = opts.rotations.contains(&RotationMode::DramOnly);
+        // A 1-chiplet ring is inert: the DramOnly twin would be an exact
+        // duplicate, so it is skipped at the source.
+        let rotations = rotation_set(ring, dram_only && n_p > 1);
+
+        let mut deduped = 0u64;
+        let mut rejected = 0u64;
+        for package in package_options(layer, n_p) {
+            // The plane extents a single chiplet owns under this partition.
+            let (part_h, part_w, part_co) = match &package {
+                PackagePartition::Channel => (ho, wo, ceil_div(co, n_p)),
+                PackagePartition::Planar(g) => (ceil_div(ho, g.rows()), ceil_div(wo, g.cols()), co),
+            };
+            for chiplet in chiplet_options(n_c) {
+                let min = min_tile(&chiplet, n_c);
+                let plane = opts.plane_fractions;
+                let legal = axis_ladder(part_h, plane, min.ho, &mut self.rows)
+                    * axis_ladder(part_w, plane, min.wo, &mut self.cols)
+                    * axis_ladder(part_co, opts.co_fractions, min.co, &mut self.chans);
+                rejected += (plane.len() * plane.len() * opts.co_fractions.len()) as u64 - legal;
+                let tiles = (self.rows.len() * self.cols.len() * self.chans.len()) as u64;
+                deduped += (legal - tiles) * u64::from(COMBOS) * rotations.len() as u64;
+                let geom_base = self.geoms.len() as u32;
+                for &h in &self.rows {
+                    for &w in &self.cols {
+                        // The core plane depends on the tile's plane only.
+                        let mut core_plane = None;
+                        for &c in &self.chans {
+                            let tile = Tile::new(h, w, c);
+                            let core_plane = *core_plane
+                                .get_or_insert_with(|| core_plane_for(layer, arch, &chiplet, tile));
+                            self.geoms.push((tile, core_plane));
+                        }
+                    }
+                }
+                self.push_group(package, chiplet, geom_base, rotations);
+            }
+        }
+        if self.len == 0 {
+            // Fallback for thin layers (e.g. a 10-class FC head): accept idle
+            // units rather than failing to map at all. The single geometry
+            // gets id 0; the 1-chiplet DramOnly skip does NOT apply here (the
+            // layer would otherwise be unmappable).
+            self.groups.clear();
+            self.geoms.clear();
+            let tile = Tile::new(ho, wo, co.max(1));
+            let chiplet = ChipletPartition::Channel;
+            self.geoms
+                .push((tile, core_plane_for(layer, arch, &chiplet, tile)));
+            let rotations = rotation_set(ring, dram_only);
+            self.push_group(PackagePartition::Channel, chiplet, 0, rotations);
+        }
+        count_n(Counter::CandidatesGenerated, self.len as u64);
+        count_n(Counter::CandidatesDeduped, deduped);
+        count_n(Counter::CandidatesStructurallyRejected, rejected);
+        EnumStats {
+            emitted: self.len,
+            geoms: self.geoms.len(),
+        }
+    }
+
+    /// Appends the group whose tiles are the geometries from `geom_base`
+    /// on; a group without candidates is not kept (its geometry ids are).
+    fn push_group(
+        &mut self,
+        package: PackagePartition,
+        chiplet: ChipletPartition,
+        geom_base: u32,
+        rotations: &'static [RotationMode],
+    ) {
+        let group = Group {
+            package,
+            chiplet,
+            geom_base,
+            tiles: self.geoms.len() as u32 - geom_base,
+            cand_base: self.len,
+            rotations,
+        };
+        if group.len() > 0 {
+            self.len = group.end();
+            self.groups.push(group);
+        }
+    }
+
+    /// The candidates of `range` as runs, in canonical order: one per
+    /// `(group, combo)` stretch the range covers, each decoded from the
+    /// range's bounds by arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// If `range` reaches past the space's candidates.
+    pub fn runs(&self, range: Range<usize>) -> impl Iterator<Item = Run> + '_ {
+        assert!(
+            range.end <= self.len,
+            "{range:?} past {} candidates",
+            self.len
+        );
+        let first = self.groups.partition_point(|g| g.end() <= range.start);
+        self.groups[first..]
+            .iter()
+            .zip(first..)
+            .take_while(move |(g, _)| g.cand_base < range.end)
+            .flat_map(move |(g, group)| {
+                let per_combo = g.per_combo();
+                let lo = range.start.max(g.cand_base) - g.cand_base;
+                let hi = range.end.min(g.end()) - g.cand_base;
+                (lo / per_combo..hi.div_ceil(per_combo)).map(move |combo| {
+                    let at = combo * per_combo;
+                    g.run(group, combo, lo.max(at) - at..hi.min(at + per_combo) - at)
+                })
+            })
+    }
+
+    /// The candidates of `range`, in canonical order.
+    pub fn slots(&self, range: Range<usize>) -> impl Iterator<Item = Slot> + '_ {
+        self.runs(range).flat_map(Run::slots)
+    }
+
+    /// Each `(geometry, rotation)` pair the candidates of `range` use,
+    /// once, as its first candidate there: within a group one combo's
+    /// stretch of candidates holds every pair of the group once.
+    pub fn touched(&self, range: Range<usize>) -> impl Iterator<Item = Slot> + '_ {
+        let first = self.groups.partition_point(|g| g.end() <= range.start);
+        self.groups[first..]
+            .iter()
+            .take_while(move |g| g.cand_base < range.end)
+            .flat_map(move |g| {
+                let start = range.start.max(g.cand_base);
+                let end = range.end.min(g.end()).min(start + g.per_combo());
+                self.slots(start..end)
+            })
+    }
+
+    /// The full mapping of `slot`.
+    #[inline]
+    pub fn mapping(&self, slot: Slot) -> Mapping {
+        let g = &self.groups[slot.group as usize];
+        let (chiplet_tile, core_plane) = self.geoms[slot.geom as usize];
+        let (package_order, chiplet_order) = combo_orders(slot.combo);
+        Mapping {
+            package: g.package,
+            chiplet: g.chiplet,
+            package_order,
+            chiplet_order,
+            chiplet_tile,
+            core_plane,
+            rotation: slot.rotation,
+        }
+    }
+}
+
 /// Generates the candidate mappings for `layer` on `arch` with default
-/// options. Structurally illegal combinations are filtered; buffer
-/// feasibility is left to [`crate::decompose()`](crate::decompose::decompose), which performs the exact
-/// checks.
+/// options, in canonical order.
 pub fn candidates(layer: &ConvSpec, arch: &PackageConfig) -> Vec<Mapping> {
     candidates_with(layer, arch, EnumOptions::default())
 }
@@ -73,9 +434,8 @@ pub fn candidates_with(layer: &ConvSpec, arch: &PackageConfig, opts: EnumOptions
     out
 }
 
-/// Enumerates into caller-owned buffers (cleared first, capacity kept), so a
-/// steady-state search re-uses one allocation per thread. `geom_ids[i]` is
-/// the geometry id of `cands[i]`.
+/// Enumerates into caller-owned buffers (cleared first, capacity kept).
+/// `geom_ids[i]` is the geometry id of `cands[i]`.
 pub fn enumerate_into(
     layer: &ConvSpec,
     arch: &PackageConfig,
@@ -91,170 +451,29 @@ pub fn enumerate_into(
     })
 }
 
-/// Emits the canonical candidate set through `f(geom_id, mapping)`.
-///
-/// The stream is strictly ascending in [`mapping_key`] order — package,
-/// chiplet partition, temporal-order combo, tile, rotation — with duplicates
-/// suppressed *at the source*: distinct `(fh, fw, fc)` ladder entries that
-/// collapse onto the same tile are skipped before a `Mapping` is ever built,
-/// and [`Counter::CandidatesDeduped`] counts them exactly as the old
-/// build-then-dedup pipeline did. `Counter::CandidatesGenerated` counts the
-/// emitted stream and `Counter::CandidatesStructurallyRejected` the ladder
-/// combos the structural filter removed.
+/// Emits the canonical candidate set through `f(geom_id, mapping)`: the
+/// [`CandidateSpace`] of `(layer, arch, opts)`, expanded in order, with the
+/// space's enumeration counters.
 pub fn visit_candidates(
     layer: &ConvSpec,
     arch: &PackageConfig,
     opts: EnumOptions,
     mut f: impl FnMut(u32, Mapping),
 ) -> EnumStats {
-    let n_p = arch.chiplets;
-    let n_c = arch.chiplet.cores;
-    let (ho, wo, co) = (layer.ho(), layer.wo(), layer.co());
-
-    // Rotations in key order (Ring < DramOnly), independent of the option
-    // slice's order — the canonical stream sorts rotation last.
-    let rot_ring = opts.rotations.contains(&RotationMode::Ring);
-    let rot_dram = opts.rotations.contains(&RotationMode::DramOnly);
-
-    let mut emitted = 0usize;
-    let mut deduped = 0u64;
-    let mut rejected = 0u64;
-    let mut geoms = 0u32;
-    // Reused across (package, chiplet) groups; bounded by the ladder size.
-    let mut tiles: Vec<Tile> = Vec::new();
-    let mut planes: Vec<(u32, u32)> = Vec::new();
-
-    for pkg in package_options(layer, n_p) {
-        // The plane extents a single chiplet owns under this partition.
-        let (part_h, part_w, part_co) = match &pkg {
-            PackagePartition::Channel => (ho, wo, ceil_div(co, n_p)),
-            PackagePartition::Planar(g) => (ceil_div(ho, g.rows()), ceil_div(wo, g.cols()), co),
-        };
-        for chip in chiplet_options(n_c) {
-            tiles.clear();
-            planes.clear();
-            let mut combos = 0u64;
-            for &fh in opts.plane_fractions {
-                for &fw in opts.plane_fractions {
-                    for &fc in opts.co_fractions {
-                        let tile = Tile::new(
-                            ceil_div(part_h, fh).max(1),
-                            ceil_div(part_w, fw).max(1),
-                            ceil_div(part_co, fc).max(1),
-                        );
-                        if !tile_fits_partition(&chip, tile, n_c) {
-                            rejected += 1;
-                            continue;
-                        }
-                        combos += 1;
-                        tiles.push(tile);
-                    }
-                }
-            }
-            tiles.sort_by_key(|t| (t.ho, t.wo, t.co));
-            tiles.dedup();
-            // A 1-chiplet ring is inert: the DramOnly twin would be an exact
-            // duplicate, so it is skipped at the source.
-            let eff_rot = u64::from(rot_ring) + u64::from(rot_dram && n_p > 1);
-            let orders = (TemporalOrder::ALL.len() * TemporalOrder::ALL.len()) as u64;
-            deduped += (combos - tiles.len() as u64) * orders * eff_rot;
-            planes.extend(
-                tiles
-                    .iter()
-                    .map(|&t| core_plane_for(layer, arch, &chip, t, n_c)),
-            );
-            let group_base = geoms;
-            geoms += tiles.len() as u32;
-            for pkg_order in TemporalOrder::ALL {
-                for chip_order in TemporalOrder::ALL {
-                    for (ti, (&tile, &core_plane)) in tiles.iter().zip(planes.iter()).enumerate() {
-                        for rotation in [RotationMode::Ring, RotationMode::DramOnly] {
-                            match rotation {
-                                RotationMode::Ring if !rot_ring => continue,
-                                RotationMode::DramOnly if !(rot_dram && n_p > 1) => continue,
-                                _ => {}
-                            }
-                            emitted += 1;
-                            f(
-                                group_base + ti as u32,
-                                Mapping {
-                                    package: pkg,
-                                    chiplet: chip,
-                                    package_order: pkg_order,
-                                    chiplet_order: chip_order,
-                                    chiplet_tile: tile,
-                                    core_plane,
-                                    rotation,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if emitted == 0 {
-        // Fallback for thin layers (e.g. a 10-class FC head): accept idle
-        // units rather than failing to map at all. The single geometry gets
-        // id 0; the 1-chiplet DramOnly skip does NOT apply here (the layer
-        // would otherwise be unmappable).
-        let tile = Tile::new(ho, wo, co.max(1));
-        let core_plane = core_plane_for(layer, arch, &ChipletPartition::Channel, tile, n_c);
-        geoms = 1;
-        for pkg_order in TemporalOrder::ALL {
-            for chip_order in TemporalOrder::ALL {
-                for rotation in [RotationMode::Ring, RotationMode::DramOnly] {
-                    match rotation {
-                        RotationMode::Ring if !rot_ring => continue,
-                        RotationMode::DramOnly if !rot_dram => continue,
-                        _ => {}
-                    }
-                    emitted += 1;
-                    f(
-                        0,
-                        Mapping {
-                            package: PackagePartition::Channel,
-                            chiplet: ChipletPartition::Channel,
-                            package_order: pkg_order,
-                            chiplet_order: chip_order,
-                            chiplet_tile: tile,
-                            core_plane,
-                            rotation,
-                        },
-                    );
-                }
-            }
-        }
-    }
-    count_n(Counter::CandidatesGenerated, emitted as u64);
-    count_n(Counter::CandidatesDeduped, deduped);
-    count_n(Counter::CandidatesStructurallyRejected, rejected);
-    EnumStats {
-        emitted,
-        geoms: geoms as usize,
-    }
-}
-
-/// Cheap upper bound on the number of candidates [`candidates_with`] can
-/// emit for `layer` on `arch`, *without* building any of them: the raw
-/// product of the option ladders, before the structural filter and dedup.
-///
-/// Useful for deciding up front whether a layer's search is worth fanning
-/// out (the parallel search itself chunks on the exact post-filter count,
-/// which it has in hand anyway) and for capacity-planning sweep batches.
-pub fn candidate_count_bound(layer: &ConvSpec, arch: &PackageConfig, opts: EnumOptions) -> usize {
-    let pkg = package_options(layer, arch.chiplets).len();
-    let chip = chiplet_options(arch.chiplet.cores).len();
-    let tiles = opts.plane_fractions.len() * opts.plane_fractions.len() * opts.co_fractions.len();
-    let orders = TemporalOrder::ALL.len() * TemporalOrder::ALL.len();
-    // The thin-layer fallback emits at most orders x rotations mappings.
-    (pkg * chip * tiles * orders * opts.rotations.len()).max(orders * opts.rotations.len())
+    CandidateSpace::pooled(|space| {
+        let stats = space.fill(layer, arch, opts);
+        // Internal iteration: the nested runs fold as plain loops.
+        space
+            .slots(0..stats.emitted)
+            .for_each(|slot| f(slot.geom, space.mapping(slot)));
+        stats
+    })
 }
 
 /// Sort/dedup key: a fixed-width numeric encoding of every mapping field.
-/// [`visit_candidates`] emits in strictly ascending key order by
+/// The [`CandidateSpace`] order is strictly ascending in it by
 /// construction; the key survives as the canonical-order witness the tests
-/// hold the visitor to.
+/// hold the space to.
 #[cfg_attr(not(test), allow(dead_code))]
 fn mapping_key(m: &Mapping) -> [u32; 13] {
     let (pkg_tag, pkg_r, pkg_c) = match m.package {
@@ -336,16 +555,34 @@ pub fn chiplet_options(n_c: u32) -> Vec<ChipletPartition> {
     out
 }
 
-/// Quick structural filter mirroring the decompose-time checks, so the
-/// candidate list stays clean.
-fn tile_fits_partition(chip: &ChipletPartition, tile: Tile, n_c: u32) -> bool {
+/// The structural filter, mirroring the decompose-time checks so the
+/// candidate set stays clean: the smallest chiplet tile `chip` can split
+/// over `n_c` cores, per axis (every axis of a tile is at least 1).
+fn min_tile(chip: &ChipletPartition, n_c: u32) -> Tile {
     match chip {
-        ChipletPartition::Channel => tile.co >= n_c,
-        ChipletPartition::Planar(g) => g.rows() <= tile.ho && g.cols() <= tile.wo,
+        ChipletPartition::Channel => Tile::new(1, 1, n_c),
+        ChipletPartition::Planar(g) => Tile::new(g.rows(), g.cols(), 1),
         ChipletPartition::Hybrid { channel_ways, grid } => {
-            tile.co >= *channel_ways && grid.rows() <= tile.ho && grid.cols() <= tile.wo
+            Tile::new(grid.rows(), grid.cols(), *channel_ways)
         }
     }
+}
+
+/// One axis of a group's tile ladder: the distinct extents
+/// `ceil(extent / f)` of `fractions` that reach `min`, ascending, into
+/// `out`. Returns how many fractions reached it, duplicates included.
+fn axis_ladder(extent: u32, fractions: &[u32], min: u32, out: &mut Vec<u32>) -> u64 {
+    out.clear();
+    out.extend(
+        fractions
+            .iter()
+            .map(|&f| ceil_div(extent, f).max(1))
+            .filter(|&v| v >= min),
+    );
+    let legal = out.len() as u64;
+    out.sort_unstable();
+    out.dedup();
+    legal
 }
 
 /// Picks the core tile: the largest square-ish `HO_c x WO_c` that fits both
@@ -356,7 +593,6 @@ pub fn core_plane_for(
     arch: &PackageConfig,
     chip: &ChipletPartition,
     tile: Tile,
-    n_c: u32,
 ) -> (u32, u32) {
     let core = &arch.chiplet.core;
     let slots = core.o_l1_bytes * 8 / PSUM_BITS;
@@ -366,7 +602,6 @@ pub fn core_plane_for(
         ChipletPartition::Planar(g) => (g.rows(), g.cols()),
         ChipletPartition::Hybrid { grid, .. } => (grid.rows(), grid.cols()),
     };
-    let _ = n_c;
     let sub_h = ceil_div(tile.ho, grid_r).max(1);
     let sub_w = ceil_div(tile.wo, grid_c).max(1);
     let chunk = u64::from(core.vector.min(layer.ci_per_group().max(1)));
@@ -452,7 +687,6 @@ mod tests {
             &a,
             &ChipletPartition::Channel,
             Tile::new(56, 56, 64),
-            8,
         );
         let cap = a.chiplet.core.o_l1_bytes * 8 / 24 / u64::from(a.chiplet.core.lanes);
         assert!(u64::from(h) * u64::from(w) <= cap);
@@ -465,22 +699,6 @@ mod tests {
         for m in candidates(&layer, &arch()) {
             assert!(m.chiplet_tile.ho >= 1 && m.chiplet_tile.wo >= 1 && m.chiplet_tile.co >= 1);
             assert!(m.core_plane.0 >= 1 && m.core_plane.1 >= 1);
-        }
-    }
-
-    #[test]
-    fn count_bound_dominates_the_real_candidate_set() {
-        let a = arch();
-        for layer in [
-            zoo::resnet50(224).layer("res2a_branch2b").cloned().unwrap(),
-            zoo::vgg16(224).layer("conv1_1").cloned().unwrap(),
-            // Thin FC head exercises the fallback path.
-            ConvSpec::fully_connected("fc", 4096, 10).unwrap(),
-        ] {
-            let bound = candidate_count_bound(&layer, &a, EnumOptions::default());
-            let real = candidates(&layer, &a).len();
-            assert!(real <= bound, "{}: {real} > bound {bound}", layer.name());
-            assert!(bound > 0);
         }
     }
 
@@ -555,11 +773,21 @@ mod tests {
                                     ceil_div(part_w, fw).max(1),
                                     ceil_div(part_co, fc).max(1),
                                 );
-                                if !tile_fits_partition(&chip, tile, a.chiplet.cores) {
+                                let fits = match chip {
+                                    ChipletPartition::Channel => tile.co >= a.chiplet.cores,
+                                    ChipletPartition::Planar(g) => {
+                                        g.rows() <= tile.ho && g.cols() <= tile.wo
+                                    }
+                                    ChipletPartition::Hybrid { channel_ways, grid } => {
+                                        tile.co >= channel_ways
+                                            && grid.rows() <= tile.ho
+                                            && grid.cols() <= tile.wo
+                                    }
+                                };
+                                if !fits {
                                     continue;
                                 }
-                                let core_plane =
-                                    core_plane_for(&layer, &a, &chip, tile, a.chiplet.cores);
+                                let core_plane = core_plane_for(&layer, &a, &chip, tile);
                                 for pkg_order in TemporalOrder::ALL {
                                     for chip_order in TemporalOrder::ALL {
                                         for &rotation in opts.rotations {

@@ -24,6 +24,7 @@
 
 pub mod queue;
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -187,32 +188,30 @@ where
         .collect()
 }
 
-/// Chunk-at-a-time variant of [`map_chunked`] with **per-worker scratch**:
-/// `init()` runs once per worker (once total on the sequential fast path)
-/// and the resulting state is threaded through every chunk that worker
-/// claims. Returns one `R` per chunk, **in chunk order**.
+/// Chunk-at-a-time variant of [`map_chunked`] over the index range `0..n`,
+/// with **per-worker scratch**: `init()` runs once per worker (once total
+/// on the sequential fast path) and the resulting state is threaded through
+/// every chunk that worker claims. Returns one `R` per chunk, **in chunk
+/// order**.
 ///
 /// This is the batched-evaluation primitive: a worker's scratch amortizes
 /// arena buffers across all its chunks, while the ordered chunk results
 /// keep reductions deterministic — for any thread count and scheduling, the
-/// output equals the sequential
-/// `chunks.map(|c| f(&mut scratch, c.start, c.items))` with a single
-/// scratch. `f` receives the chunk's starting index into `items` so callers
-/// can address parallel side tables.
+/// output equals the sequential `chunks.map(|range| f(&mut scratch, range))`
+/// with a single scratch. `f` receives each chunk as a range of indices, so
+/// the items need not exist as a slice: callers address their own tables.
 ///
 /// With one worker (or one chunk) the sequential fast path runs on the
 /// calling thread — scratch obtained from a thread-local pool in `init`
 /// then persists across calls on that thread, which is what makes the
 /// steady-state allocation budget hold at `--threads 1`. Gauges, worker
 /// spans, and trace propagation behave exactly as in [`map_chunked`].
-pub fn map_chunks<T, R, S, I, F>(items: &[T], threads: usize, chunk: usize, init: I, f: F) -> Vec<R>
+pub fn map_chunks<R, S, I, F>(n: usize, threads: usize, chunk: usize, init: I, f: F) -> Vec<R>
 where
-    T: Sync,
     R: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &[T]) -> R + Sync,
+    F: Fn(&mut S, Range<usize>) -> R + Sync,
 {
-    let n = items.len();
     if n == 0 {
         return Vec::new();
     }
@@ -225,7 +224,7 @@ where
             .map(|c| {
                 let start = c * chunk;
                 let end = (start + chunk).min(n);
-                f(&mut scratch, start, &items[start..end])
+                f(&mut scratch, start..end)
             })
             .collect();
     }
@@ -270,7 +269,7 @@ where
                     }
                     let start = c * chunk;
                     let end = (start + chunk).min(n);
-                    let out = f(&mut scratch, start, &items[start..end]);
+                    let out = f(&mut scratch, start..end);
                     *slots[c]
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
@@ -531,14 +530,14 @@ pub(crate) mod tests {
         for threads in [1, 2, 4, 7] {
             for chunk in [1, 3, 64, 2000] {
                 let got = map_chunks(
-                    &items,
+                    items.len(),
                     threads,
                     chunk,
                     Vec::<u64>::new,
-                    |scratch, start, slice| {
+                    |scratch, range| {
                         scratch.clear();
-                        scratch.extend_from_slice(slice);
-                        scratch.iter().sum::<u64>() + start as u64
+                        scratch.extend_from_slice(&items[range.clone()]);
+                        scratch.iter().sum::<u64>() + range.start as u64
                     },
                 );
                 assert_eq!(got, reference(chunk.max(1)), "t={threads} c={chunk}");
@@ -554,21 +553,21 @@ pub(crate) mod tests {
         // Sequential fast path: exactly one scratch.
         inits.store(0, Ordering::Relaxed);
         map_chunks(
-            &items,
+            items.len(),
             1,
             8,
             || inits.fetch_add(1, Ordering::Relaxed),
-            |_, _, s| s.len(),
+            |_, range| range.len(),
         );
         assert_eq!(inits.load(Ordering::Relaxed), 1);
         // Parallel: at most one scratch per worker, far fewer than chunks.
         inits.store(0, Ordering::Relaxed);
         let n_results = map_chunks(
-            &items,
+            items.len(),
             4,
             8,
             || inits.fetch_add(1, Ordering::Relaxed),
-            |_, _, s| s.len(),
+            |_, range| range.len(),
         )
         .len();
         assert_eq!(n_results, 32);
@@ -579,13 +578,12 @@ pub(crate) mod tests {
     fn map_chunks_handles_empty_input_without_init() {
         let _guard = fan_out_lock();
         let inits = AtomicUsize::new(0);
-        let empty: Vec<u32> = vec![];
         let out = map_chunks(
-            &empty,
+            0,
             4,
             8,
             || inits.fetch_add(1, Ordering::Relaxed),
-            |_, _, s| s.len(),
+            |_, range| range.len(),
         );
         assert!(out.is_empty());
         assert_eq!(inits.load(Ordering::Relaxed), 0);
