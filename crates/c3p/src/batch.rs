@@ -9,28 +9,28 @@
 //! through [`Floors::from_volumes`], the same `f64` path the scalar search
 //! uses, so prune decisions are bit-identical. Phase B walks the range in
 //! canonical order against that lane and builds a [`Mapping`] only for a
-//! candidate whose floor does not exceed its bound, which it prices with
-//! the C³P kernel ([`crate::kernel`]) as a one-rung resolve at the machine's
-//! own capacities, into reusable scratch, so a steady-state search
-//! allocates nothing. Two phase-B scans share phase A: the winner-only
-//! search bounds by the shared incumbent, and the k-best ranking keeps a
-//! bounded top-`k` list per chunk and bounds by the `k`-th score.
+//! candidate whose floor does not exceed the search's shared `k`-th score,
+//! which it prices with the C³P kernel ([`crate::kernel`]) as a one-rung
+//! resolve at the machine's own capacities, into reusable scratch, so a
+//! steady-state search allocates nothing. Every priced candidate is offered
+//! to the search's one [`Ranking`]; the winner search is its `k = 1` case.
 //!
 //! Counter semantics match a per-candidate decompose exactly: phase A adds
 //! the range's length to `DecomposeCalls`, phase B bumps a rejected
-//! candidate's reject counter as it passes it, `Evaluations`/
-//! `BestImprovements`/penalty counters fire per evaluated survivor, and
-//! prune checks observe the shared incumbent at the same point in candidate
-//! order as the scalar scan.
+//! candidate's reject counter as it passes it, `Evaluations` and penalty
+//! counters fire per evaluated survivor, `BestImprovements` per insert that
+//! lowers the `k`-th score, and prune checks observe that score at the same
+//! point in candidate order as the scalar scan.
 
 use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 use baton_arch::{PackageConfig, Technology};
 use baton_mapping::enumerate::CandidateSpace;
 use baton_mapping::{Mapping, MappingGeometry, NestScratch};
 use baton_model::ConvSpec;
-use baton_parallel::AtomicBest;
+use baton_parallel::{AtomicBest, TopK};
 use baton_telemetry::{count, count_n, stage_span, Counter};
 
 use crate::bounds::Floors;
@@ -49,28 +49,51 @@ pub(crate) struct BatchScratch {
     nest: NestScratch,
 }
 
-/// Aggregated result of one chunk of candidates.
-#[derive(Debug, Default)]
-pub(crate) struct ChunkOutcome {
-    /// Best `(score, evaluation)` in this chunk, earliest candidate wins
-    /// score ties (the cross-chunk ordered reduce extends that rule).
-    pub best: Option<(f64, Evaluation)>,
-    /// Candidates that were evaluated (decomposable, not pruned).
-    pub feasible: u64,
-    /// Candidates discarded because their floor exceeded the incumbent.
-    pub pruned: u64,
+/// One search's shared ranking: the `k` best `(score, candidate index,
+/// evaluation)` entries priced so far, and their `k`-th score mirrored in
+/// an atomic so the prune check reads it without the lock.
+#[derive(Debug)]
+pub(crate) struct Ranking {
+    top: Mutex<Pooled<TopK<Evaluation>>>,
+    kth: AtomicBest,
 }
 
-/// One chunk's share of a k-best ranking.
-#[derive(Debug, Default)]
-pub(crate) struct ChunkTopK {
-    /// At most `k` `(score, evaluation)` pairs, sorted by score with ties
-    /// in candidate order.
-    pub best: Vec<(f64, Evaluation)>,
-    /// Candidates that were priced (decomposable, not pruned).
-    pub feasible: u64,
-    /// Candidates skipped because their floor exceeded the `k`-th score.
-    pub pruned: u64,
+impl Ranking {
+    /// An empty ranking of the `k` best (`k >= 1`), its storage checked out
+    /// of the thread-local pool.
+    pub(crate) fn new(k: usize) -> Self {
+        let mut top = Pooled::checkout(&RANKING_POOL);
+        top.reset(k);
+        Self {
+            top: Mutex::new(top),
+            kth: AtomicBest::new(),
+        }
+    }
+
+    /// The ranked entries, best first; the storage returns to the pool when
+    /// the result is dropped.
+    pub(crate) fn into_top(self) -> Pooled<TopK<Evaluation>> {
+        self.top
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Offers a priced candidate. The lock is taken only when the score
+    /// could place; an insert that strictly lowers the `k`-th score counts
+    /// as a best improvement and lowers the mirror.
+    fn offer(&self, score: f64, index: usize, ev: Evaluation) {
+        if score > self.kth.get() {
+            return;
+        }
+        let mut top = self.top.lock().unwrap_or_else(PoisonError::into_inner);
+        let before = top.kth();
+        top.offer(score, index, ev);
+        let after = top.kth();
+        if after < before {
+            count(Counter::BestImprovements);
+            self.kth.observe(after);
+        }
+    }
 }
 
 thread_local! {
@@ -79,6 +102,8 @@ thread_local! {
     /// searches there (the steady state `baton bench` measures) hit this
     /// pool and allocate nothing.
     static SCRATCH_POOL: RefCell<Vec<BatchScratch>> = const { RefCell::new(Vec::new()) };
+    /// Retired ranking storage, reused the same way by the calling thread.
+    static RANKING_POOL: RefCell<Vec<TopK<Evaluation>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Checks a scratch out of the thread-local pool with an empty geometry
@@ -92,8 +117,8 @@ pub(crate) fn scratch(n_geoms: usize) -> Pooled<BatchScratch> {
 impl BatchScratch {
     /// Phase A: resolves each geometry the candidates of `range` use
     /// through the memo, then each of their `(geometry, rotation)` floors
-    /// the lane does not hold yet (shared floor math). Both scans below
-    /// start here, so they prune on the same bit-identical floors.
+    /// the lane does not hold yet (shared floor math), so the scan prunes
+    /// on bit-identical floors.
     fn fill_floors(
         &mut self,
         layer: &ConvSpec,
@@ -122,33 +147,38 @@ impl BatchScratch {
         });
     }
 
-    /// Branch-and-bound scan of the candidates of `range`.
+    /// Branch-and-bound scan of the candidates of `range` into `ranking`;
+    /// returns how many it priced and how many it pruned.
     ///
     /// Phase A fills the memo's floors; phase B reads them in candidate
-    /// order, pruning against the shared `incumbent` and evaluating
-    /// survivors with the C³P kernel.
+    /// order and skips a candidate unpriced when its floor is strictly above
+    /// the shared `k`-th score. That score belongs to `k` priced candidates
+    /// and a floor never exceeds its score, so a skipped candidate scores
+    /// strictly worse than `k` others and cannot place.
     #[allow(clippy::too_many_arguments)] // the full search context, passed flat
-    pub(crate) fn evaluate_chunk(
+    pub(crate) fn rank_chunk(
         &mut self,
         layer: &ConvSpec,
         arch: &PackageConfig,
         tech: &Technology,
         objective: Objective,
-        incumbent: &AtomicBest,
+        ranking: &Ranking,
         space: &CandidateSpace,
         range: Range<usize>,
-    ) -> ChunkOutcome {
+    ) -> (u64, u64) {
         self.fill_floors(layer, arch, tech, objective, space, range.clone());
         let _price = stage_span("search_price");
-        let mut out = ChunkOutcome::default();
+        let (mut feasible, mut pruned) = (0u64, 0u64);
+        // The index in the space of each run's first candidate.
+        let mut first = range.start;
         for run in space.runs(range) {
             for pair in run.pairs() {
-                // Strict `>`: a floor that merely ties the incumbent may
-                // still BE the incumbent-quality candidate (floors are exact
-                // when no capacity penalty triggers). A rejected geometry's
-                // NaN lane never prunes; it is skipped below.
-                if self.memo.lane(pair) > incumbent.get() {
-                    out.pruned += 1;
+                // Strict `>`: a floor tying the `k`-th score may still place
+                // (floors are exact when no capacity penalty triggers). A
+                // rejected geometry's NaN lane never prunes; it is skipped
+                // below.
+                if self.memo.lane(pair) > ranking.kth.get() {
+                    pruned += 1;
                     continue;
                 }
                 let s = run.slot(pair);
@@ -157,79 +187,12 @@ impl BatchScratch {
                 };
                 let m = space.mapping(s);
                 let ev = evaluate_survivor(&mut self.nest, layer, arch, tech, &m, geom);
-                let score = objective.score(&ev, tech);
-                let prev = incumbent.offer(score);
-                if score < prev {
-                    count(Counter::BestImprovements);
-                }
-                out.feasible += 1;
-                // Strict `<`: first candidate index wins ties, exactly like
-                // the sequential scan.
-                if out.best.as_ref().map(|(s, _)| score < *s).unwrap_or(true) {
-                    out.best = Some((score, ev));
-                }
+                feasible += 1;
+                ranking.offer(objective.score(&ev, tech), first + run.position(pair), ev);
             }
+            first += run.pairs().len();
         }
-        out
-    }
-
-    /// Bounded top-`k` scan of the candidates of `range` (`k >= 1`).
-    ///
-    /// Phase A fills the memo's floors; phase B keeps the chunk's `k` best
-    /// `(score, evaluation)` pairs sorted by score, ties in candidate
-    /// order. A candidate is skipped unpriced when its floor is strictly
-    /// above the chunk's own `k`-th score or the shared `kth` threshold,
-    /// which every chunk holding `k` entries lowers to its `k`-th score.
-    /// Any chunk's `k`-th score bounds the global `k`-th from above and a
-    /// floor never exceeds its score, so a skipped candidate scores
-    /// strictly worse than `k` others and cannot make the global top `k`.
-    #[allow(clippy::too_many_arguments)] // the full search context, passed flat
-    pub(crate) fn top_k_chunk(
-        &mut self,
-        layer: &ConvSpec,
-        arch: &PackageConfig,
-        tech: &Technology,
-        objective: Objective,
-        k: usize,
-        kth: &AtomicBest,
-        space: &CandidateSpace,
-        range: Range<usize>,
-    ) -> ChunkTopK {
-        debug_assert!(k >= 1);
-        self.fill_floors(layer, arch, tech, objective, space, range.clone());
-        let _price = stage_span("search_price");
-        // Grows as entries arrive: `k` is caller-chosen and may be huge.
-        let mut out = ChunkTopK::default();
-        for run in space.runs(range) {
-            for pair in run.pairs() {
-                let own = out.best.get(k - 1).map_or(f64::INFINITY, |(s, _)| *s);
-                // Strict `>`: a floor tying the `k`-th score may still place.
-                if self.memo.lane(pair) > own.min(kth.get()) {
-                    out.pruned += 1;
-                    continue;
-                }
-                let s = run.slot(pair);
-                let Some(geom) = self.memo.replayed(s.geom) else {
-                    continue;
-                };
-                let m = space.mapping(s);
-                let ev = evaluate_survivor(&mut self.nest, layer, arch, tech, &m, geom);
-                let score = objective.score(&ev, tech);
-                out.feasible += 1;
-                // After every equal score: the earlier candidate wins ties.
-                let at = out
-                    .best
-                    .partition_point(|(s, _)| s.total_cmp(&score).is_le());
-                if at < k {
-                    out.best.truncate(k - 1);
-                    out.best.insert(at, (score, ev));
-                    if out.best.len() == k {
-                        kth.observe(out.best[k - 1].0);
-                    }
-                }
-            }
-        }
-        out
+        (feasible, pruned)
     }
 }
 

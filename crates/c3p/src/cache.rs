@@ -193,9 +193,19 @@ mod tests {
     fn concurrent_lookups_agree() {
         let memo: ShapeMemo<u64> = ShapeMemo::new();
         let layers: Vec<_> = zoo::resnet50(224).layers().to_vec();
-        let outs = baton_parallel::map_chunked(&layers, 4, 2, |_, l| {
-            *memo.get_or_insert_with(l.shape_key(), || l.macs())
-        });
+        let outs = baton_parallel::map_chunks(
+            layers.len(),
+            4,
+            2,
+            || (),
+            |(), range| {
+                layers[range]
+                    .iter()
+                    .map(|l| *memo.get_or_insert_with(l.shape_key(), || l.macs()))
+                    .collect::<Vec<_>>()
+            },
+        );
+        let outs = outs.into_iter().flatten();
         for (l, got) in layers.iter().zip(outs) {
             assert_eq!(got, l.macs());
         }

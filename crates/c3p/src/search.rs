@@ -1,33 +1,34 @@
 //! Exhaustive per-layer mapping search (the post-design flow's inner loop).
 //!
-//! The search is a parallel branch-and-bound over batched
-//! struct-of-arrays scratch: the layer's [`CandidateSpace`] is filled into
-//! the thread's pooled one, its index range is fanned out in chunks
-//! over [`baton_parallel::map_chunks`] workers that share one
-//! [`AtomicBest`] incumbent, and each worker memoizes geometry per
-//! `geom_id`, prunes candidates whose [`Floors`](crate::bounds::Floors)
-//! lower bound already scores worse than the incumbent, and prices each
-//! survivor with the C³P kernel the memory sweep uses, as a one-rung
-//! resolve at the machine's own capacities. Only survivors are built as
-//! [`Mapping`]s. All mechanisms are exact — the floor never exceeds the
-//! true score and the ordered reduce breaks ties by candidate index — so
-//! the result is bit-identical to [`search_layer_reference`], the plain
-//! scalar scan, for any thread count.
+//! The search is a parallel bounded ranking over batched struct-of-arrays
+//! scratch: the layer's [`CandidateSpace`] is filled into the thread's
+//! pooled one, its index range is fanned out in chunks over
+//! [`baton_parallel::map_chunks`] workers that share one top-`k` ranking,
+//! and each worker memoizes geometry per `geom_id`, prunes candidates whose
+//! [`Floors`](crate::bounds::Floors) lower bound already scores worse than
+//! the shared `k`-th score, and prices each survivor with the C³P kernel
+//! the memory sweep uses, as a one-rung resolve at the machine's own
+//! capacities. Only survivors are built as [`Mapping`]s. The winner search
+//! is the `k = 1` ranking and the k-best ranking the same scan at `k`. All
+//! mechanisms are exact — the floor never exceeds the true score and the
+//! ranking breaks score ties by candidate index — so the winner is
+//! bit-identical to [`search_layer_reference`], the plain scalar scan, and
+//! the ranking to a stable sort of every feasible candidate, for any thread
+//! count.
 
 use std::fmt;
-use std::ops::Range;
 
 use baton_arch::{PackageConfig, Technology};
 use baton_mapping::enumerate::{candidates_with, CandidateSpace, EnumOptions};
 use baton_mapping::{decompose, Mapping};
 use baton_model::ConvSpec;
-use baton_parallel::AtomicBest;
-use baton_telemetry::span::SpanGuard;
+use baton_parallel::TopK;
 use baton_telemetry::{count, count_n, span_labeled, stage_span, Counter};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{self, BatchScratch};
+use crate::batch::{self, Ranking};
 use crate::evaluate::{evaluate_decomposition, Evaluation};
+use crate::kernel::Pooled;
 
 /// Optimization objective for the mapping search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -61,60 +62,8 @@ impl Objective {
     }
 }
 
-/// Help text for the per-layer search latency histogram, shared by both
-/// search entry points so the family renders one `# HELP` line.
+/// Help text for the per-layer search latency histogram.
 const SEARCH_SECONDS_HELP: &str = "Per-layer mapping search latency by objective.";
-
-/// What one finished search reports, whichever scan ran it.
-struct SearchSummary {
-    /// Candidates enumerated.
-    candidates: usize,
-    /// Candidates priced (decomposable, not pruned).
-    feasible: u64,
-    /// Candidates skipped on their floor.
-    pruned: u64,
-    /// The winning score, if any candidate was feasible.
-    best_score: Option<f64>,
-}
-
-/// The epilogue both search entry points share: the prune and
-/// completed/failed counters and one `search_layer` event (when a session
-/// is attached), then the duration in the labelled metrics registry
-/// (no-op unless `baton serve` enabled the layer).
-fn finish_search(
-    layer: &ConvSpec,
-    objective: Objective,
-    span: &SpanGuard,
-    started: Option<std::time::Instant>,
-    summary: SearchSummary,
-) {
-    if baton_telemetry::enabled() {
-        count_n(Counter::SearchPruned, summary.pruned);
-        count(if summary.best_score.is_some() {
-            Counter::SearchesCompleted
-        } else {
-            Counter::SearchesFailed
-        });
-        let mut ev = baton_telemetry::event("search_layer")
-            .str("layer", layer.name())
-            .u64("candidates", summary.candidates as u64)
-            .u64("feasible", summary.feasible)
-            .u64("pruned", summary.pruned)
-            .u64("dur_us", span.elapsed_us());
-        if let Some(score) = summary.best_score {
-            ev = ev.f64("best_score", score);
-        }
-        ev.emit();
-    }
-    if let Some(t0) = started {
-        baton_telemetry::metrics::observe_duration(
-            "baton_search_duration_seconds",
-            SEARCH_SECONDS_HELP,
-            &[("objective", objective.label())],
-            t0.elapsed(),
-        );
-    }
-}
 
 /// The search found no feasible mapping for a layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,17 +100,28 @@ pub fn search_layer(
     search_layer_with(layer, arch, tech, objective, EnumOptions::default())
 }
 
-/// Fills `layer`'s candidate space into the thread's pooled one and runs
-/// `scan` over its index range in chunks on the search workers, each
-/// worker with a pooled [`BatchScratch`]. Returns the candidate count and
-/// the chunk results in index order.
-fn fan_out<R: Send>(
+/// Ranks the `k` best candidates of `layer` by `objective` (`k >= 1`), the
+/// one scan behind both search entry points.
+///
+/// Fills `layer`'s candidate space into the thread's pooled one and scans
+/// its index range in chunks on the search workers, each worker with a
+/// pooled [`BatchScratch`](batch::BatchScratch), into one shared
+/// [`Ranking`]. Then records the prune and completed/failed counters and
+/// one `search_layer` event (when a session is attached), and the duration
+/// in the labelled metrics registry (no-op unless `baton serve` enabled the
+/// layer).
+fn rank(
     layer: &ConvSpec,
     arch: &PackageConfig,
+    tech: &Technology,
+    objective: Objective,
     opts: EnumOptions,
-    scan: impl Fn(&mut BatchScratch, &CandidateSpace, Range<usize>) -> R + Sync,
-) -> (usize, Vec<R>) {
-    CandidateSpace::pooled(|space| {
+    k: usize,
+) -> Result<Pooled<TopK<Evaluation>>, SearchError> {
+    let span = span_labeled("search_layer", || layer.name().to_string());
+    let started = baton_telemetry::metrics::enabled().then(std::time::Instant::now);
+    let ranking = Ranking::new(k);
+    let (candidates, chunks) = CandidateSpace::pooled(|space| {
         let stats = {
             let _enumerate = stage_span("search_enumerate");
             space.fill(layer, arch, opts)
@@ -170,14 +130,49 @@ fn fan_out<R: Send>(
         let workers = baton_parallel::threads();
         let chunk = baton_parallel::chunk_size(stats.emitted, workers);
         let init = || batch::scratch(stats.geoms);
-        let out = baton_parallel::map_chunks(stats.emitted, workers, chunk, init, |s, range| {
-            scan(s, space, range)
+        let chunks = baton_parallel::map_chunks(stats.emitted, workers, chunk, init, |s, range| {
+            s.rank_chunk(layer, arch, tech, objective, &ranking, space, range)
         });
-        (stats.emitted, out)
+        (stats.emitted, chunks)
+    });
+    let (feasible, pruned) = chunks.iter().fold((0, 0), |(f, p), c| (f + c.0, p + c.1));
+    let top = ranking.into_top();
+    let best_score = top.entries().first().map(|e| e.0);
+
+    if baton_telemetry::enabled() {
+        count_n(Counter::SearchPruned, pruned);
+        count(if best_score.is_some() {
+            Counter::SearchesCompleted
+        } else {
+            Counter::SearchesFailed
+        });
+        let mut ev = baton_telemetry::event("search_layer")
+            .str("layer", layer.name())
+            .u64("candidates", candidates as u64)
+            .u64("feasible", feasible)
+            .u64("pruned", pruned)
+            .u64("dur_us", span.elapsed_us());
+        if let Some(score) = best_score {
+            ev = ev.f64("best_score", score);
+        }
+        ev.emit();
+    }
+    if let Some(t0) = started {
+        baton_telemetry::metrics::observe_duration(
+            "baton_search_duration_seconds",
+            SEARCH_SECONDS_HELP,
+            &[("objective", objective.label())],
+            t0.elapsed(),
+        );
+    }
+    best_score.map(|_| top).ok_or_else(|| SearchError {
+        layer: layer.name().to_string(),
+        candidates,
     })
 }
 
-/// Searches with explicit enumeration options.
+/// Searches with explicit enumeration options: the `k = 1` ranking, whose
+/// tie rule makes it the earliest-index argmin.
 ///
 /// # Errors
 ///
@@ -189,40 +184,8 @@ pub fn search_layer_with(
     objective: Objective,
     opts: EnumOptions,
 ) -> Result<Evaluation, SearchError> {
-    let sp = span_labeled("search_layer", || layer.name().to_string());
-    let m_t0 = baton_telemetry::metrics::enabled().then(std::time::Instant::now);
-    let incumbent = AtomicBest::new();
-    // Chunk outcomes come back in input order; each carries its own
-    // first-wins best, so the ordered reduce below recovers the global
-    // earliest-index argmin exactly like a sequential scan.
-    let (n, outcomes) = fan_out(layer, arch, opts, |scratch, space, range| {
-        scratch.evaluate_chunk(layer, arch, tech, objective, &incumbent, space, range)
-    });
-
-    let (mut feasible, mut pruned) = (0u64, 0u64);
-    let mut best: Option<(f64, Evaluation)> = None;
-    for o in outcomes {
-        feasible += o.feasible;
-        pruned += o.pruned;
-        if let Some((score, ev)) = o.best {
-            // Strict `<`: the earliest chunk (lowest candidate index)
-            // wins ties, exactly like the sequential scan.
-            if best.as_ref().map(|(s, _)| score < *s).unwrap_or(true) {
-                best = Some((score, ev));
-            }
-        }
-    }
-    let summary = SearchSummary {
-        candidates: n,
-        feasible,
-        pruned,
-        best_score: best.as_ref().map(|(s, _)| *s),
-    };
-    finish_search(layer, objective, &sp, m_t0, summary);
-    best.map(|(_, ev)| ev).ok_or_else(|| SearchError {
-        layer: layer.name().to_string(),
-        candidates: n,
-    })
+    let top = rank(layer, arch, tech, objective, opts, 1)?;
+    Ok(top.entries()[0].2.clone())
 }
 
 /// The scalar reference search: a plain first-wins sequential scan with no
@@ -268,14 +231,11 @@ pub fn search_layer_reference(
 /// handing a compiler several near-optimal schedules to choose from.
 /// `k = 0` is treated as 1.
 ///
-/// Candidates are scanned over the same chunked batch-engine fan-out the
-/// winner-only search uses, as a bounded branch-and-bound: each chunk keeps
-/// its `k` best in score order, and a candidate whose floor exceeds the
-/// chunk's own `k`-th score, or the shared `k`-th threshold any full chunk
-/// lowers, is never priced. The ordered reduce concatenates the chunk lists
-/// and stable-sorts them on exact scores, so the ranking is bit-identical
-/// to a stable sort of every feasible candidate — ties stay in candidate
-/// order — for any thread count.
+/// The same bounded branch-and-bound as [`search_layer_with`], at `k`: a
+/// candidate whose floor exceeds the shared `k`-th score is never priced,
+/// and the ranking orders by exact score with ties in candidate order, so
+/// it is bit-identical to a stable sort of every feasible candidate for any
+/// thread count.
 ///
 /// # Errors
 ///
@@ -287,37 +247,15 @@ pub fn search_layer_k_best(
     objective: Objective,
     k: usize,
 ) -> Result<Vec<Evaluation>, SearchError> {
-    let sp = span_labeled("search_layer", || layer.name().to_string());
-    let m_t0 = baton_telemetry::metrics::enabled().then(std::time::Instant::now);
-    let k = k.max(1);
-    let kth = AtomicBest::new();
-    let (n, chunks) = fan_out(
+    let top = rank(
         layer,
         arch,
+        tech,
+        objective,
         EnumOptions::default(),
-        |scratch, space, range| {
-            scratch.top_k_chunk(layer, arch, tech, objective, k, &kth, space, range)
-        },
-    );
-    let pruned = chunks.iter().map(|c| c.pruned).sum();
-    let feasible = chunks.iter().map(|c| c.feasible).sum();
-    let mut scored: Vec<(f64, Evaluation)> = chunks.into_iter().flat_map(|c| c.best).collect();
-    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-    scored.truncate(k);
-    let summary = SearchSummary {
-        candidates: n,
-        feasible,
-        pruned,
-        best_score: scored.first().map(|(s, _)| *s),
-    };
-    finish_search(layer, objective, &sp, m_t0, summary);
-    if scored.is_empty() {
-        return Err(SearchError {
-            layer: layer.name().to_string(),
-            candidates: n,
-        });
-    }
-    Ok(scored.into_iter().map(|(_, ev)| ev).collect())
+        k.max(1),
+    )?;
+    Ok(top.entries().iter().map(|(_, _, ev)| ev.clone()).collect())
 }
 
 fn try_evaluate(

@@ -4,18 +4,29 @@
 //! time: the same candidates enumerated, deduplicated and rejected, the
 //! same decompositions replayed, the same candidates pruned and priced.
 //! The counters are that claim's witness, so this binary pins them exactly
-//! for one fixed workload: every AlexNet layer searched for energy on the
-//! case-study accelerator, at one thread (where the branch-and-bound sees
-//! the incumbent in candidate order), as `baton profile alexnet --threads 1`
-//! runs it. Its own binary, with one test: the counters are process-global.
+//! for two fixed workloads on the case-study accelerator, at one thread
+//! (where the branch-and-bound sees its bound in candidate order): every
+//! AlexNet layer searched for energy, as `baton profile alexnet --threads 1`
+//! runs it, and every AlexNet layer ranked for energy at `k = 9`, the
+//! largest ranking the `serve_cold` benchmark's `/map` keys request. Its own
+//! binary: the counters are process-global, so its tests hold one lock.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use baton_arch::{presets, Technology};
-use baton_c3p::{search_layer, Objective};
+use baton_c3p::{search_layer, search_layer_k_best, Objective};
 use baton_model::zoo;
 use baton_telemetry::{counters, Counter};
 
+/// Serializes the tests: each measures the process-global counters.
+fn exclusive_counters() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn alexnet_search_counters_are_pinned() {
+    let _counters = exclusive_counters();
     baton_parallel::configure_threads(Some(1));
     let _session = baton_telemetry::attach_with_sink(&Default::default(), None);
     let arch = presets::case_study_accelerator();
@@ -53,5 +64,33 @@ fn alexnet_search_counters_are_pinned() {
     ] {
         assert_eq!(delta.get(c), 0, "{c:?}");
     }
+    baton_parallel::configure_threads(None);
+}
+
+#[test]
+fn alexnet_k_best_counters_are_pinned() {
+    let _counters = exclusive_counters();
+    baton_parallel::configure_threads(Some(1));
+    let _session = baton_telemetry::attach_with_sink(&Default::default(), None);
+    let arch = presets::case_study_accelerator();
+    let tech = Technology::paper_16nm();
+
+    let before = counters::snapshot();
+    for layer in zoo::alexnet(224).layers() {
+        let top =
+            search_layer_k_best(layer, &arch, &tech, Objective::Energy, 9).expect("feasible layer");
+        assert_eq!(top.len(), 9, "{}", layer.name());
+    }
+    let delta = counters::snapshot().since(&before);
+
+    // `BestImprovements` counts the inserts that lowered the `k`-th score.
+    let want = [
+        (Counter::DecomposeCalls, 67_800),
+        (Counter::Evaluations, 3_395),
+        (Counter::SearchPruned, 63_589),
+        (Counter::BestImprovements, 392),
+    ];
+    let got: Vec<(Counter, u64)> = want.iter().map(|&(c, _)| (c, delta.get(c))).collect();
+    assert_eq!(got, want);
     baton_parallel::configure_threads(None);
 }

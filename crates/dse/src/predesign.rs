@@ -12,6 +12,7 @@ use baton_c3p::{
 use baton_mapping::enumerate::{visit_candidates, EnumOptions};
 use baton_mapping::{decompose, Decomposition, Mapping};
 use baton_model::{ConvSpec, Model, ACT_BITS};
+use baton_parallel::TopK;
 use baton_telemetry::{count, count_n, event, span, span_labeled, Counter, Progress};
 use serde::{Deserialize, Serialize};
 
@@ -428,32 +429,6 @@ enum Selection {
     Bounded,
 }
 
-/// A bounded top-`k` buffer of `(score, index)` pairs.
-#[derive(Debug, Default)]
-struct TopK(Vec<(f64, usize)>);
-
-impl TopK {
-    /// The `k` lowest pairs of `scored` in [`f64::total_cmp`] order, ties
-    /// to the earliest index — exactly the first `k` of a stable sort of
-    /// all of them — holding at most `k` at a time. `scored` must come in
-    /// ascending index order.
-    fn select(&mut self, scored: impl Iterator<Item = (f64, usize)>, k: usize) -> &[(f64, usize)] {
-        let best = &mut self.0;
-        best.clear();
-        for (score, i) in scored {
-            // The common case, one comparison: a full buffer whose k-th
-            // score is at most this one (the earlier index wins ties).
-            if best.len() == k && best.last().is_none_or(|(s, _)| s.total_cmp(&score).is_le()) {
-                continue;
-            }
-            best.truncate(k - 1);
-            let at = best.partition_point(|(s, _)| s.total_cmp(&score).is_le());
-            best.insert(at, (score, i));
-        }
-        best
-    }
-}
-
 /// The first `k` of every `(score, index)` pair, stable-sorted by
 /// [`f64::total_cmp`]: [`Selection::FullSort`].
 fn sorted_top_k(scored: impl Iterator<Item = (f64, usize)>, k: usize) -> Vec<(f64, usize)> {
@@ -479,15 +454,19 @@ fn corner_keep(
     let m = &opts.space.memory;
     let k = opts.keep_per_corner;
     let mut keep: Vec<bool> = vec![false; n];
-    let mut mark = |best: &[(f64, usize)]| best.iter().for_each(|&(_, i)| keep[i] = true);
-    // No selection can outgrow the candidate count.
-    let mut top = TopK(Vec::with_capacity(k.min(n)));
+    let mut top = TopK::default();
     for cell in corner_cells(m) {
         let arch = cell_arch(reference, m, cell, opts.o_l2_bytes);
         let scored = (0..n).filter_map(|i| energy_at(i, cell, &arch).map(|e| (e, i)));
         match selection {
-            Selection::FullSort => mark(&sorted_top_k(scored, k)),
-            Selection::Bounded => mark(top.select(scored, k)),
+            Selection::FullSort => sorted_top_k(scored, k)
+                .iter()
+                .for_each(|&(_, i)| keep[i] = true),
+            Selection::Bounded => {
+                top.reset(k);
+                scored.for_each(|(e, i)| top.offer(e, i, ()));
+                top.entries().iter().for_each(|&(_, i, ())| keep[i] = true);
+            }
         }
     }
     keep
@@ -663,8 +642,8 @@ impl SweepEngine for ReferenceEngine {
 /// materialized path is [`full_sweep_reference`]; the two are bit-identical
 /// (pinned by `tests/sweep_equivalence.rs`).
 ///
-/// The `(geometry, O-L1)` units fan out over [`baton_parallel::map_chunked`]
-/// workers; each worker fills a local point vector and the results are
+/// The `(geometry, O-L1)` units fan out over [`baton_parallel::map_chunks`]
+/// workers; each unit fills a local point vector and the results are
 /// spliced back in unit order, so the returned points are identical — order
 /// included — for any `--threads` count.
 pub fn full_sweep(model: &Model, tech: &Technology, opts: &SweepOptions) -> Vec<DesignPoint> {
@@ -730,9 +709,7 @@ fn full_sweep_with<E: SweepEngine>(
         .flat_map(|&g| opts.space.memory.o_l1.iter().map(move |&o_l1| (g, o_l1)))
         .collect();
     let meter = Progress::new("full_sweep", units.len() as u64);
-    let workers = baton_parallel::threads();
-    let chunk = baton_parallel::chunk_size(units.len(), workers);
-    let per_unit = baton_parallel::map_chunked(&units, workers, chunk, |_, &(geometry, o_l1)| {
+    let unit = |&(geometry, o_l1): &((u32, u32, u32, u32), u64)| {
         // Labelled per unit so a request trace (or `-vv` profile) can tell
         // which geometry a slow chunk was grinding on.
         let unit_span = span_labeled("sweep_geometry", || {
@@ -760,7 +737,18 @@ fn full_sweep_with<E: SweepEngine>(
         }
         meter.tick(1);
         (local, stats)
-    });
+    };
+    // One unit per chunk: a unit is milliseconds of work, so the cursor
+    // traffic is noise, and each chunk's result is its unit's own, with no
+    // per-chunk vector to splice.
+    let workers = baton_parallel::threads();
+    let per_unit = baton_parallel::map_chunks(
+        units.len(),
+        workers,
+        1,
+        || (),
+        |(), range| unit(&units[range.start]),
+    );
     // The audit stream mirrors the splice: unit order, each unit record
     // followed by its points, regardless of which worker ran what.
     if audit.enabled() {
@@ -946,7 +934,6 @@ fn layer_candidates(
         };
         let profiles = LayerProfiles::build(&d);
         let (a_l1_floor, o_l2_floor) = candidate_floors(layer, reference, &mapping);
-        let _ = mapping; // identity is carried inside the decomposition
         out.push(Candidate {
             decomposition: d,
             profiles,
@@ -1396,11 +1383,17 @@ mod tests {
                 .enumerate()
                 .filter_map(|(i, s)| s.map(|s| (s, i)))
         };
-        let bits = |best: &[(f64, usize)]| best.iter().map(|&(s, i)| (s.to_bits(), i)).collect();
-        let mut top = TopK::default();
+        let mut top = TopK::new(k);
+        scored().for_each(|(s, i)| top.offer(s, i, ()));
         [
-            bits(top.select(scored(), k)),
-            bits(&sorted_top_k(scored(), k)),
+            top.entries()
+                .iter()
+                .map(|&(s, i, ())| (s.to_bits(), i))
+                .collect(),
+            sorted_top_k(scored(), k)
+                .iter()
+                .map(|&(s, i)| (s.to_bits(), i))
+                .collect(),
         ]
     }
 

@@ -198,6 +198,12 @@ impl Run {
         self.pairs().map(move |pair| self.slot(pair))
     }
 
+    /// The position of the candidate with pair id `pair` within this run.
+    #[inline]
+    pub fn position(&self, pair: usize) -> usize {
+        (pair - self.start) / self.step
+    }
+
     /// The candidate of this run with pair id `pair`.
     #[inline]
     pub fn slot(&self, pair: usize) -> Slot {

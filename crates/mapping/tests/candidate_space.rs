@@ -285,6 +285,16 @@ fn check(layer: &ConvSpec, arch: &PackageConfig, opts: EnumOptions, chunk: usize
             .collect();
         let got: Vec<Slot> = space.touched(range.clone()).collect();
         assert_eq!(got, want, "{range:?}");
+        // Run positions, offset by the runs before, are the candidates'
+        // indices.
+        let mut first = range.start;
+        for run in space.runs(range.clone()) {
+            for pair in run.pairs() {
+                assert_eq!(run.slot(pair), slot(first + run.position(pair)));
+            }
+            first += run.pairs().len();
+        }
+        assert_eq!(first, range.end);
     }
 }
 

@@ -3,11 +3,14 @@
 //! The hermetic build has no rayon, so this crate provides the minimal
 //! machinery the DSE hot loops need, on `std::thread::scope` alone:
 //!
-//! * [`map_chunked`] — a chunked work queue with an atomic cursor and an
-//!   *ordered* reduce: results come back in input order, so a parallel sweep
-//!   is bit-identical to the sequential one.
+//! * [`map_chunks`] — a chunked work queue with an atomic cursor and an
+//!   *ordered* reduce: results come back in chunk order, so a parallel sweep
+//!   or search is bit-identical to the sequential one.
 //! * [`AtomicBest`] — a shared "incumbent best score" encoded into one
-//!   `AtomicU64`, the branch-and-bound state of the parallel mapping search.
+//!   `AtomicU64`, the branch-and-bound bound of the parallel mapping search.
+//! * [`TopK`] — the `k` lowest `(score, index)` entries offered, in any
+//!   index order: the mapping search's ranking and the sweep's corner
+//!   selection.
 //! * [`threads`] / [`configure_threads`] — worker-count resolution:
 //!   explicit `--threads N` override, then the `BATON_THREADS` environment
 //!   variable, then `std::thread::available_parallelism()`.
@@ -34,7 +37,7 @@ use baton_telemetry::trace;
 
 use queue::{QUEUE_DEPTH_GAUGE, QUEUE_DEPTH_HELP};
 
-/// Gauge of workers currently inside a [`map_chunked`] scope, summed over
+/// Gauge of workers currently inside a [`map_chunks`] scope, summed over
 /// concurrent fan-outs.
 const WORKERS_GAUGE: &str = "baton_parallel_workers";
 const WORKERS_HELP: &str = "Worker threads currently executing a parallel fan-out.";
@@ -88,124 +91,29 @@ pub fn chunk_size(items: usize, threads: usize) -> usize {
     (items / (threads.max(1) * 8)).clamp(1, 1024)
 }
 
-/// Applies `f` to every item, in parallel over `threads` workers, returning
-/// the results **in input order**.
+/// Applies `f` to every chunk of the index range `0..n`, in parallel over
+/// `threads` workers, with **per-worker scratch**: `init()` runs once per
+/// worker (once total on the sequential fast path) and the resulting state
+/// is threaded through every chunk that worker claims. Returns one `R` per
+/// chunk, **in chunk order**.
 ///
 /// Work is handed out in `chunk`-sized runs of consecutive indices through a
-/// shared atomic cursor; each worker writes a chunk's results into that
-/// chunk's own slot, and the final splice walks the slots in order. The
-/// output is therefore identical — bit for bit — to
-/// `items.iter().enumerate().map(|(i, t)| f(i, t)).collect()`, for any
-/// thread count and any scheduling.
+/// shared atomic cursor; each worker writes a chunk's result into that
+/// chunk's own slot, and the slots are read back in order after the join.
+/// For any thread count and scheduling the output therefore equals the
+/// sequential `chunks.map(|range| f(&mut scratch, range))` with a single
+/// scratch. `f` receives each chunk as a range of indices, so the items need
+/// not exist as a slice: callers address their own tables.
 ///
 /// `f` runs under a `parallel_worker` telemetry span labeled `w<id>` so
 /// profiles attribute time per worker. If the calling thread has a request
 /// trace installed (see `baton_telemetry::trace`), that context is captured
 /// once and re-installed in every worker, so worker-side spans attach to
 /// the originating request's span tree. With one worker (or one chunk) the
-/// sequential fast path runs on the calling thread, span-free.
-pub fn map_chunked<T, R, F>(items: &[T], threads: usize, chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let chunk = chunk.max(1);
-    let n_chunks = n.div_ceil(chunk);
-    let workers = threads.max(1).min(n_chunks.max(1));
-    if workers <= 1 || n_chunks <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-
-    // Serving-mode occupancy gauges. Chunk-grained (never per-item), and
-    // behind the metrics enable flag, so one-shot CLI runs pay one relaxed
-    // load per fan-out.
-    let observe = metrics::enabled();
-    if observe {
-        metrics::gauge_add(WORKERS_GAUGE, WORKERS_HELP, &[], workers as f64);
-        metrics::gauge_set(
-            QUEUE_DEPTH_GAUGE,
-            QUEUE_DEPTH_HELP,
-            FAN_OUT_QUEUE,
-            n_chunks as f64,
-        );
-    }
-
-    // One slot per chunk. Each Mutex is written exactly once, by whichever
-    // worker claimed that chunk; the lock is never contended.
-    let slots: Vec<Mutex<Vec<R>>> = (0..n_chunks).map(|_| Mutex::new(Vec::new())).collect();
-    let cursor = AtomicUsize::new(0);
-    // Captured once on the calling thread; each worker re-installs it so
-    // its spans land in the originating request's trace. Inert (one atomic
-    // load) when tracing is off or no trace is active here.
-    let fan_trace = trace::propagation();
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let (slots, cursor, f, fan_trace) = (&slots, &cursor, &f, &fan_trace);
-            s.spawn(move || {
-                // Context first, span second: the guard must outlive (and
-                // therefore drop after) the worker span it parents.
-                let _trace_ctx = fan_trace.install();
-                let _worker_span = span_labeled("parallel_worker", || format!("w{w}"));
-                loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    if observe {
-                        metrics::gauge_set(
-                            QUEUE_DEPTH_GAUGE,
-                            QUEUE_DEPTH_HELP,
-                            FAN_OUT_QUEUE,
-                            n_chunks.saturating_sub(c + 1) as f64,
-                        );
-                    }
-                    let start = c * chunk;
-                    let end = (start + chunk).min(n);
-                    let out: Vec<R> = items[start..end]
-                        .iter()
-                        .enumerate()
-                        .map(|(j, t)| f(start + j, t))
-                        .collect();
-                    *slots[c]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = out;
-                }
-            });
-        }
-    });
-    if observe {
-        metrics::gauge_add(WORKERS_GAUGE, WORKERS_HELP, &[], -(workers as f64));
-        metrics::gauge_set(QUEUE_DEPTH_GAUGE, QUEUE_DEPTH_HELP, FAN_OUT_QUEUE, 0.0);
-    }
-    slots
-        .into_iter()
-        .flat_map(|m| {
-            m.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        })
-        .collect()
-}
-
-/// Chunk-at-a-time variant of [`map_chunked`] over the index range `0..n`,
-/// with **per-worker scratch**: `init()` runs once per worker (once total
-/// on the sequential fast path) and the resulting state is threaded through
-/// every chunk that worker claims. Returns one `R` per chunk, **in chunk
-/// order**.
-///
-/// This is the batched-evaluation primitive: a worker's scratch amortizes
-/// arena buffers across all its chunks, while the ordered chunk results
-/// keep reductions deterministic — for any thread count and scheduling, the
-/// output equals the sequential `chunks.map(|range| f(&mut scratch, range))`
-/// with a single scratch. `f` receives each chunk as a range of indices, so
-/// the items need not exist as a slice: callers address their own tables.
-///
-/// With one worker (or one chunk) the sequential fast path runs on the
-/// calling thread — scratch obtained from a thread-local pool in `init`
-/// then persists across calls on that thread, which is what makes the
-/// steady-state allocation budget hold at `--threads 1`. Gauges, worker
-/// spans, and trace propagation behave exactly as in [`map_chunked`].
+/// sequential fast path runs on the calling thread, span-free; scratch
+/// obtained from a thread-local pool in `init` then persists across calls
+/// on that thread, which is what makes the steady-state allocation budget
+/// hold at `--threads 1`.
 pub fn map_chunks<R, S, I, F>(n: usize, threads: usize, chunk: usize, init: I, f: F) -> Vec<R>
 where
     R: Send,
@@ -229,6 +137,8 @@ where
             .collect();
     }
 
+    // Serving-mode occupancy gauges. Chunk-grained, and behind the metrics
+    // enable flag, so one-shot CLI runs pay one relaxed load per fan-out.
     let observe = metrics::enabled();
     if observe {
         metrics::gauge_add(WORKERS_GAUGE, WORKERS_HELP, &[], workers as f64);
@@ -244,6 +154,9 @@ where
     // it; the lock is never contended.
     let slots: Vec<Mutex<Option<R>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
+    // Captured once on the calling thread; each worker re-installs it so
+    // its spans land in the originating request's trace. Inert (one atomic
+    // load) when tracing is off or no trace is active here.
     let fan_trace = trace::propagation();
     std::thread::scope(|s| {
         for w in 0..workers {
@@ -317,6 +230,7 @@ fn f64_key(v: f64) -> u64 {
 }
 
 /// Inverse of [`f64_key`].
+#[inline]
 fn f64_unkey(k: u64) -> f64 {
     if k >> 63 == 1 {
         f64::from_bits(k & !(1 << 63))
@@ -332,6 +246,9 @@ impl AtomicBest {
     }
 
     /// The current incumbent score (`+inf` until the first observation).
+    /// Inlined across crates: the search's prune check reads it once per
+    /// candidate.
+    #[inline]
     pub fn get(&self) -> f64 {
         f64_unkey(self.0.load(Ordering::Relaxed))
     }
@@ -345,19 +262,6 @@ impl AtomicBest {
         let key = f64_key(score);
         self.0.fetch_min(key, Ordering::Relaxed) > key
     }
-
-    /// Offers a score and returns the incumbent *as it was before this
-    /// offer* — one atomic `fetch_min`, so a caller can distinguish
-    /// "strictly improved" (`score < prev`) from "tied the best so far"
-    /// (`score == prev`) without a race window. NaN is recorded as nothing
-    /// and returns the current incumbent.
-    pub fn offer(&self, score: f64) -> f64 {
-        if score.is_nan() {
-            return self.get();
-        }
-        let key = f64_key(score);
-        f64_unkey(self.0.fetch_min(key, Ordering::Relaxed))
-    }
 }
 
 impl Default for AtomicBest {
@@ -366,11 +270,74 @@ impl Default for AtomicBest {
     }
 }
 
+/// The `k` lowest `(score, index, item)` entries offered, ordered by
+/// [`f64::total_cmp`] on the score with ties to the lower index: exactly
+/// the first `k` of a stable sort of every offer by index, whatever order
+/// the offers arrive in.
+///
+/// Storage grows on demand, so a caller-chosen `k` far above the offers
+/// costs nothing up front; [`reset`](TopK::reset) keeps it for reuse.
+#[derive(Debug)]
+pub struct TopK<T> {
+    k: usize,
+    best: Vec<(f64, usize, T)>,
+}
+
+impl<T> Default for TopK<T> {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
+impl<T> TopK<T> {
+    /// An empty selection of the `k` lowest.
+    pub fn new(k: usize) -> Self {
+        Self {
+            k,
+            best: Vec::new(),
+        }
+    }
+
+    /// Empties the selection for a new `k`, keeping its storage.
+    pub fn reset(&mut self, k: usize) {
+        self.k = k;
+        self.best.clear();
+    }
+
+    /// Offers `item` at `(score, index)`. It is kept while fewer than `k`
+    /// entries are held, or if it precedes the `k`-th, which it displaces.
+    pub fn offer(&mut self, score: f64, index: usize, item: T) {
+        let precedes =
+            |(s, i, _): &(f64, usize, T)| s.total_cmp(&score).then(i.cmp(&index)).is_lt();
+        // The common case, one comparison: a full selection whose `k`-th
+        // entry precedes this offer (the index breaks score ties).
+        if self.best.len() == self.k && self.best.last().is_none_or(precedes) {
+            return;
+        }
+        self.best.truncate(self.k - 1);
+        let at = self.best.partition_point(precedes);
+        self.best.insert(at, (score, index, item));
+    }
+
+    /// The `k`-th lowest score held; `+inf` until `k` entries are held.
+    pub fn kth(&self) -> f64 {
+        match self.k.checked_sub(1).and_then(|i| self.best.get(i)) {
+            Some(&(score, _, _)) => score,
+            None => f64::INFINITY,
+        }
+    }
+
+    /// The entries held, lowest first.
+    pub fn entries(&self) -> &[(f64, usize, T)] {
+        &self.best
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
 
-    /// Serializes the tests that run [`map_chunked`] (and the queue gauge
+    /// Serializes the tests that run [`map_chunks`] (and the queue gauge
     /// test in `queue.rs`): the occupancy test enables the process-global
     /// metrics registry, so a sibling fan-out running concurrently would
     /// mutate the same gauges and flake its exact-zero assertions (and see
@@ -408,8 +375,28 @@ pub(crate) mod tests {
         assert!((1..=1024).contains(&c));
     }
 
+    /// Per-item results through [`map_chunks`] the way the sweep uses it:
+    /// no scratch, each chunk maps its items, chunks flattened in order.
+    fn map_items<R: Send>(
+        n: usize,
+        threads: usize,
+        chunk: usize,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Vec<R> {
+        map_chunks(
+            n,
+            threads,
+            chunk,
+            || (),
+            |(), range| range.map(&f).collect::<Vec<R>>(),
+        )
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
     #[test]
-    fn map_chunked_preserves_input_order() {
+    fn map_chunks_preserves_chunk_order() {
         let _guard = fan_out_lock();
         let items: Vec<u64> = (0..997).collect();
         let expect: Vec<u64> = items
@@ -419,29 +406,29 @@ pub(crate) mod tests {
             .collect();
         for threads in [1, 2, 4, 7] {
             for chunk in [1, 3, 64, 2000] {
-                let got = map_chunked(&items, threads, chunk, |i, v| v * 3 + i as u64);
+                let got = map_items(items.len(), threads, chunk, |i| items[i] * 3 + i as u64);
                 assert_eq!(got, expect, "threads={threads} chunk={chunk}");
             }
         }
     }
 
     #[test]
-    fn map_chunked_handles_empty_and_singleton() {
+    fn map_chunks_handles_empty_and_singleton() {
         let _guard = fan_out_lock();
         let empty: Vec<u32> = vec![];
-        assert!(map_chunked(&empty, 4, 8, |_, v| *v).is_empty());
-        assert_eq!(map_chunked(&[42u32], 4, 8, |i, v| *v + i as u32), vec![42]);
+        assert!(map_items(empty.len(), 4, 8, |i| empty[i]).is_empty());
+        let one = [42u32];
+        assert_eq!(map_items(one.len(), 4, 8, |i| one[i] + i as u32), vec![42]);
     }
 
     #[test]
-    fn map_chunked_actually_runs_on_multiple_threads() {
+    fn map_chunks_actually_runs_on_multiple_threads() {
         use std::collections::HashSet;
         let _guard = fan_out_lock();
         let seen = Mutex::new(HashSet::new());
-        let items: Vec<u32> = (0..256).collect();
-        map_chunked(&items, 4, 1, |_, v| {
+        map_items(256, 4, 1, |i| {
             seen.lock().unwrap().insert(std::thread::current().id());
-            *v
+            i
         });
         // On a single-core machine the scheduler may still serialize onto
         // one worker, but the scope must at least not run on the caller.
@@ -453,8 +440,7 @@ pub(crate) mod tests {
         use baton_telemetry::metrics::SeriesValue;
         let _guard = fan_out_lock();
         metrics::enable();
-        let items: Vec<u32> = (0..512).collect();
-        map_chunked(&items, 4, 8, |_, v| *v);
+        map_items(512, 4, 8, |i| i);
         let snap = baton_telemetry::metrics::registry().snapshot();
         let value = |name: &str| {
             snap.iter()
@@ -478,15 +464,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn map_chunked_workers_record_into_the_callers_trace() {
+    fn map_chunks_workers_record_into_the_callers_trace() {
         let _guard = fan_out_lock();
         trace::enable();
         let request = trace::TraceHandle::start();
-        let items: Vec<u32> = (0..64).collect();
         {
             let _ctx = request.install();
             let _fan = baton_telemetry::span("fan_out");
-            map_chunked(&items, 4, 4, |_, v| *v * 2);
+            map_items(64, 4, 4, |i| i * 2);
         }
         let done = request.finish("POST /map", 200);
         let fan = done.spans.iter().find(|s| s.name == "fan_out").unwrap();
@@ -603,17 +588,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn offer_returns_the_previous_incumbent() {
-        let best = AtomicBest::new();
-        assert_eq!(best.offer(5.0), f64::INFINITY);
-        assert_eq!(best.offer(5.0), 5.0, "tie sees itself as incumbent");
-        assert_eq!(best.offer(9.0), 5.0, "worse offer leaves incumbent");
-        assert_eq!(best.offer(1.0), 5.0);
-        assert_eq!(best.offer(f64::NAN), 1.0);
-        assert_eq!(best.get(), 1.0);
-    }
-
-    #[test]
     fn f64_key_is_order_preserving() {
         let vals = [
             f64::NEG_INFINITY,
@@ -639,10 +613,63 @@ pub(crate) mod tests {
         let _guard = fan_out_lock();
         let best = AtomicBest::new();
         let scores: Vec<f64> = (0..1000).map(|i| ((i * 7919) % 1000) as f64).collect();
-        let items: Vec<usize> = (0..scores.len()).collect();
-        map_chunked(&items, 4, 16, |_, &i| {
+        map_items(scores.len(), 4, 16, |i| {
             best.observe(scores[i]);
         });
         assert_eq!(best.get(), 0.0);
+    }
+
+    /// Every offer stable-sorted by `(score, index)`, first `k`: the
+    /// selection [`TopK`] must equal.
+    fn sorted_prefix(offers: &[(f64, usize)], k: usize) -> Vec<(u64, usize)> {
+        let mut all = offers.to_vec();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        all.iter().take(k).map(|&(s, i)| (s.to_bits(), i)).collect()
+    }
+
+    #[test]
+    fn top_k_equals_the_sorted_prefix_in_any_offer_order() {
+        // Heavy ties (four score values), a NaN and signed zeros, offered
+        // in index order, reversed and interleaved as racing workers would.
+        let mut scores: Vec<f64> = (0..40).map(|i| f64::from((i * 7) % 4)).collect();
+        scores.extend([f64::NAN, -0.0, 0.0, f64::INFINITY]);
+        let offers: Vec<(f64, usize)> = scores.iter().copied().zip(0..).collect();
+        let orders: [Vec<usize>; 3] = [
+            (0..offers.len()).collect(),
+            (0..offers.len()).rev().collect(),
+            (0..offers.len()).map(|i| (i * 17) % offers.len()).collect(),
+        ];
+        for order in &orders {
+            for k in [0, 1, 2, 3, 10, offers.len(), offers.len() + 5] {
+                let mut top = TopK::new(k);
+                for &j in order {
+                    top.offer(offers[j].0, offers[j].1, j);
+                }
+                let got: Vec<(u64, usize)> = top
+                    .entries()
+                    .iter()
+                    .map(|&(s, i, _)| (s.to_bits(), i))
+                    .collect();
+                assert_eq!(got, sorted_prefix(&offers, k), "k {k}, order {order:?}");
+                assert!(top.entries().iter().all(|&(_, i, j)| i == j));
+            }
+        }
+    }
+
+    #[test]
+    fn top_k_kth_is_infinite_until_full_and_reset_empties() {
+        let mut top = TopK::new(2);
+        assert_eq!(top.kth(), f64::INFINITY);
+        top.offer(5.0, 1, ());
+        assert_eq!(top.kth(), f64::INFINITY, "one entry of two");
+        top.offer(7.0, 0, ());
+        assert_eq!(top.kth(), 7.0);
+        top.offer(5.0, 0, ());
+        assert_eq!(top.kth(), 5.0, "the lower index wins the tie");
+        assert_eq!(top.entries()[0].1, 0);
+        top.reset(1);
+        assert!(top.entries().is_empty());
+        assert_eq!(top.kth(), f64::INFINITY);
+        assert_eq!(TopK::<()>::default().kth(), f64::INFINITY);
     }
 }

@@ -1,6 +1,6 @@
 //! A bounded MPMC work queue with close semantics and depth gauges.
 //!
-//! [`map_chunked`](crate::map_chunked) hands out *indices* through an atomic
+//! [`map_chunks`](crate::map_chunks) hands out *indices* through an atomic
 //! cursor because its work set is known up front. A serving process has the
 //! opposite shape: work arrives from outside at an unpredictable rate and
 //! must be **refused** — not buffered without limit — once the system is
@@ -17,7 +17,7 @@ use std::time::Instant;
 use baton_telemetry::metrics;
 use baton_telemetry::trace;
 
-/// Gauge family shared with [`map_chunked`](crate::map_chunked)'s fan-out
+/// Gauge family shared with [`map_chunks`](crate::map_chunks)'s fan-out
 /// depth series; each queue instance owns one `queue="<name>"` series.
 pub const QUEUE_DEPTH_GAUGE: &str = "baton_parallel_queue_depth";
 /// Help text for [`QUEUE_DEPTH_GAUGE`].
