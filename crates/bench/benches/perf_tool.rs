@@ -31,20 +31,14 @@ fn bench_evaluate(c: &mut Criterion) {
     });
 }
 
-fn bench_profile_resolution(c: &mut Criterion) {
-    let (arch, _, layer, mapping) = setup();
+fn bench_verdicts_and_knobs(c: &mut Criterion) {
+    let (arch, tech, layer, mapping) = setup();
     let d = decompose(&layer, &arch, &mapping).unwrap();
-    let p = c3p::LayerProfiles::build(&d);
-    c.bench_function("profile_resolution_fast_path", |b| {
-        b.iter(|| {
-            c3p::resolve_at_capacities(
-                black_box(&d),
-                black_box(&p),
-                800 * 8,
-                64 * 1024 * 8,
-                18 * 1024 * 8 * 8,
-            )
-        })
+    c.bench_function("c3p_buffer_verdicts", |b| {
+        b.iter(|| c3p::buffer_verdicts(black_box(&d), &arch))
+    });
+    c.bench_function("c3p_knob_effects", |b| {
+        b.iter(|| c3p::knob_effects(black_box(&d), &arch, &tech))
     });
 }
 
@@ -79,7 +73,7 @@ fn bench_simba(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_decompose, bench_evaluate, bench_profile_resolution,
+    targets = bench_decompose, bench_evaluate, bench_verdicts_and_knobs,
               bench_enumerate, bench_search, bench_simulate, bench_simba
 }
 criterion_main!(benches);

@@ -8,11 +8,12 @@
 //! the pair's branch-and-bound floor into the memo's dense floor lane,
 //! through [`Floors::from_volumes`], the same `f64` path the scalar search
 //! uses, so prune decisions are bit-identical. Phase B walks the range in
-//! canonical order against that lane and builds a [`Mapping`] only for a
+//! canonical order against that lane and builds a `Mapping` only for a
 //! candidate whose floor does not exceed the search's shared `k`-th score,
-//! which it prices with the C³P kernel ([`crate::kernel`]) as a one-rung
-//! resolve at the machine's own capacities, into reusable scratch, so a
-//! steady-state search allocates nothing. Every priced candidate is offered
+//! builds its nest into reusable scratch (no `Decomposition`) and prices it
+//! through the one evaluator body `evaluate_decomposition` runs
+//! ([`crate::evaluate::evaluate_nest`]), so a steady-state search allocates
+//! nothing. Every priced candidate is offered
 //! to the search's one [`Ranking`]; the winner search is its `k = 1` case.
 //!
 //! Counter semantics match a per-candidate decompose exactly: phase A adds
@@ -28,14 +29,14 @@ use std::sync::{Mutex, PoisonError};
 
 use baton_arch::{PackageConfig, Technology};
 use baton_mapping::enumerate::CandidateSpace;
-use baton_mapping::{Mapping, MappingGeometry, NestScratch};
+use baton_mapping::NestScratch;
 use baton_model::ConvSpec;
 use baton_parallel::{AtomicBest, TopK};
 use baton_telemetry::{count, count_n, stage_span, Counter};
 
 use crate::bounds::Floors;
-use crate::evaluate::{price, runtime_bound, Evaluation};
-use crate::kernel::{GeomMemo, Pooled, Rung, Staircases};
+use crate::evaluate::{evaluate_nest, Evaluation};
+use crate::kernel::{GeomMemo, NestView, Pooled};
 use crate::search::Objective;
 
 /// Reusable struct-of-arrays buffers for one search worker; every buffer
@@ -186,7 +187,8 @@ impl BatchScratch {
                     continue;
                 };
                 let m = space.mapping(s);
-                let ev = evaluate_survivor(&mut self.nest, layer, arch, tech, &m, geom);
+                let survivor = NestView::build(geom, layer, &m, &mut self.nest);
+                let ev = evaluate_nest(&survivor, arch, tech, &m);
                 feasible += 1;
                 ranking.offer(objective.score(&ev, tech), first + run.position(pair), ev);
             }
@@ -196,44 +198,10 @@ impl BatchScratch {
     }
 }
 
-/// Prices one survivor as a one-rung kernel resolve at the machine's own
-/// capacities. Bit-identical to `evaluate_decomposition` on the same
-/// mapping (pinned below and by the equivalence proptest in `tests/`).
-fn evaluate_survivor(
-    nest: &mut NestScratch,
-    layer: &ConvSpec,
-    arch: &PackageConfig,
-    tech: &Technology,
-    mapping: &Mapping,
-    geom: &MappingGeometry,
-) -> Evaluation {
-    count(Counter::Evaluations);
-    let (v, rot_in, rot_w) = geom.volumes_for(mapping.rotation);
-    geom.build_nest_into(layer, mapping, rot_in, rot_w, nest);
-    let rung = Rung {
-        a_l1_bits: Some(arch.chiplet.core.a_l1_bytes * 8),
-        a_l2_bits: Some(arch.chiplet.a_l2_bytes * 8),
-        w_eff_bits: Some(geom.effective_w_l1_bits()),
-    };
-    let paths = Staircases::walk(nest, geom.n_p(), (rot_in, rot_w)).at(&v, rung);
-    paths.count_penalties(&v);
-    let access = paths.access(&v, u64::from(geom.weight_streams()));
-    let energy = price(&access, arch, tech);
-    let (cycles, utilization) = runtime_bound(geom.compute_cycles(), &access, arch, tech);
-    Evaluation {
-        mapping: *mapping,
-        access,
-        energy,
-        compute_cycles: geom.compute_cycles(),
-        cycles,
-        utilization,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::{evaluate_decomposition, resolve, LayerProfiles};
+    use crate::reference::{self, LayerProfiles};
     use baton_arch::presets;
     use baton_mapping::enumerate::{enumerate_into, EnumOptions};
     use baton_model::zoo;
@@ -241,7 +209,7 @@ mod tests {
     #[test]
     fn streaming_evaluation_matches_the_scalar_path_bit_for_bit() {
         // The search's survivor evaluation (a one-rung kernel resolve at
-        // the machine's capacities) against the materialized scalar path.
+        // the machine's capacities) against the materialized oracle.
         let arch = presets::case_study_accelerator();
         let tech = Technology::paper_16nm();
         for (bucket, layer) in zoo::representative_layers(224) {
@@ -258,8 +226,9 @@ mod tests {
                     continue;
                 };
                 let d = baton_mapping::decompose(&layer, &arch, m).unwrap();
-                let got = evaluate_survivor(&mut scratch.nest, &layer, &arch, &tech, m, &geom);
-                let want = evaluate_decomposition(&d, &arch, &tech, m);
+                let survivor = NestView::build(&geom, &layer, m, &mut scratch.nest);
+                let got = evaluate_nest(&survivor, &arch, &tech, m);
+                let want = reference::evaluate_decomposition(&d, &arch, &tech, m);
                 assert_eq!(got, want, "{bucket}: {m:?}");
                 checked += 1;
             }
@@ -285,8 +254,14 @@ mod tests {
                 continue;
             };
             let d = baton_mapping::decompose(&layer, &arch, m).unwrap();
-            let got = evaluate_survivor(&mut scratch.nest, &layer, &arch, &tech, m, &geom);
-            let want = resolve(&d, &LayerProfiles::build(&d), &arch);
+            let survivor = NestView::build(&geom, &layer, m, &mut scratch.nest);
+            let got = evaluate_nest(&survivor, &arch, &tech, m);
+            let (a_l1, a_l2) = (
+                arch.chiplet.core.a_l1_bytes * 8,
+                arch.chiplet.a_l2_bytes * 8,
+            );
+            let p = LayerProfiles::build(&d);
+            let want = reference::resolve_at_capacities(&d, &p, a_l1, a_l2, d.effective_w_l1_bits);
             assert_eq!(got.access, want, "{m:?}");
             if want.dram_input_bits > d.volumes.dram_input_base {
                 penalized += 1;

@@ -1,96 +1,13 @@
 //! Full evaluation of one mapping: access counts, energy, runtime.
 
 use baton_arch::{PackageConfig, Technology};
-use baton_mapping::{decompose, Decomposition, Dim, LoopLevel, Mapping, MappingError};
+use baton_mapping::{decompose, Decomposition, Mapping, MappingError};
 use baton_model::ConvSpec;
 use baton_telemetry::{count, Counter};
 use serde::{Deserialize, Serialize};
 
 use crate::energy::EnergyBreakdown;
-use crate::profile::AccessProfile;
-use crate::walk::c3p_breakpoints;
-
-/// Capacity-dependent access profiles of one `(layer, mapping)` pair.
-///
-/// Building the profiles costs one geometry analysis; evaluating them at a
-/// concrete memory configuration is a handful of comparisons, which is what
-/// makes the Figure 15-scale sweep tractable (see DESIGN.md §4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LayerProfiles {
-    /// DRAM input reads vs. A-L2 capacity.
-    pub dram_input: AccessProfile,
-    /// Ring (D2D) input rotation traffic vs. A-L2 capacity.
-    pub d2d_input: AccessProfile,
-    /// A-L2 to bus reads vs. A-L1 capacity.
-    pub a_l2_read: AccessProfile,
-    /// DRAM weight reads vs. effective W-L1 (pool share) capacity.
-    pub dram_weight: AccessProfile,
-    /// Ring (D2D) weight rotation traffic vs. effective W-L1 capacity.
-    pub d2d_weight: AccessProfile,
-    /// Cores receiving each A-L2 multicast (A-L1 fill factor).
-    pub fill_streams: u64,
-}
-
-impl LayerProfiles {
-    /// Derives the profiles from a decomposition.
-    pub fn build(d: &Decomposition) -> Self {
-        let nest = &d.nest;
-        let n_p = u64::from(d.n_p).max(1);
-        // Position of the rotation loop, if it survived unit-loop dropping.
-        let rot_pos = nest
-            .loops()
-            .iter()
-            .position(|l| l.level == LoopLevel::Rotation);
-
-        // Home-slice tier: above the rotation loop, only 1/N_P of the shared
-        // working set must stay resident to avoid *DRAM* reloads (the rest
-        // re-arrives over the ring, which the D2D profile prices).
-        let sliced = |fp: &[u64], rotated: bool| -> Vec<u64> {
-            if !rotated {
-                return fp.to_vec();
-            }
-            let cut = rot_pos.map(|p| p + 1).unwrap_or(0);
-            fp.iter()
-                .enumerate()
-                .map(|(i, &v)| if i >= cut { v / n_p } else { v })
-                .collect()
-        };
-
-        let chip_in = &d.footprints.chiplet_input;
-        let chip_in_dram = sliced(chip_in, d.rotate_inputs);
-        let stream_w = &d.footprints.stream_weight;
-        let stream_w_dram = sliced(stream_w, d.rotate_weights);
-
-        let dram_input = AccessProfile::new(
-            d.volumes.dram_input_base,
-            c3p_breakpoints(nest, &chip_in_dram, Dim::input_relevant),
-        );
-        let d2d_input = AccessProfile::new(
-            d.volumes.d2d_input_base,
-            c3p_breakpoints(nest, chip_in, Dim::input_relevant),
-        );
-        let a_l2_read = AccessProfile::new(
-            d.volumes.a_l2_read_base,
-            c3p_breakpoints(nest, &d.footprints.core_input, Dim::input_relevant),
-        );
-        let dram_weight = AccessProfile::new(
-            d.volumes.dram_weight_base,
-            c3p_breakpoints(nest, &stream_w_dram, Dim::weight_relevant),
-        );
-        let d2d_weight = AccessProfile::new(
-            d.volumes.d2d_weight_base,
-            c3p_breakpoints(nest, stream_w, Dim::weight_relevant),
-        );
-        Self {
-            dram_input,
-            d2d_input,
-            a_l2_read,
-            dram_weight,
-            d2d_weight,
-            fill_streams: u64::from(d.weight_streams),
-        }
-    }
-}
+use crate::kernel::{NestView, Rung};
 
 /// Resolved access counts in bits (and MAC ops), per data path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -170,85 +87,45 @@ pub fn evaluate(
     Ok(evaluate_decomposition(&d, arch, tech, mapping))
 }
 
-/// Evaluates a pre-computed decomposition (used by the search loops).
+/// Evaluates a pre-computed decomposition.
 pub fn evaluate_decomposition(
     d: &Decomposition,
     arch: &PackageConfig,
     tech: &Technology,
     mapping: &Mapping,
 ) -> Evaluation {
+    evaluate_nest(&NestView::of(d), arch, tech, mapping)
+}
+
+/// The one evaluator body, behind [`evaluate_decomposition`] and the
+/// search's survivors: the candidate's staircases read at the machine's own
+/// capacities, the penalty counters, the access assembly, the energy price
+/// and the runtime bound.
+#[inline]
+pub(crate) fn evaluate_nest(
+    n: &NestView<'_>,
+    arch: &PackageConfig,
+    tech: &Technology,
+    mapping: &Mapping,
+) -> Evaluation {
     count(Counter::Evaluations);
-    let profiles = LayerProfiles::build(d);
-    let access = resolve(d, &profiles, arch);
+    let rung = Rung {
+        a_l1_bits: Some(arch.chiplet.core.a_l1_bytes * 8),
+        a_l2_bits: Some(arch.chiplet.a_l2_bytes * 8),
+        w_eff_bits: Some(n.w_eff_bits),
+    };
+    let paths = n.stairs().at(&n.volumes, rung);
+    paths.count_penalties(&n.volumes);
+    let access = paths.access(&n.volumes, n.fill_streams);
     let energy = price(&access, arch, tech);
-    let (cycles, utilization) = runtime_bound(d.compute_cycles, &access, arch, tech);
+    let (cycles, utilization) = runtime_bound(n.compute_cycles, &access, arch, tech);
     Evaluation {
         mapping: *mapping,
         access,
         energy,
-        compute_cycles: d.compute_cycles,
+        compute_cycles: n.compute_cycles,
         cycles,
         utilization,
-    }
-}
-
-/// Resolves the capacity-dependent profiles at the machine's buffer sizes.
-pub fn resolve(d: &Decomposition, p: &LayerProfiles, arch: &PackageConfig) -> AccessCounts {
-    resolve_at_capacities(
-        d,
-        p,
-        arch.chiplet.core.a_l1_bytes * 8,
-        arch.chiplet.a_l2_bytes * 8,
-        d.effective_w_l1_bits,
-    )
-}
-
-/// Resolves the profiles at explicit buffer capacities (bits) — the fast
-/// path of the pre-design memory sweep, where the same decomposition is
-/// re-priced at thousands of capacities.
-pub fn resolve_at_capacities(
-    d: &Decomposition,
-    p: &LayerProfiles,
-    a_l1_bits: u64,
-    a_l2_bits: u64,
-    w_eff_bits: u64,
-) -> AccessCounts {
-    let dram_input_bits = p.dram_input.access_bits(a_l2_bits);
-    let d2d_input = p.d2d_input.access_bits(a_l2_bits);
-    let a_l2_fill = dram_input_bits + d2d_input;
-    let a_l2_read = p.a_l2_read.access_bits(a_l1_bits);
-    let a_l1_fill = a_l2_read * p.fill_streams;
-
-    let dram_weight_bits = p.dram_weight.access_bits(w_eff_bits);
-    let d2d_weight = p.d2d_weight.access_bits(w_eff_bits);
-    let w_l1_fill = dram_weight_bits + d2d_weight;
-
-    // C³P penalty activations: a resolved access above its base volume
-    // means the buffer at that level is below the critical capacity. This
-    // is the sweep hot path, so the checks stay behind one branch.
-    if baton_telemetry::enabled() {
-        if dram_input_bits > d.volumes.dram_input_base {
-            count(Counter::PenaltyAL2);
-        }
-        if a_l2_read > d.volumes.a_l2_read_base {
-            count(Counter::PenaltyAL1);
-        }
-        if dram_weight_bits > d.volumes.dram_weight_base {
-            count(Counter::PenaltyWL1);
-        }
-    }
-
-    AccessCounts {
-        dram_input_bits,
-        dram_weight_bits,
-        dram_output_bits: d.volumes.dram_output,
-        d2d_bits: d2d_input + d2d_weight,
-        a_l2_bits: a_l2_fill + a_l2_read,
-        o_l2_bits: d.volumes.o_l2_write + d.volumes.o_l2_read,
-        a_l1_bits: a_l1_fill + d.volumes.a_l1_read,
-        w_l1_bits: w_l1_fill + d.volumes.w_l1_read,
-        o_l1_rmw_bits: d.volumes.o_l1_rmw,
-        mac_ops: d.volumes.mac_ops,
     }
 }
 
@@ -446,14 +323,16 @@ mod tests {
 
     #[test]
     fn profiles_match_direct_evaluation() {
-        // The DSE fast path (profiles resolved at explicit capacities) must
+        // The materialized oracle resolved at the machine's capacities must
         // agree with the end-to-end evaluation.
         let layer = common_layer();
         let a = arch();
         let d = decompose(&layer, &a, &mapping()).unwrap();
-        let p = LayerProfiles::build(&d);
-        let fast = resolve(&d, &p, &a);
+        let p = crate::reference::LayerProfiles::build(&d);
+        let (a_l1, a_l2) = (a.chiplet.core.a_l1_bytes * 8, a.chiplet.a_l2_bytes * 8);
+        let oracle =
+            crate::reference::resolve_at_capacities(&d, &p, a_l1, a_l2, d.effective_w_l1_bits);
         let full = evaluate(&layer, &a, &tech(), &mapping()).unwrap();
-        assert_eq!(fast, full.access);
+        assert_eq!(oracle, full.access);
     }
 }

@@ -1,5 +1,6 @@
-//! The one production C³P kernel, shared by the mapping search and the
-//! pre-design memory sweep.
+//! The one production C³P kernel: every capacity-dependent access the
+//! crate prices (evaluation, the mapping search, the pre-design memory
+//! sweep, the verdicts and the sensitivity analysis) is read off it.
 //!
 //! A candidate has five capacity-dependent data paths, each priced by the
 //! C³P region walk of [`crate::walk`] over its footprint table (with the
@@ -7,15 +8,16 @@
 //! its own: [`Staircases::walk`] folds every path into its [`Staircase`]
 //! in two walks (one per tensor, since paths of one tensor share their
 //! regions), and [`Staircases::at`] reads the five paths at one [`Rung`]
-//! of buffer capacities. The search reads one rung, the machine's own
-//! capacities; the sweep reads every rung of its capacity ladders off the
-//! same walk.
+//! of buffer capacities. A [`NestView`] feeds the walk from either a
+//! `Decomposition` or a search survivor's [`NestScratch`]. Evaluation, the
+//! search and the verdicts read one rung, the machine's own capacities;
+//! the sweep reads every rung of its capacity ladders off the same walk.
 //!
 //! [`Paths::access`] assembles a resolve into [`AccessCounts`]; the
 //! branch-and-bound floors assemble [`Paths::base`]. [`GeomMemo`] and
-//! [`Pooled`] are the scratch management both callers share. The search and
-//! sweep unit tests and the equivalence harnesses in `tests/` pin all of it
-//! to the materialized oracle bit for bit.
+//! [`Pooled`] are the scratch management the search and the sweep share.
+//! Their unit tests and the equivalence harnesses in `tests/` pin all of
+//! it to the materialized oracle of [`crate::reference`] bit for bit.
 
 use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
@@ -25,8 +27,9 @@ use std::thread::LocalKey;
 use baton_arch::PackageConfig;
 use baton_mapping::enumerate::Slot;
 use baton_mapping::{
-    mapping_geometry_with, ChannelKey, ChannelTerms, Dim, LoopLevel, Mapping, MappingError,
-    MappingGeometry, NestScratch, PlaneAxis, PlaneKey, PlaneTerms, TermMemo, Volumes,
+    mapping_geometry_with, ChannelKey, ChannelTerms, Decomposition, Dim, Footprints, Loop,
+    LoopLevel, Mapping, MappingError, MappingGeometry, NestScratch, PlaneAxis, PlaneKey,
+    PlaneTerms, TermMemo, Volumes,
 };
 use baton_model::ConvSpec;
 use baton_telemetry::{count, Counter};
@@ -61,100 +64,129 @@ pub(crate) struct Paths {
     pub d2d_weight: u64,
 }
 
-/// Names one of the five paths of [`Paths`].
+/// One candidate as the kernel reads it: its temporal nest and aligned
+/// footprint tables (a `Decomposition`'s, or the ones built into a reused
+/// [`NestScratch`]), and the geometry scalars pricing needs.
 #[derive(Debug, Clone, Copy)]
-enum Path {
-    DramInput,
-    D2dInput,
-    AL2Read,
-    DramWeight,
-    D2dWeight,
+pub(crate) struct NestView<'a> {
+    /// Non-unit temporal loops, innermost first.
+    pub loops: &'a [Loop],
+    /// Working-set footprints aligned with `loops`.
+    pub footprints: &'a Footprints,
+    /// Base volumes under the candidate's rotation mode.
+    pub volumes: Volumes,
+    /// Whether activations and weights rotate over the ring.
+    pub rotated: (bool, bool),
+    /// Chiplet count.
+    pub n_p: u32,
+    /// Effective W-L1 capacity per stream in bits (pool share).
+    pub w_eff_bits: u64,
+    /// Cores receiving each A-L2 multicast (A-L1 fill factor).
+    pub fill_streams: u64,
+    /// Ideal compute cycles.
+    pub compute_cycles: u64,
 }
 
-/// A built candidate nest viewed as the five paths' walk inputs: which
-/// footprint table each path reads, and the home-slice tier — above the
-/// rotation loop only `1/N_P` of a rotated working set must stay resident
-/// to avoid DRAM reloads (the slicing rule of `LayerProfiles::build`,
-/// applied lazily per footprint read).
-struct PathWalks<'a> {
-    nest: &'a NestScratch,
-    n_p: u64,
-    /// First nest position above the rotation loop (0 if there is none).
-    cut: usize,
-    rotate_inputs: bool,
-    rotate_weights: bool,
-}
-
-impl<'a> PathWalks<'a> {
-    /// `nest` must be built with the `rotated` flags that
-    /// [`MappingGeometry::volumes_for`] returned for the candidate.
-    #[inline]
-    fn new(nest: &'a NestScratch, n_p: u32, (rotate_inputs, rotate_weights): (bool, bool)) -> Self {
-        let rot_pos = nest
-            .loops
-            .iter()
-            .position(|l| l.level == LoopLevel::Rotation);
+impl<'a> NestView<'a> {
+    /// A decomposition's nest.
+    pub(crate) fn of(d: &'a Decomposition) -> Self {
         Self {
-            nest,
-            n_p: u64::from(n_p).max(1),
-            cut: rot_pos.map(|p| p + 1).unwrap_or(0),
-            rotate_inputs,
-            rotate_weights,
+            loops: d.nest.loops(),
+            footprints: &d.footprints,
+            volumes: d.volumes,
+            rotated: (d.rotate_inputs, d.rotate_weights),
+            n_p: d.n_p,
+            w_eff_bits: d.effective_w_l1_bits,
+            fill_streams: u64::from(d.weight_streams),
+            compute_cycles: d.compute_cycles,
         }
     }
 
-    /// `path`'s working set covering everything strictly inside nest
-    /// position `i`, in bits.
+    /// Builds `mapping`'s nest on `geom` into `nest`, without a
+    /// `Decomposition` (and, once `nest` has grown, without allocating).
     #[inline]
-    fn footprint(&self, path: Path, i: usize) -> u64 {
-        let (fp, sliced) = match path {
-            Path::DramInput => (&self.nest.chiplet_input, self.rotate_inputs),
-            Path::D2dInput => (&self.nest.chiplet_input, false),
-            Path::AL2Read => (&self.nest.core_input, false),
-            Path::DramWeight => (&self.nest.stream_weight, self.rotate_weights),
-            Path::D2dWeight => (&self.nest.stream_weight, false),
-        };
-        if sliced && i >= self.cut {
-            fp[i] / self.n_p
-        } else {
-            fp[i]
+    pub(crate) fn build(
+        geom: &MappingGeometry,
+        layer: &ConvSpec,
+        mapping: &Mapping,
+        nest: &'a mut NestScratch,
+    ) -> Self {
+        let (volumes, rot_in, rot_w) = geom.volumes_for(mapping.rotation);
+        geom.build_nest_into(layer, mapping, rot_in, rot_w, nest);
+        Self {
+            loops: &nest.loops,
+            footprints: &nest.footprints,
+            volumes,
+            rotated: (rot_in, rot_w),
+            n_p: geom.n_p(),
+            w_eff_bits: geom.effective_w_l1_bits(),
+            fill_streams: u64::from(geom.weight_streams()),
+            compute_cycles: geom.compute_cycles(),
         }
+    }
+
+    /// The candidate's five staircases.
+    #[inline]
+    pub(crate) fn stairs(&self) -> Staircases {
+        Staircases::walk(self.loops, self.footprints, self.n_p, self.rotated)
     }
 }
 
 /// A candidate's five paths as [`Staircase`]s, named as in [`Paths`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Staircases {
-    dram_input: Staircase,
-    d2d_input: Staircase,
-    a_l2_read: Staircase,
-    dram_weight: Staircase,
-    d2d_weight: Staircase,
+    pub dram_input: Staircase,
+    pub d2d_input: Staircase,
+    pub a_l2_read: Staircase,
+    pub dram_weight: Staircase,
+    pub d2d_weight: Staircase,
 }
 
 impl Staircases {
-    /// Walks the candidate's nest once for its three input paths and once
-    /// for its two weight paths (paths of one tensor share their regions).
-    /// `nest` must be built with the `rotated` flags that
-    /// [`MappingGeometry::volumes_for`] returned for the candidate.
+    /// Walks a nest once for its three input paths and once for its two
+    /// weight paths (paths of one tensor share their regions). `loops` and
+    /// `fp` are a candidate's nest and footprint tables, built with the
+    /// `rotated` flags that [`MappingGeometry::volumes_for`] returned for
+    /// it; `n_p` is its chiplet count.
+    ///
+    /// The DRAM paths of a rotated tensor apply the home-slice rule: above
+    /// the rotation loop only `1/N_P` of the shared working set must stay
+    /// resident to avoid DRAM reloads (the rest re-arrives over the ring,
+    /// which the D2D paths price).
     #[inline]
-    pub(crate) fn walk(nest: &NestScratch, n_p: u32, rotated: (bool, bool)) -> Self {
-        let walks = PathWalks::new(nest, n_p, rotated);
-        let fp = |path, i| walks.footprint(path, i);
+    fn walk(
+        loops: &[Loop],
+        fp: &Footprints,
+        n_p: u32,
+        (rotate_inputs, rotate_weights): (bool, bool),
+    ) -> Self {
+        let n_p = u64::from(n_p).max(1);
+        // First nest position above the rotation loop (0 if there is none).
+        let cut = loops
+            .iter()
+            .position(|l| l.level == LoopLevel::Rotation)
+            .map_or(0, |p| p + 1);
+        let home = |t: &[u64], rotated: bool, i: usize| {
+            if rotated && i >= cut {
+                t[i] / n_p
+            } else {
+                t[i]
+            }
+        };
         let [dram_input, d2d_input, a_l2_read] = Staircase::walk(
-            &nest.loops,
+            loops,
             |i| {
-                [
-                    fp(Path::DramInput, i),
-                    fp(Path::D2dInput, i),
-                    fp(Path::AL2Read, i),
-                ]
+                let chip = &fp.chiplet_input;
+                [home(chip, rotate_inputs, i), chip[i], fp.core_input[i]]
             },
             Dim::input_relevant,
         );
         let [dram_weight, d2d_weight] = Staircase::walk(
-            &nest.loops,
-            |i| [fp(Path::DramWeight, i), fp(Path::D2dWeight, i)],
+            loops,
+            |i| {
+                let stream = &fp.stream_weight;
+                [home(stream, rotate_weights, i), stream[i]]
+            },
             Dim::weight_relevant,
         );
         Self {
@@ -169,8 +201,7 @@ impl Staircases {
     /// The paths at one rung: each path whose buffer has a capacity at
     /// `rung` is its base volume in `v` (the `volumes_for` result the nest
     /// was built beside) times its C³P reload multiplier at that capacity,
-    /// with the same sliced footprints and saturating products as
-    /// `LayerProfiles::build` + `resolve_at_capacities`; the rest stay 0.
+    /// saturating; the rest stay 0.
     #[inline]
     pub(crate) fn at(&self, v: &Volumes, rung: Rung) -> Paths {
         let mut p = Paths::default();
@@ -506,7 +537,7 @@ impl<T: Default + 'static> Drop for Pooled<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::HashSet;
 
@@ -591,7 +622,7 @@ mod tests {
     /// Random layers: plain convolutions (strides up to 4, so also stride >
     /// kernel), depthwise convolutions, and fully-connected layers down to
     /// the thin heads that take the enumerator's fallback.
-    fn layers() -> impl Strategy<Value = ConvSpec> {
+    pub(crate) fn layers() -> impl Strategy<Value = ConvSpec> {
         (
             (0usize..3, 1u32..=40),
             1u32..=96,
@@ -617,7 +648,7 @@ mod tests {
 
     /// Random machines: 1 to 8 chiplets, 1 to 16 cores (hybrid chiplet
     /// partitions from 4 cores up), and other lane and vector widths.
-    fn machines() -> impl Strategy<Value = PackageConfig> {
+    pub(crate) fn machines() -> impl Strategy<Value = PackageConfig> {
         (0usize..4, 0usize..5, 0usize..3, 0usize..3, 1u64..=4).prop_map(|(np, nc, l, p, scale)| {
             let core = CoreConfig::new(
                 [4, 8, 16][l],

@@ -7,12 +7,14 @@
 //! model, and estimates the runtime as the maximum of the compute critical
 //! path and the bandwidth bounds.
 //!
-//! The core abstraction is the [`AccessProfile`]: the base access count of a
-//! data path together with its capacity breakpoints, which `baton explain`
-//! reports and the fast paths are tested against. Those fast paths — the
-//! mapping search and the pre-design memory sweep — share one streaming
-//! kernel that resolves the same multipliers at concrete capacities without
-//! materializing the breakpoints.
+//! Every production query reads one representation: the C³P kernel's
+//! inline staircases, each data path's `(Cc_k, P_k)` breakpoints from one
+//! region walk of the loop nest. Evaluation, the mapping search, the
+//! pre-design memory sweep, the `baton explain` verdicts and the
+//! sensitivity analysis all resolve their accesses off them. The
+//! materialized breakpoint vectors ([`reference::AccessProfile`]) are kept
+//! in [`reference`](mod@reference) only as the oracle the equivalence harnesses compare
+//! production against.
 //!
 //! ```
 //! use baton_arch::{presets, Technology};
@@ -35,22 +37,20 @@ pub mod cache;
 pub mod energy;
 pub mod evaluate;
 mod kernel;
-pub mod profile;
+pub mod reference;
 pub mod search;
 pub mod sensitivity;
 pub mod sweep;
 pub mod verdict;
-pub mod walk;
+mod walk;
 
 pub use bounds::{Floors, TrafficBounds};
 pub use cache::{search_layer_memo, SearchMemo, ShapeMemo};
 pub use energy::EnergyBreakdown;
 pub use evaluate::{
-    evaluate, evaluate_decomposition, price, resolve, resolve_at_capacities, runtime_bound,
-    AccessCounts, Evaluation, LayerProfiles,
+    evaluate, evaluate_decomposition, price, runtime_bound, AccessCounts, Evaluation,
 };
 pub use kernel::Pooled;
-pub use profile::{AccessProfile, Breakpoint};
 pub use search::{
     search_layer, search_layer_k_best, search_layer_reference, search_layer_with, Objective,
     SearchError,
@@ -58,4 +58,3 @@ pub use search::{
 pub use sensitivity::{knob_effects, Knob, KnobEffect};
 pub use sweep::{sweep_lanes_for, SweepLanes};
 pub use verdict::{buffer_verdicts, BreakpointVerdict, BufferVerdict};
-pub use walk::{c3p_breakpoints, c3p_penalty_multiplier};

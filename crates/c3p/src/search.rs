@@ -8,7 +8,8 @@
 //! [`Floors`](crate::bounds::Floors) lower bound already scores worse than
 //! the shared `k`-th score, and prices each survivor with the C³P kernel
 //! the memory sweep uses, as a one-rung resolve at the machine's own
-//! capacities. Only survivors are built as [`Mapping`]s. The winner search
+//! capacities. Only survivors are built as
+//! [`Mapping`](baton_mapping::Mapping)s. The winner search
 //! is the `k = 1` ranking and the k-best ranking the same scan at `k`. All
 //! mechanisms are exact — the floor never exceeds the true score and the
 //! ranking breaks score ties by candidate index — so the winner is
@@ -19,16 +20,17 @@
 use std::fmt;
 
 use baton_arch::{PackageConfig, Technology};
+use baton_mapping::decompose;
 use baton_mapping::enumerate::{candidates_with, CandidateSpace, EnumOptions};
-use baton_mapping::{decompose, Mapping};
 use baton_model::ConvSpec;
 use baton_parallel::TopK;
 use baton_telemetry::{count, count_n, span_labeled, stage_span, Counter};
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{self, Ranking};
-use crate::evaluate::{evaluate_decomposition, Evaluation};
+use crate::evaluate::Evaluation;
 use crate::kernel::Pooled;
+use crate::reference;
 
 /// Optimization objective for the mapping search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -212,9 +214,10 @@ pub fn search_layer_reference(
     let n = cands.len();
     let mut best: Option<(f64, Evaluation)> = None;
     for m in &cands {
-        let Some(ev) = try_evaluate(layer, arch, tech, m) else {
+        let Ok(d) = decompose(layer, arch, m) else {
             continue;
         };
+        let ev = reference::evaluate_decomposition(&d, arch, tech, m);
         let score = objective.score(&ev, tech);
         if best.as_ref().map(|(s, _)| score < *s).unwrap_or(true) {
             best = Some((score, ev));
@@ -258,16 +261,6 @@ pub fn search_layer_k_best(
     Ok(top.entries().iter().map(|(_, _, ev)| ev.clone()).collect())
 }
 
-fn try_evaluate(
-    layer: &ConvSpec,
-    arch: &PackageConfig,
-    tech: &Technology,
-    mapping: &Mapping,
-) -> Option<Evaluation> {
-    let d = decompose(layer, arch, mapping).ok()?;
-    Some(evaluate_decomposition(&d, arch, tech, mapping))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,6 +269,17 @@ mod tests {
 
     fn setup() -> (PackageConfig, Technology) {
         (presets::case_study_accelerator(), Technology::paper_16nm())
+    }
+
+    /// One candidate priced by the materialized oracle, `None` if illegal.
+    fn try_evaluate(
+        layer: &ConvSpec,
+        arch: &PackageConfig,
+        tech: &Technology,
+        mapping: &baton_mapping::Mapping,
+    ) -> Option<Evaluation> {
+        let d = decompose(layer, arch, mapping).ok()?;
+        Some(reference::evaluate_decomposition(&d, arch, tech, mapping))
     }
 
     #[test]

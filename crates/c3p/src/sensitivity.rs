@@ -1,6 +1,6 @@
 //! Buffer-sizing sensitivity: which capacity is worth growing next?
 //!
-//! Because the C3P access profiles are piecewise-constant in each buffer
+//! Because the C3P accesses are piecewise-constant in each buffer
 //! capacity, the exact energy effect of growing a buffer to its *next
 //! critical capacity* can be computed without re-running any search: jump
 //! each capacity to its next breakpoint, re-resolve, re-price. The result is
@@ -12,7 +12,9 @@ use baton_arch::{PackageConfig, Technology};
 use baton_mapping::Decomposition;
 use serde::{Deserialize, Serialize};
 
-use crate::evaluate::{price, resolve_at_capacities, LayerProfiles};
+use crate::evaluate::price;
+use crate::kernel::{NestView, Rung};
+use crate::walk::Staircase;
 
 /// The buffers whose capacity the analysis can move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -63,19 +65,23 @@ impl KnobEffect {
 
 /// Computes the next-breakpoint effect of every knob for one layer's
 /// decomposition on `arch`.
-pub fn knob_effects(
-    d: &Decomposition,
-    profiles: &LayerProfiles,
-    arch: &PackageConfig,
-    tech: &Technology,
-) -> Vec<KnobEffect> {
+pub fn knob_effects(d: &Decomposition, arch: &PackageConfig, tech: &Technology) -> Vec<KnobEffect> {
     let a_l1 = arch.chiplet.core.a_l1_bytes;
     let a_l2 = arch.chiplet.a_l2_bytes;
     let w_l1 = arch.chiplet.core.w_l1_bytes;
     let plane_ways = u64::from(d.plane_ways).max(1);
+    let n = NestView::of(d);
+    let stairs = n.stairs();
 
     let energy_at = |a1: u64, a2: u64, w1: u64| -> f64 {
-        let access = resolve_at_capacities(d, profiles, a1 * 8, a2 * 8, plane_ways * w1 * 8);
+        let rung = Rung {
+            a_l1_bits: Some(a1 * 8),
+            a_l2_bits: Some(a2 * 8),
+            w_eff_bits: Some(plane_ways * w1 * 8),
+        };
+        let paths = stairs.at(&n.volumes, rung);
+        paths.count_penalties(&n.volumes);
+        let access = paths.access(&n.volumes, n.fill_streams);
         let mut sized = *arch;
         sized.chiplet.core.a_l1_bytes = a1;
         sized.chiplet.a_l2_bytes = a2;
@@ -84,39 +90,19 @@ pub fn knob_effects(
     };
     let now = energy_at(a_l1, a_l2, w_l1);
 
-    // Next breakpoint strictly above the current capacity, per knob.
-    let next_above = |bps: Vec<u64>, cur_bits: u64| -> Option<u64> {
-        bps.into_iter().filter(|&b| b > cur_bits).min()
+    // Next critical capacity strictly above the current one, per knob.
+    let next_above = |paths: &[&Staircase], cur_bits: u64| -> Option<u64> {
+        paths
+            .iter()
+            .flat_map(|s| s.capacities())
+            .filter(|&b| b > cur_bits)
+            .min()
     };
-    let a_l1_next = next_above(
-        profiles
-            .a_l2_read
-            .breakpoints()
-            .iter()
-            .map(|b| b.min_capacity_bits)
-            .collect(),
-        a_l1 * 8,
-    )
-    .map(|bits| bits.div_ceil(8));
-    let a_l2_next = next_above(
-        profiles
-            .dram_input
-            .breakpoints()
-            .iter()
-            .chain(profiles.d2d_input.breakpoints())
-            .map(|b| b.min_capacity_bits)
-            .collect(),
-        a_l2 * 8,
-    )
-    .map(|bits| bits.div_ceil(8));
+    let a_l1_next = next_above(&[&stairs.a_l2_read], a_l1 * 8).map(|bits| bits.div_ceil(8));
+    let a_l2_next =
+        next_above(&[&stairs.dram_input, &stairs.d2d_input], a_l2 * 8).map(|bits| bits.div_ceil(8));
     let w_l1_next = next_above(
-        profiles
-            .dram_weight
-            .breakpoints()
-            .iter()
-            .chain(profiles.d2d_weight.breakpoints())
-            .map(|b| b.min_capacity_bits)
-            .collect(),
+        &[&stairs.dram_weight, &stairs.d2d_weight],
         plane_ways * w_l1 * 8,
     )
     .map(|bits| bits.div_ceil(8 * plane_ways));
@@ -163,8 +149,7 @@ mod tests {
         let layer = zoo::resnet50(224).layer(layer_name).cloned().unwrap();
         let best = search_layer(&layer, &arch, &tech, Objective::Energy).unwrap();
         let d = decompose(&layer, &arch, &best.mapping).unwrap();
-        let p = LayerProfiles::build(&d);
-        (knob_effects(&d, &p, &arch, &tech), arch)
+        (knob_effects(&d, &arch, &tech), arch)
     }
 
     #[test]

@@ -1,28 +1,23 @@
 //! Streaming struct-of-arrays repricer for the pre-design memory sweep.
 //!
-//! The materialized sweep path builds a full [`LayerProfiles`] per candidate
-//! (five breakpoint vectors plus two sliced footprint copies — ~15
-//! allocations) and then re-scans the breakpoints at every `(A-L1, W-L1,
-//! A-L2)` grid cell. But a sweep unit only ever asks for accesses at the
-//! *rungs of its capacity ladders*. [`SweepLanes`] therefore walks a
-//! candidate's nest once per tensor into the C³P kernel's inline
-//! staircases (`c3p::kernel::Staircases`, one `(Cc_k, P_k)` list per path)
-//! and reads every ladder rung off them as a threshold product into
-//! pooled, thread-local lanes. Repricing a design point then costs five lane
+//! A sweep unit only ever asks for accesses at the *rungs of its capacity
+//! ladders*. [`SweepLanes`] therefore walks a candidate's nest once per
+//! tensor into the C³P kernel's inline staircases
+//! (`c3p::kernel::Staircases`, one `(Cc_k, P_k)` list per path) and reads
+//! every ladder rung off them as a threshold product into pooled,
+//! thread-local lanes. Repricing a design point then costs five lane
 //! lookups, the kernel's assembly, and the energy model (plus the runtime
 //! model for [`SweepLanes::score`]; corner pruning ranks by
 //! [`SweepLanes::energy`] alone); steady-state sweep units allocate
 //! nothing.
 //!
-//! Bit-identity with the materialized chain (`LayerProfiles::build` +
-//! [`resolve_at_capacities`]) is pinned by the tests below and by the
-//! differential sweep-equivalence harness in `tests/`; counter semantics
-//! match one [`baton_mapping::decompose`] call per pushed candidate
-//! (geometry memo replay, as in the search) and one penalty-counter check
-//! per scored point.
-//!
-//! [`LayerProfiles`]: crate::evaluate::LayerProfiles
-//! [`resolve_at_capacities`]: crate::evaluate::resolve_at_capacities
+//! Bit-identity with the materialized oracle
+//! ([`LayerProfiles`](crate::reference::LayerProfiles) resolved through
+//! [`resolve_at_capacities`](crate::reference::resolve_at_capacities)) is
+//! pinned by the tests below and by the differential sweep-equivalence
+//! harness in `tests/`; counter semantics match one `decompose` call per
+//! pushed candidate (geometry memo replay, as in the search) and one
+//! penalty-counter check per scored point.
 
 use std::cell::RefCell;
 
@@ -31,7 +26,7 @@ use baton_mapping::{Mapping, NestScratch, Volumes};
 use baton_model::ConvSpec;
 
 use crate::evaluate::{price, runtime_bound, AccessCounts};
-use crate::kernel::{GeomMemo, Paths, Pooled, Rung, Staircases};
+use crate::kernel::{GeomMemo, NestView, Paths, Pooled, Rung};
 
 /// Per-candidate scalar metadata, kept alongside the resolved lanes.
 #[derive(Debug, Clone, Copy)]
@@ -112,10 +107,8 @@ impl SweepLanes {
     /// resolves them at every ladder rung from those. Returns `false` if
     /// the mapping is illegal for the layer/machine pair.
     ///
-    /// The per-rung values are bit-identical to
-    /// [`resolve_at_capacities`](crate::evaluate::resolve_at_capacities) on
-    /// the materialized profiles: same sliced footprints, same walk, same
-    /// saturating products.
+    /// The per-rung values are bit-identical to the materialized oracle
+    /// ([`crate::reference`]) at the same capacities.
     pub fn push_candidate(
         &mut self,
         layer: &ConvSpec,
@@ -128,23 +121,22 @@ impl SweepLanes {
         let Ok(geom) = self.memo.get(layer, arch, mapping, geom_id) else {
             return false;
         };
-        let (v, rot_in, rot_w) = geom.volumes_for(mapping.rotation);
-        geom.build_nest_into(layer, mapping, rot_in, rot_w, &mut self.nest);
         let plane_ways = u64::from(geom.plane_ways());
-        let stairs = Staircases::walk(&self.nest, geom.n_p(), (rot_in, rot_w));
+        let n = NestView::build(geom, layer, mapping, &mut self.nest);
+        let stairs = n.stairs();
         for r in 0..self.rungs {
             let rung = Rung {
                 a_l1_bits: self.a_l1.get(r).map(|b| b * 8),
                 a_l2_bits: self.a_l2.get(r).map(|b| b * 8),
                 w_eff_bits: self.w_l1.get(r).map(|b| plane_ways * b * 8),
             };
-            self.paths.push(stairs.at(&v, rung));
+            self.paths.push(stairs.at(&n.volumes, rung));
         }
         self.meta.push(CandMeta {
-            v,
-            fill_streams: u64::from(geom.weight_streams()),
+            v: n.volumes,
+            fill_streams: n.fill_streams,
             plane_ways,
-            compute_cycles: geom.compute_cycles(),
+            compute_cycles: n.compute_cycles,
             a_l1_floor,
             o_l2_floor,
         });
@@ -268,7 +260,7 @@ pub fn sweep_lanes_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::{resolve_at_capacities, LayerProfiles};
+    use crate::reference::{resolve_at_capacities, LayerProfiles};
     use baton_arch::presets;
     use baton_mapping::enumerate::{enumerate_into, EnumOptions};
     use baton_model::zoo;

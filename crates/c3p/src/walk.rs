@@ -8,24 +8,16 @@
 //! footprint at the region's entry and `P` the product of the region's trip
 //! counts.
 //!
-//! One loop, `walk_regions`, performs that walk; everything else here is a
-//! fold over the regions it emits:
-//!
-//! * `Staircase` keeps every `(Cc, P)` step inline, so a path walked once
-//!   can be read at any number of capacities (the sweep's capacity rungs);
-//! * [`c3p_penalty_multiplier`] folds the regions straight into the reload
-//!   multiplier at one capacity, for callers with one capacity and no
-//!   footprint table;
-//! * [`c3p_breakpoints`] collects them into a `Vec` for the materialized
-//!   [`AccessProfile`](crate::profile::AccessProfile) oracle.
-//!
-//! The production kernel (`crate::kernel`) reads every path through
-//! `Staircase`, the search at one capacity rung and the sweep at all of
-//! them.
+//! One loop, `walk_regions`, performs that walk. Production reads it
+//! through one fold, `Staircase`, which keeps every `(Cc, P)` step inline,
+//! so a path walked once can be read at any number of capacities: the
+//! machine's own (evaluation, the search, the verdicts) or every rung of a
+//! capacity ladder (the pre-design sweep). The one other fold,
+//! [`c3p_breakpoints`](crate::reference::c3p_breakpoints), collects the
+//! regions into the `Vec` of the materialized oracle in
+//! [`crate::reference`].
 
-use baton_mapping::{Dim, Loop, LoopNest};
-
-use crate::profile::Breakpoint;
+use baton_mapping::{Dim, Loop};
 
 /// The most reuse regions one path of a production nest can have. A
 /// mapping's temporal nest holds at most seven loops (three core-level, one
@@ -39,7 +31,7 @@ pub(crate) const MAX_REGIONS: usize = 4;
 /// footprint, or several paths' footprints that share `relevant` and so
 /// share every region boundary and `P`.
 #[inline]
-fn walk_regions<T: Copy>(
+pub(crate) fn walk_regions<T: Copy>(
     loops: &[Loop],
     footprint: impl Fn(usize) -> T,
     relevant: impl Fn(Dim) -> bool,
@@ -69,107 +61,33 @@ fn walk_regions<T: Copy>(
     close(region_cc, region_mult);
 }
 
-/// Computes the C3P breakpoints of a tensor over `nest`.
-///
-/// `footprints[i]` must give the tensor working set (bits) covering
-/// everything strictly inside nest position `i` (`footprints.len() ==
-/// nest.len() + 1`), and `relevant` classifies loop dimensions as critical
-/// (indexing the tensor) or reusable.
-///
-/// # Panics
-///
-/// Panics if `footprints` is not exactly one longer than the nest.
-pub fn c3p_breakpoints(
-    nest: &LoopNest,
-    footprints: &[u64],
-    relevant: impl Fn(Dim) -> bool,
-) -> Vec<Breakpoint> {
-    assert_eq!(
-        footprints.len(),
-        nest.len() + 1,
-        "footprint table must align with nest positions"
-    );
-    let mut out = Vec::new();
-    walk_regions(
-        nest.loops(),
-        |i| footprints[i],
-        relevant,
-        |min_capacity_bits, multiplier| {
-            out.push(Breakpoint {
-                min_capacity_bits,
-                multiplier,
-            })
-        },
-    );
-    out
-}
-
-/// Streaming fusion of [`c3p_breakpoints`] and
-/// [`AccessProfile::multiplier`](crate::profile::AccessProfile::multiplier):
-/// the total reload multiplier of a tensor at `capacity_bits`, computed in
-/// one walk with zero allocation.
-///
-/// `loops` is the temporal nest innermost-first (non-unit loops, as in a
-/// `LoopNest` or a `NestScratch`); `footprint(i)` must give the tensor
-/// working set in bits covering everything strictly inside position `i`
-/// (defined for `0..=loops.len()`, like the slice passed to
-/// [`c3p_breakpoints`]). Taking a closure instead of a slice lets a caller
-/// apply a slicing rule (such as `fp[i] / n_p` above the rotation loop)
-/// without materializing a second table.
-///
-/// Equivalence with the materialized path: each reuse region contributes a
-/// breakpoint `(Cc, P)` with `P` saturating within the region, and the
-/// profile multiplies (plain `*`) the `P`s of all breakpoints with
-/// `capacity < Cc`. `AccessProfile::new`'s sorting and equal-`Cc` merging
-/// don't change that product — every merged breakpoint shares the same
-/// filter condition — so filtering regions in walk order here yields the
-/// identical u64 (multiplication is commutative). The unit tests pin this
-/// against the materialized pipeline on the paper's Figure 6 examples and
-/// on generated nests.
-#[inline]
-pub fn c3p_penalty_multiplier(
-    loops: &[Loop],
-    footprint: impl Fn(usize) -> u64,
-    relevant: impl Fn(Dim) -> bool,
-    capacity_bits: u64,
-) -> u64 {
-    let mut total: u64 = 1;
-    walk_regions(loops, footprint, relevant, |cc, p| {
-        if capacity_bits < cc {
-            total *= p;
-        }
-    });
-    total
-}
-
 /// One path's C³P staircase: its reuse regions' `(Cc_k, P_k)` breakpoints
-/// in walk order, held inline (no allocation). The reload multiplier at any
-/// capacity is the threshold product [`Staircase::at`], equal to
-/// [`c3p_penalty_multiplier`] on the same walk at that capacity — the same
-/// factors multiplied in the same order — so walking a path once and
-/// reading it at every rung of a capacity ladder is bit-identical to one
-/// walk per rung.
+/// (critical capacity in bits, reload multiplier) in walk order, held
+/// inline (no allocation). The reload multiplier at any capacity is the
+/// threshold product [`Staircase::at`], so walking a path once and reading
+/// it at every rung of a capacity ladder is bit-identical to one walk per
+/// rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Staircase {
-    steps: [Breakpoint; MAX_REGIONS],
+    steps: [(u64, u64); MAX_REGIONS],
     len: usize,
 }
 
 impl Staircase {
     /// No steps: a multiplier of 1 at every capacity.
     const FLAT: Self = Self {
-        steps: [Breakpoint {
-            min_capacity_bits: 0,
-            multiplier: 1,
-        }; MAX_REGIONS],
+        steps: [(0, 1); MAX_REGIONS],
         len: 0,
     };
 
     /// The staircases of `N` paths over one nest that share `relevant`
     /// and differ only in their footprints, in one walk: such paths have
     /// the same regions, so they differ only in each step's critical
-    /// capacity. `footprints(i)[p]` is path `p`'s footprint with the
-    /// contract of [`c3p_penalty_multiplier`]'s `footprint`.
+    /// capacity. `loops` is the temporal nest innermost-first (non-unit
+    /// loops, as in a `LoopNest` or a `NestScratch`), and
+    /// `footprints(i)[p]` is path `p`'s working set in bits covering
+    /// everything strictly inside position `i` (defined for
+    /// `0..=loops.len()`).
     ///
     /// # Panics
     ///
@@ -183,15 +101,12 @@ impl Staircase {
     ) -> [Self; N] {
         let mut out = [Self::FLAT; N];
         walk_regions(loops, footprints, relevant, |ccs, multiplier| {
-            for (s, min_capacity_bits) in out.iter_mut().zip(ccs) {
+            for (s, cc) in out.iter_mut().zip(ccs) {
                 let step = s
                     .steps
                     .get_mut(s.len)
                     .expect("a mapping nest has at most MAX_REGIONS reuse regions");
-                *step = Breakpoint {
-                    min_capacity_bits,
-                    multiplier,
-                };
+                *step = (cc, multiplier);
                 s.len += 1;
             }
         });
@@ -205,21 +120,47 @@ impl Staircase {
     #[inline]
     pub(crate) fn at(&self, capacity_bits: u64) -> u64 {
         let mut total: u64 = 1;
-        for b in &self.steps {
-            total *= if capacity_bits < b.min_capacity_bits {
-                b.multiplier
-            } else {
-                1
-            };
+        for &(cc, p) in &self.steps {
+            total *= if capacity_bits < cc { p } else { 1 };
         }
         total
+    }
+
+    /// The critical capacities of the steps, in walk order.
+    pub(crate) fn capacities(&self) -> impl Iterator<Item = u64> + '_ {
+        self.steps[..self.len].iter().map(|&(cc, _)| cc)
+    }
+
+    /// The steps in ascending critical capacity, steps that share one
+    /// merged into the product of their multipliers: the breakpoint list of
+    /// Equation (1), as the verdicts report it. The home-slice rule
+    /// divides only the footprints above the rotation loop, so a sliced
+    /// path with a reuse region below that loop would leave the walk out of
+    /// capacity order (no enumerated nest has one: its rotation loop is
+    /// innermost). Merging does not change [`Self::at`]: merged steps share
+    /// one threshold.
+    pub(crate) fn sorted(&self) -> impl Iterator<Item = (u64, u64)> {
+        let mut steps = self.steps;
+        steps[..self.len].sort_unstable_by_key(|&(cc, _)| cc);
+        let mut merged = 0;
+        for i in 0..self.len {
+            let (cc, p) = steps[i];
+            if merged > 0 && steps[merged - 1].0 == cc {
+                steps[merged - 1].1 *= p;
+            } else {
+                steps[merged] = (cc, p);
+                merged += 1;
+            }
+        }
+        steps.into_iter().take(merged)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baton_mapping::{Loop, LoopLevel};
+    use crate::reference::{c3p_breakpoints, AccessProfile, Breakpoint};
+    use baton_mapping::{LoopLevel, LoopNest};
 
     fn l(dim: Dim, count: u64) -> Loop {
         Loop {
@@ -375,10 +316,10 @@ mod tests {
     }
 
     /// `c3p_breakpoints` and the staircase's steps must equal the
-    /// independent walk's breakpoints, and the streaming multiplier and the
-    /// staircase read must both equal "build an `AccessProfile` from them,
-    /// query `multiplier(cap)`" at every capacity that could matter (all
-    /// footprint values, one below, one above, zero, and `u64::MAX`).
+    /// independent walk's breakpoints; the staircase's sorted view must
+    /// equal the `AccessProfile` built from them, and its read must equal
+    /// that profile's `multiplier(cap)` at every capacity that could matter
+    /// (all footprint values, one below, one above, zero, and `u64::MAX`).
     fn assert_streaming_matches(
         loops: Vec<Loop>,
         fp: Vec<u64>,
@@ -391,8 +332,18 @@ mod tests {
         let want_bps = independent_breakpoints(&loops, &fp, relevant);
         assert_eq!(c3p_breakpoints(&nest, &fp, relevant), want_bps, "fp {fp:?}");
         let [stairs] = Staircase::walk(&loops, |i| [fp[i]], relevant);
-        assert_eq!(&stairs.steps[..stairs.len], &want_bps[..], "fp {fp:?}");
-        let profile = crate::profile::AccessProfile::new(1, want_bps);
+        let pairs = |bps: &[Breakpoint]| -> Vec<(u64, u64)> {
+            bps.iter()
+                .map(|b| (b.min_capacity_bits, b.multiplier))
+                .collect()
+        };
+        assert_eq!(&stairs.steps[..stairs.len], pairs(&want_bps), "fp {fp:?}");
+        let profile = AccessProfile::new(1, want_bps);
+        assert_eq!(
+            stairs.sorted().collect::<Vec<_>>(),
+            pairs(profile.breakpoints()),
+            "sorted view: fp {fp:?}"
+        );
         let mut caps: Vec<u64> = fp.clone();
         caps.extend(fp.iter().map(|&c| c.saturating_sub(1)));
         caps.extend(fp.iter().map(|&c| c.saturating_add(1)));
@@ -400,11 +351,6 @@ mod tests {
         caps.push(u64::MAX);
         for cap in caps {
             let want = profile.multiplier(cap);
-            assert_eq!(
-                c3p_penalty_multiplier(&loops, |i| fp[i], relevant, cap),
-                want,
-                "cap {cap} fp {fp:?}"
-            );
             assert_eq!(stairs.at(cap), want, "staircase: cap {cap} fp {fp:?}");
         }
     }
@@ -474,6 +420,15 @@ mod tests {
                 let grow = next() % 4;
                 fp.push(fp[i] + grow * (next() % 500));
             }
+            // The home-slice rule's table: footprints above a cut divided
+            // by the chiplet count, which can leave the walk out of
+            // capacity order.
+            let sliced = fp
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if i > depth / 2 { v / 4 } else { v })
+                .collect();
+            assert_streaming_matches(loops.clone(), sliced, Dim::input_relevant);
             assert_streaming_matches(loops.clone(), fp.clone(), Dim::input_relevant);
             assert_streaming_matches(loops, fp, Dim::weight_relevant);
         }

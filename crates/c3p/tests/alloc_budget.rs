@@ -8,11 +8,14 @@
 //! before that rewrite lands and (b) will prove the rewrite's claim when
 //! it does.
 //!
-//! Methodology (mirrored by `baton bench`'s `alloc.allocs_per_eval`):
-//! run once to warm every lazy structure, then measure the global ledger
-//! across repeated searches on a single worker thread and divide by the
-//! evaluations counted. Single-threaded, so the measurement covers the
-//! whole search — no churn hides on pool threads.
+//! Methodology: run once to warm every lazy structure, then measure
+//! repeated searches on a single worker thread and divide by the
+//! evaluations counted. Single-threaded, so the whole search runs on the
+//! calling thread and an [`AllocScope`] on it sees all of its churn and
+//! nothing else. The process-global ledger is not used for the counts: it
+//! is flushed in batches of `FLUSH_OPS` operations, so a window read off
+//! it also picks up whatever other threads (earlier tests' workers) flush
+//! while it is open. It still backs the leak-balance checks.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -49,11 +52,11 @@ const ALLOCS_PER_EVAL_BUDGET: f64 = 50.0;
 const SWEEP_ALLOCS_PER_POINT_BUDGET: f64 = 5.0;
 
 /// Bytes one warm k = 9 `search_layer_k_best` may allocate (k = 9 is the
-/// largest ranking the `serve_cold` benchmark's `/map` keys request). The bounded top-k scan keeps at most `k`
-/// evaluations per chunk and measures ~0.16 MB on resnet50
-/// `res3a_branch2b`; collecting and sorting every feasible candidate's
-/// `Evaluation` instead allocated ~20.5 MB, so any return of that
-/// materialization trips this at once.
+/// largest ranking the `serve_cold` benchmark's `/map` keys request). The
+/// one shared ranking keeps at most `k` evaluations and measures ~4.4 KB on
+/// resnet50 `res3a_branch2b`; collecting and sorting every feasible
+/// candidate's `Evaluation` instead allocated ~20.5 MB, so any return of
+/// that materialization trips this at once.
 const K_BEST_BYTES_BUDGET: u64 = 1 << 20;
 
 /// The ledger is process-global and the test harness runs tests on
@@ -92,16 +95,17 @@ fn steady_state_search_stays_within_the_allocation_budget() {
     const REPS: u64 = 5;
     let counters_before = counters::snapshot();
     let alloc_before = totals();
+    let scope = AllocScope::start();
     for _ in 0..REPS {
         search_layer(&layer, &arch, &tech, Objective::Energy).expect("feasible layer");
     }
+    let allocs = scope.delta().allocs;
     let alloc_after = totals();
     let evals = counters::snapshot()
         .since(&counters_before)
         .get(Counter::Evaluations);
     assert!(evals > 0, "the gate needs a real search to measure");
 
-    let allocs = alloc_after.allocs - alloc_before.allocs;
     let per_eval = allocs as f64 / evals as f64;
     println!("allocs/eval: {per_eval:.2} ({allocs} allocs / {evals} evals over {REPS} reps)");
     assert!(
@@ -182,14 +186,15 @@ fn steady_state_sweep_repricing_stays_within_the_allocation_budget() {
 
     const REPS: u64 = 5;
     let alloc_before = totals();
+    let scope = AllocScope::start();
     let mut points = 0u64;
     for _ in 0..REPS {
         points += run_unit(&mut arch);
     }
+    let allocs = scope.delta().allocs;
     let alloc_after = totals();
     assert!(points > 0);
 
-    let allocs = alloc_after.allocs - alloc_before.allocs;
     let per_point = allocs as f64 / points as f64;
     println!("allocs/point: {per_point:.3} ({allocs} allocs / {points} points over {REPS} reps)");
     assert!(
@@ -221,9 +226,9 @@ fn warm_k_best_ranking_stays_within_the_byte_budget() {
 
     // Warm-up: the pooled enumeration buffers and batch scratch grow once.
     rank();
-    let before = totals();
+    let scope = AllocScope::start();
     let top = rank();
-    let bytes = totals().bytes_allocated - before.bytes_allocated;
+    let bytes = scope.delta().bytes_allocated;
     assert_eq!(top.len(), 9);
     println!("k-best bytes allocated: {bytes}");
     assert!(

@@ -18,9 +18,9 @@
 //! truncated to `k.max(1)`, at every `k`, objective and thread count.
 
 use baton_arch::{presets, PackageConfig, Technology};
+use baton_c3p::reference::evaluate_decomposition;
 use baton_c3p::{
-    evaluate_decomposition, search_layer_k_best, search_layer_reference, search_layer_with,
-    Evaluation, Objective,
+    search_layer_k_best, search_layer_reference, search_layer_with, Evaluation, Objective,
 };
 use baton_mapping::enumerate::{candidates, EnumOptions};
 use baton_mapping::{decompose, RotationMode};
@@ -157,7 +157,7 @@ fn infeasible_machines_return_identical_errors() {
 const KS: [usize; 6] = [0, 1, 2, 5, 9, 101];
 
 /// The k-best oracle: every feasible candidate of the default enumeration,
-/// priced by the scalar path and stable-sorted by exact score, so ties stay
+/// priced by the materialized oracle evaluation and stable-sorted by exact score, so ties stay
 /// in candidate order. `None` when no candidate is feasible.
 fn full_ranking(
     layer: &ConvSpec,

@@ -5,10 +5,8 @@ use std::sync::Arc;
 
 use baton_arch::presets::ProportionalBuffers;
 use baton_arch::{validate, ChipletConfig, CoreConfig, PackageConfig, Technology};
-use baton_c3p::{
-    price, resolve_at_capacities, runtime_bound, sweep_lanes_for, LayerProfiles, Objective, Pooled,
-    ShapeMemo, SweepLanes,
-};
+use baton_c3p::reference::{resolve_at_capacities, LayerProfiles};
+use baton_c3p::{price, runtime_bound, sweep_lanes_for, Objective, Pooled, ShapeMemo, SweepLanes};
 use baton_mapping::enumerate::{visit_candidates, EnumOptions};
 use baton_mapping::{decompose, Decomposition, Mapping};
 use baton_model::{ConvSpec, Model, ACT_BITS};

@@ -376,11 +376,7 @@ fn decompose_impl(
     Ok(Decomposition {
         nest: LoopNest::new(std::mem::take(&mut scratch.loops)),
         volumes,
-        footprints: Footprints {
-            core_input: scratch.core_input,
-            chiplet_input: scratch.chiplet_input,
-            stream_weight: scratch.stream_weight,
-        },
+        footprints: scratch.footprints,
         weight_streams: geom.streams,
         plane_ways: geom.plane_ways,
         rotate_inputs,
@@ -975,18 +971,13 @@ fn core_loop_count(tile_extent: u32, grid: u32, core_tile: u32) -> u64 {
 /// Cleared (capacity kept) on every build, so a steady-state search reuses
 /// one allocation per thread. `loops` holds the non-unit temporal loops
 /// innermost-first — exactly what `LoopNest::new` would retain — and the
-/// three footprint tables are aligned with it (`len() == loops.len() + 1`,
-/// entry 0 = the core compute block).
+/// footprint tables are aligned with it, as in a [`Decomposition`].
 #[derive(Debug, Default)]
 pub struct NestScratch {
     /// Non-unit temporal loops, innermost first.
     pub loops: Vec<Loop>,
-    /// Input working set of one core (A-L1 granularity), per nest position.
-    pub core_input: Vec<u64>,
-    /// Input working set of one chiplet (A-L2 granularity), per position.
-    pub chiplet_input: Vec<u64>,
-    /// Weight working set of one stream (W-L1 share), per position.
-    pub stream_weight: Vec<u64>,
+    /// Working-set footprints aligned with `loops`.
+    pub footprints: Footprints,
 }
 
 impl MappingGeometry {
@@ -1004,9 +995,10 @@ impl MappingGeometry {
         out: &mut NestScratch,
     ) {
         out.loops.clear();
-        out.core_input.clear();
-        out.chiplet_input.clear();
-        out.stream_weight.clear();
+        let fp = &mut out.footprints;
+        fp.core_input.clear();
+        fp.chiplet_input.clear();
+        fp.stream_weight.clear();
 
         let (kh, kw) = (layer.kh(), layer.kw());
         let (sh, sw) = (layer.stride_h(), layer.stride_w());
@@ -1103,9 +1095,9 @@ impl MappingGeometry {
         let fp_weight = |co: u64, ci: u64| co * ci * kernel_pts * WGT_BITS;
 
         // Position 0: inside the innermost loop (core compute block).
-        out.core_input.push(fp_in(core_h, core_w, ci_cov));
-        out.chiplet_input.push(fp_in(chip_h, chip_w, ci_cov));
-        out.stream_weight
+        fp.core_input.push(fp_in(core_h, core_w, ci_cov));
+        fp.chiplet_input.push(fp_in(chip_h, chip_w, ci_cov));
+        fp.stream_weight
             .push(fp_weight(weight_co, ci_cov.min(ci_g)));
 
         for l in rot.into_iter().chain(core_loops).chain(chip_loops) {
@@ -1141,9 +1133,9 @@ impl MappingGeometry {
             }
             if l.count > 1 {
                 out.loops.push(l);
-                out.core_input.push(fp_in(core_h, core_w, ci_cov));
-                out.chiplet_input.push(fp_in(chip_h, chip_w, ci_cov));
-                out.stream_weight
+                fp.core_input.push(fp_in(core_h, core_w, ci_cov));
+                fp.chiplet_input.push(fp_in(chip_h, chip_w, ci_cov));
+                fp.stream_weight
                     .push(fp_weight(weight_co, ci_cov.min(ci_g)));
             }
         }

@@ -10,7 +10,7 @@
 //! The set is a [`CandidateSpace`]: a list of `(package, chiplet)` groups and
 //! a list of distinct `(tile, core plane)` geometries, with no candidate
 //! stored. Canonical candidate `i` — already deduplicated, in the stable
-//! [`mapping_key`] order — decodes to `(group, temporal-order combo, tile,
+//! `mapping_key` order — decodes to `(group, temporal-order combo, tile,
 //! rotation)` by arithmetic, so a search can key its work on the *geometry
 //! id* (a dense index over the distinct `(package, chiplet, tile)` triples,
 //! shared by the 4 temporal-order combos x rotation variants) and build a
@@ -221,7 +221,7 @@ impl Run {
 ///
 /// Canonical index `i` lies in a `(package, chiplet)` group; within it the
 /// index runs over temporal-order combo, then tile, then rotation, which is
-/// strictly ascending [`mapping_key`] order. Duplicates are suppressed *at
+/// strictly ascending `mapping_key` order. Duplicates are suppressed *at
 /// the source*: distinct `(fh, fw, fc)` ladder entries that collapse onto
 /// the same tile are counted and dropped before any candidate exists. The
 /// structural filter is a per-axis minimum, so a group's tiles are the
@@ -512,7 +512,7 @@ fn mapping_key(m: &Mapping) -> [u32; 13] {
 }
 
 /// Legal package-level spatial partitions for this layer, in ascending
-/// [`mapping_key`] order (Channel, then planar grids by `(rows, cols)`).
+/// `mapping_key` order (Channel, then planar grids by `(rows, cols)`).
 pub fn package_options(layer: &ConvSpec, n_p: u32) -> Vec<PackagePartition> {
     let mut out = Vec::new();
     if layer.co() >= n_p {
@@ -535,7 +535,7 @@ pub fn package_options(layer: &ConvSpec, n_p: u32) -> Vec<PackagePartition> {
 }
 
 /// Legal chiplet-level spatial partitions for `n_c` cores, in ascending
-/// [`mapping_key`] order (Channel, planar grids, then hybrids by channel
+/// `mapping_key` order (Channel, planar grids, then hybrids by channel
 /// ways).
 pub fn chiplet_options(n_c: u32) -> Vec<ChipletPartition> {
     let mut out = vec![ChipletPartition::Channel];

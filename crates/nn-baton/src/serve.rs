@@ -287,7 +287,7 @@ pub struct ResponseCache {
 
 impl ResponseCache {
     /// A cache holding at most (roughly) `capacity` entries, spread over
-    /// [`CACHE_SHARDS`] shards (each shard holds `ceil(capacity/shards)`,
+    /// `CACHE_SHARDS` shards (each shard holds `ceil(capacity/shards)`,
     /// minimum 1).
     pub fn new(capacity: usize) -> Self {
         ResponseCache {

@@ -10,8 +10,7 @@ use std::fmt::Write as _;
 
 use baton_arch::{PackageConfig, Technology};
 use baton_c3p::{
-    buffer_verdicts, search_layer_k_best, BufferVerdict, Evaluation, LayerProfiles, Objective,
-    SearchError,
+    buffer_verdicts, search_layer_k_best, BufferVerdict, Evaluation, Objective, SearchError,
 };
 use baton_mapping::{decompose, LoopNest, Mapping};
 use baton_model::ConvSpec;
@@ -76,8 +75,7 @@ pub fn explain_layer(
     let winner_score = objective.score(&winner, tech);
     let d = decompose(layer, arch, &winner.mapping)
         .expect("the search winner always decomposes on the machine it won on");
-    let profiles = LayerProfiles::build(&d);
-    let verdicts = buffer_verdicts(&d, &profiles, arch);
+    let verdicts = buffer_verdicts(&d, arch);
     let runner_ups = ranked[1..]
         .iter()
         .enumerate()

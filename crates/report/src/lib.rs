@@ -16,7 +16,7 @@
 //!   one process per chiplet, one track per tile stream, counter tracks for
 //!   load/compute occupancy, and an `analytical_vs_sim` marker wherever the
 //!   C³P prediction and the simulated cycles diverge beyond a tolerance.
-//! * [`bench`]: machine-readable performance snapshots (`BENCH_*.json`) —
+//! * [`bench`](mod@bench): machine-readable performance snapshots (`BENCH_*.json`) —
 //!   per-phase wall times from the telemetry span histograms, throughput
 //!   counters, evaluations/sec — with baseline comparison so CI can fail a
 //!   PR that regresses a hot path.
@@ -26,7 +26,7 @@
 //!   rendered in the same three formats as [`explain`].
 //! * [`fidelity`]: the analytical-vs-DES relative-error distribution per
 //!   layer, snapshotted to `results/FIDELITY.json` and bounded in CI via
-//!   the [`bench`] gate keys.
+//!   the [`bench`](mod@bench) gate keys.
 //!
 //! Every renderer is a pure function from already-computed state to a
 //! `String`; nothing here re-runs searches except [`explain::explain_layer`],

@@ -89,7 +89,7 @@ impl PerfettoTrace {
     }
 
     /// Number of layers whose analytical/simulated cycles diverged beyond
-    /// the tolerance passed to [`add_layer`].
+    /// the tolerance passed to [`add_layer`](Self::add_layer).
     pub fn divergences(&self) -> usize {
         self.divergences
     }

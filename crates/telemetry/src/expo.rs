@@ -1,7 +1,7 @@
 //! Prometheus/OpenMetrics text exposition for the metrics layer.
 //!
 //! [`render`] turns one scrape into the v0.0.4 text format: every labelled
-//! family from [`metrics::registry()`], every fixed [`Counter`] bridged in
+//! family from [`metrics::registry()`], every fixed [`Counter`](crate::Counter) bridged in
 //! under its canonical [`metric_name`](crate::Counter::metric_name), and a
 //! `baton_build_info` gauge. Output is deterministic — families sorted by
 //! name, series by sorted label pairs, histogram buckets by bound — so two
@@ -10,7 +10,7 @@
 //!
 //! # Histogram ladder
 //!
-//! The backing [`Histogram`](crate::Histogram) buckets by powers of two in
+//! The backing [`crate::Histogram`] buckets by powers of two in
 //! **microseconds**; exposing all 64 bounds per series would bloat scrapes,
 //! so the `_bucket` ladder subsamples every other log₂ bound from 3µs to
 //! ~17.9min (15 bounds, then `+Inf`). `le` values and `_sum` are converted

@@ -13,7 +13,7 @@
 //! * **Counters** ([`counters`]): a fixed registry of atomic `u64`s keyed by
 //!   the [`Counter`] enum — candidate generation, rejection reasons,
 //!   evaluations, C³P penalty activations, sweep progress.
-//! * **Spans** ([`span`]): RAII wall-clock timers aggregated per phase into
+//! * **Spans** ([`span`](mod@span)): RAII wall-clock timers aggregated per phase into
 //!   [`Histogram`]s, and mirrored to the trace sink as `span` events.
 //! * **Events** ([`sink`]): structured records encoded as JSON lines into an
 //!   attached [`Sink`] (a file via `--trace-json`, or memory in tests).

@@ -25,7 +25,7 @@
 //!   codes, objectives, model names) — never layer names, addresses, or
 //!   anything request-derived, so series counts stay bounded.
 //! * Histograms record **microseconds** into the log₂
-//!   [`Histogram`](crate::Histogram); the exposition converts bounds and
+//!   [`crate::Histogram`]; the exposition converts bounds and
 //!   sums to base-unit seconds.
 
 use std::collections::BTreeMap;

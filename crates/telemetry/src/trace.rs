@@ -8,7 +8,7 @@
 //! [`propagation`] / [`Propagation::install`] so spans recorded inside
 //! `baton-parallel` chunks attach to the originating request.
 //!
-//! Every [`crate::span`] / [`crate::span_labeled`] guard records into the
+//! Every [`crate::span()`] / [`crate::span_labeled`] guard records into the
 //! installed trace *in addition to* the global phase histograms, so the
 //! instrumented crates (`baton-c3p`, `baton-dse`, …) need no changes to
 //! participate — their existing spans become children of whatever request

@@ -8,7 +8,7 @@
 //! cargo run --release --example sensitivity
 //! ```
 
-use nn_baton::c3p::{knob_effects, LayerProfiles};
+use nn_baton::c3p::knob_effects;
 use nn_baton::mapping::decompose;
 use nn_baton::prelude::*;
 
@@ -29,8 +29,7 @@ fn main() {
             continue;
         };
         let d = decompose(&layer, &arch, &best.mapping).expect("winner decomposes");
-        let profiles = LayerProfiles::build(&d);
-        let effects = knob_effects(&d, &profiles, &arch, &tech);
+        let effects = knob_effects(&d, &arch, &tech);
         println!(
             "\n{bucket} ({}): {:.1} uJ",
             layer.name(),

@@ -1,7 +1,8 @@
 //! Property-based tests on the framework's core invariants, driven by
 //! randomized layers, machines and mappings.
 
-use nn_baton::c3p::{self, AccessProfile, Breakpoint};
+use nn_baton::c3p;
+use nn_baton::c3p::reference::{AccessProfile, Breakpoint};
 use nn_baton::mapping::{decompose, enumerate};
 use nn_baton::model::{planar_redundancy, PlanarGrid};
 use nn_baton::prelude::*;
