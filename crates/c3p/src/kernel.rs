@@ -50,7 +50,7 @@ pub(crate) struct Rung {
 }
 
 /// The five capacity-dependent access paths of one candidate, in bits.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct Paths {
     /// DRAM input reads (A-L2 capacity).
     pub dram_input: u64,
@@ -426,7 +426,7 @@ impl GeomMemo {
     /// exactly like one [`baton_mapping::decompose`] call would. The
     /// geometry is returned by reference: it is larger than the work most
     /// callers do with it.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn get(
         &mut self,
         layer: &ConvSpec,

@@ -72,14 +72,6 @@ impl AccessProfile {
         }
     }
 
-    /// A profile with no capacity dependence.
-    pub fn flat(base_bits: u64) -> Self {
-        Self {
-            base_bits,
-            breakpoints: Vec::new(),
-        }
-    }
-
     /// The intrinsic access `A0` in bits.
     pub fn base_bits(&self) -> u64 {
         self.base_bits
@@ -103,15 +95,6 @@ impl AccessProfile {
     pub fn access_bits(&self, capacity_bits: u64) -> u64 {
         self.base_bits
             .saturating_mul(self.multiplier(capacity_bits))
-    }
-
-    /// The smallest capacity with no penalty at all (the outermost critical
-    /// capacity), or 0 if the profile is flat.
-    pub fn penalty_free_capacity_bits(&self) -> u64 {
-        self.breakpoints
-            .last()
-            .map(|b| b.min_capacity_bits)
-            .unwrap_or(0)
     }
 }
 
@@ -351,12 +334,6 @@ mod tests {
         );
         assert_eq!(p.breakpoints().len(), 1);
         assert_eq!(p.multiplier(0), 12);
-    }
-
-    #[test]
-    fn penalty_free_capacity_is_outermost_cc() {
-        assert_eq!(profile().penalty_free_capacity_bits(), 1000);
-        assert_eq!(AccessProfile::flat(5).penalty_free_capacity_bits(), 0);
     }
 
     #[test]

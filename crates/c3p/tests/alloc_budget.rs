@@ -20,8 +20,9 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use baton_arch::{presets, Technology};
+use baton_c3p::sweep::Corner;
 use baton_c3p::{search_layer, search_layer_k_best, sweep_lanes_for, Objective};
-use baton_mapping::enumerate::{enumerate_into, EnumOptions};
+use baton_mapping::enumerate::EnumOptions;
 use baton_model::{zoo, ConvSpec};
 use baton_telemetry::alloc::{totals, AllocScope, CountingAlloc};
 use baton_telemetry::{counters, Counter};
@@ -42,9 +43,10 @@ const ALLOCS_PER_EVAL_BUDGET: f64 = 50.0;
 
 /// The sweep-loop counterpart (mirrored by `baton bench --sweep`'s
 /// `alloc.allocs_per_point`): a steady-state sweep unit checks its lanes
-/// out of the thread-local pool, resolves every candidate at every ladder
-/// rung into retained-capacity vectors, and reprices the full grid with
-/// lane lookups — nothing on that path allocates once the pool is warm.
+/// out of the thread-local pool, runs the corner selection (pair floors,
+/// then a walk into retained-capacity rung lanes for each candidate that
+/// can still place) and reprices the full grid with lane lookups —
+/// nothing on that path allocates once the pool is warm.
 /// The measured steady state is ~0.0 allocs/point; the budget leaves room
 /// for allocator/telemetry jitter while still catching any return of
 /// per-point or per-candidate materialization (the pre-streaming path
@@ -130,10 +132,11 @@ fn steady_state_sweep_repricing_stays_within_the_allocation_budget() {
     let _ledger = exclusive_ledger();
     // Single worker, session attached: same methodology as the search
     // gate, but driving the sweep's streaming repricer directly — one
-    // `(geometry, O-L1)` unit's worth of work per rep: check lanes out of
-    // the pool, push every enumerated candidate, score the full memory
-    // grid. A "point" is one `(A-L1, W-L1, A-L2)` cell, the unit of the
-    // pre-design sweep's `sweep_points` counter.
+    // `(geometry, O-L1)` unit's worth of work per layer shape per rep:
+    // check lanes out of the pool, select the corner-pruned candidates
+    // (enumeration, pair floors, walks), score the full memory grid. A
+    // "point" is one `(A-L1, W-L1, A-L2)` cell, the unit of the pre-design
+    // sweep's `sweep_points` counter.
     baton_parallel::configure_threads(Some(1));
     let _session = baton_telemetry::attach_with_sink(&Default::default(), None);
 
@@ -144,20 +147,36 @@ fn steady_state_sweep_repricing_stays_within_the_allocation_budget() {
     const A_L1: [u64; 4] = [1024, 4 * 1024, 32 * 1024, 128 * 1024];
     const W_L1: [u64; 3] = [4 * 1024, 18 * 1024, 144 * 1024];
     const A_L2: [u64; 2] = [64 * 1024, 256 * 1024];
+    /// Candidates kept per corner (the sweep's default).
+    const KEEP: usize = 3;
 
-    // Candidate enumeration is per-unit work the real sweep amortizes via
-    // its shape memo; enumerate once so the measurement isolates the
-    // repricing loop.
-    let (mut cands, mut ids) = (Vec::new(), Vec::new());
-    enumerate_into(&layer, &arch, EnumOptions::default(), &mut cands, &mut ids);
-    assert!(!cands.is_empty());
+    // The unit's reference machine carries the largest rungs; the corners
+    // are its first/last-rung cells.
+    let mut reference = arch;
+    reference.chiplet.core.a_l1_bytes = A_L1[A_L1.len() - 1];
+    reference.chiplet.core.w_l1_bytes = W_L1[W_L1.len() - 1];
+    reference.chiplet.a_l2_bytes = A_L2[A_L2.len() - 1];
+    let mut corners = Vec::new();
+    for a1 in [0, A_L1.len() - 1] {
+        for w1 in [0, W_L1.len() - 1] {
+            for a2 in [0, A_L2.len() - 1] {
+                let mut arch = reference;
+                arch.chiplet.core.a_l1_bytes = A_L1[a1];
+                arch.chiplet.core.w_l1_bytes = W_L1[w1];
+                arch.chiplet.a_l2_bytes = A_L2[a2];
+                corners.push(Corner {
+                    cell: (a1, w1, a2),
+                    arch,
+                });
+            }
+        }
+    }
 
     let run_unit = |arch: &mut baton_arch::PackageConfig| -> u64 {
         let mut lanes = sweep_lanes_for(&A_L1, &W_L1, &A_L2, min_w);
-        for (m, &gid) in cands.iter().zip(&ids) {
-            lanes.push_candidate(&layer, arch, m, gid, 0, 0);
-        }
-        assert!(!lanes.is_empty());
+        let opts = EnumOptions::default();
+        let decomposable = lanes.select(&layer, &reference, &tech, opts, &corners, KEEP);
+        assert!(decomposable > 0 && !lanes.is_empty());
         let mut points = 0u64;
         for (a1, &a_l1) in A_L1.iter().enumerate() {
             for (w1, &w_l1) in W_L1.iter().enumerate() {

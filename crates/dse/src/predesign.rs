@@ -6,17 +6,19 @@ use std::sync::Arc;
 use baton_arch::presets::ProportionalBuffers;
 use baton_arch::{validate, ChipletConfig, CoreConfig, PackageConfig, Technology};
 use baton_c3p::reference::{resolve_at_capacities, LayerProfiles};
-use baton_c3p::{price, runtime_bound, sweep_lanes_for, Objective, Pooled, ShapeMemo, SweepLanes};
+use baton_c3p::sweep::{feasibility_floors, Corner};
+use baton_c3p::{
+    price, runtime_bound, sweep_lanes_for, Floors, Objective, Pooled, ShapeMemo, SweepLanes,
+};
 use baton_mapping::enumerate::{visit_candidates, EnumOptions};
-use baton_mapping::{decompose, Decomposition, Mapping};
-use baton_model::{ConvSpec, Model, ACT_BITS};
-use baton_parallel::TopK;
+use baton_mapping::{decompose, Decomposition};
+use baton_model::{ConvSpec, Model};
 use baton_telemetry::{count, count_n, event, span, span_labeled, Counter, Progress};
 use serde::{Deserialize, Serialize};
 
 use crate::audit::{AuditRecord, SweepAudit};
 use crate::postdesign::map_model_opts;
-use crate::space::{DesignSpace, MemorySpace};
+use crate::space::DesignSpace;
 
 /// One bar of the Figure 14 chiplet-granularity plot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -334,12 +336,12 @@ struct BuiltCands<C> {
 
 /// Strategy object for the sweep's repricing engine.
 ///
-/// The whole sweep skeleton — unit fan-out, shape memoization, corner
-/// pruning, the grid walk with its skip rule, stats and audit emission — is
+/// The whole sweep skeleton — unit fan-out, shape memoization, the pruning
+/// corners, the grid walk with its skip rule, stats and audit emission — is
 /// generic over this trait, so the streaming production engine and the
 /// materialized reference exercise one code path and can only differ in how
-/// a candidate is priced. The differential harness in
-/// `tests/sweep_equivalence.rs` pins that difference to zero.
+/// a candidate is priced and how its corner floor is read. The differential
+/// harness in `tests/sweep_equivalence.rs` pins that difference to zero.
 trait SweepEngine: Sync {
     /// Per-shape candidate artifacts.
     type Cands;
@@ -367,49 +369,29 @@ trait SweepEngine: Sync {
     ) -> Option<(f64, u64)>;
 }
 
-/// Feasibility floors of one enumerated candidate: minimum A-L1 bytes for
-/// the core input window and minimum O-L2 bytes for the chiplet tile.
-fn candidate_floors(layer: &ConvSpec, reference: &PackageConfig, mapping: &Mapping) -> (u64, u64) {
-    let (ho_c, wo_c) = mapping.core_plane;
-    let win = |t: u32, s: u32, k: u32| u64::from((t - 1) * s + k);
-    let chunk = u64::from(
-        reference
-            .chiplet
-            .core
-            .vector
-            .min(layer.ci_per_group().max(1)),
-    );
-    let a_l1_floor = win(ho_c, layer.stride_h(), layer.kh())
-        * win(wo_c, layer.stride_w(), layer.kw())
-        * chunk
-        * ACT_BITS
-        / 8;
-    let o_l2_floor = mapping.chiplet_tile.elems() * ACT_BITS / 8;
-    (a_l1_floor, o_l2_floor)
-}
-
-/// The eight pruning corners of the memory grid, as rung-index cells, in
-/// the fixed `A-L1 x W-L1 x A-L2` first/last nesting order. Single-rung
-/// ladders repeat their only rung (and so repeat corners), so every
-/// candidate is always scored eight times, as the penalty counters count.
-fn corner_cells(m: &MemorySpace) -> [Cell; 8] {
-    let a1 = [0, m.a_l1.len() - 1];
-    let w = [0, m.w_l1.len() - 1];
-    let a2 = [0, m.a_l2.len() - 1];
-    let mut out = [Cell {
-        a1: 0,
-        w1: 0,
-        a2: 0,
+/// The eight pruning corners of the memory grid, in the fixed `A-L1 x
+/// W-L1 x A-L2` first/last nesting order, each with a copy of `reference`
+/// carrying the cell's capacities (field-identical to the arch the grid
+/// walk constructs). Single-rung ladders repeat their only rung, and so
+/// repeat corners; a repeated corner selects what its twin selects, and is
+/// scored wherever its twin is.
+fn corners(reference: &PackageConfig, opts: &SweepOptions) -> [Corner; 8] {
+    let m = &opts.space.memory;
+    let ends = |rungs: usize| [0, rungs - 1];
+    let mut out = [Corner {
+        cell: (0, 0, 0),
+        arch: *reference,
     }; 8];
     let mut n = 0;
-    for &i1 in &a1 {
-        for &iw in &w {
-            for &i2 in &a2 {
-                out[n] = Cell {
-                    a1: i1,
-                    w1: iw,
-                    a2: i2,
-                };
+    for a1 in ends(m.a_l1.len()) {
+        for w1 in ends(m.w_l1.len()) {
+            for a2 in ends(m.a_l2.len()) {
+                let arch = &mut out[n].arch;
+                arch.chiplet.core.a_l1_bytes = m.a_l1[a1];
+                arch.chiplet.core.w_l1_bytes = m.w_l1[w1];
+                arch.chiplet.a_l2_bytes = m.a_l2[a2];
+                arch.chiplet.o_l2_bytes = opts.o_l2_bytes;
+                out[n].cell = (a1, w1, a2);
                 n += 1;
             }
         }
@@ -417,18 +399,10 @@ fn corner_cells(m: &MemorySpace) -> [Cell; 8] {
     out
 }
 
-/// How [`corner_keep`] picks each corner's best `keep_per_corner`.
-#[derive(Debug, Clone, Copy)]
-enum Selection {
-    /// Collect every feasible score and stable-sort them all: the
-    /// reference engine's selection, kept as the oracle for [`TopK`].
-    FullSort,
-    /// A bounded [`TopK`], reused across corners.
-    Bounded,
-}
-
 /// The first `k` of every `(score, index)` pair, stable-sorted by
-/// [`f64::total_cmp`]: [`Selection::FullSort`].
+/// [`f64::total_cmp`]: the reference engine's corner selection, and the
+/// oracle the streaming engine's bounded [`baton_parallel::TopK`]
+/// selections are held to.
 fn sorted_top_k(scored: impl Iterator<Item = (f64, usize)>, k: usize) -> Vec<(f64, usize)> {
     let mut all: Vec<(f64, usize)> = scored.collect();
     all.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -436,54 +410,58 @@ fn sorted_top_k(scored: impl Iterator<Item = (f64, usize)>, k: usize) -> Vec<(f6
     all
 }
 
-/// Corner pruning, shared by both engines: keeps the union of the best
-/// `keep_per_corner` candidates (by energy, ties to the earliest candidate)
-/// at each of the eight memory corners. `energy_at` gets the candidate, the
-/// corner's cell and a copy of `reference` with that cell's capacities; it
-/// is called for every candidate at every corner under either selection,
-/// so the scoring counters do not depend on it.
+/// The reference engine's corner pruning: keeps the union of the best
+/// `keep_per_corner` candidates (by energy, ties to the earliest) at each
+/// corner, chosen by a full stable sort of the scores priced there.
+///
+/// A candidate is priced at a corner only if its [`Floors`] energy on the
+/// corner's machine is not above the `k`-th lowest score priced there so
+/// far, the skip rule the streaming engine applies from its pair floors:
+/// both engines price, and count penalties at, the same corner points. A
+/// floor never exceeds its score, so a skipped candidate scores above `k`
+/// priced ones and the sort keeps what it would keep over every candidate.
 fn corner_keep(
-    n: usize,
+    cands: &[Candidate],
     reference: &PackageConfig,
     opts: &SweepOptions,
-    selection: Selection,
-    mut energy_at: impl FnMut(usize, Cell, &PackageConfig) -> Option<f64>,
+    tech: &Technology,
 ) -> Vec<bool> {
     let m = &opts.space.memory;
     let k = opts.keep_per_corner;
-    let mut keep: Vec<bool> = vec![false; n];
-    let mut top = TopK::default();
-    for cell in corner_cells(m) {
-        let arch = cell_arch(reference, m, cell, opts.o_l2_bytes);
-        let scored = (0..n).filter_map(|i| energy_at(i, cell, &arch).map(|e| (e, i)));
-        match selection {
-            Selection::FullSort => sorted_top_k(scored, k)
-                .iter()
-                .for_each(|&(_, i)| keep[i] = true),
-            Selection::Bounded => {
-                top.reset(k);
-                scored.for_each(|(e, i)| top.offer(e, i, ()));
-                top.entries().iter().for_each(|&(_, i, ())| keep[i] = true);
+    let mut keep = vec![false; cands.len()];
+    for corner in corners(reference, opts) {
+        let (a1, w1, a2) = corner.cell;
+        let (a_l1, w_l1, a_l2, o_l2) = (m.a_l1[a1], m.w_l1[w1], m.a_l2[a2], opts.o_l2_bytes);
+        let mut priced: Vec<(f64, usize)> = Vec::new();
+        // The `k` lowest priced scores, ascending.
+        let mut lowest: Vec<f64> = Vec::new();
+        for (i, c) in cands.iter().enumerate() {
+            let kth = match k.checked_sub(1).and_then(|j| lowest.get(j)) {
+                Some(&score) => score,
+                None => f64::INFINITY,
+            };
+            if Floors::of(&c.decomposition, &corner.arch, tech).energy_pj > kth {
+                continue;
             }
+            let Some((e, _)) = score_candidate(c, a_l1, w_l1, a_l2, o_l2, &corner.arch, tech)
+            else {
+                continue;
+            };
+            priced.push((e, i));
+            lowest.insert(lowest.partition_point(|s| s.total_cmp(&e).is_le()), e);
+            lowest.truncate(k);
+        }
+        for (_, i) in sorted_top_k(priced.into_iter(), k) {
+            keep[i] = true;
         }
     }
     keep
 }
 
-/// A copy of the unit's reference machine with one grid cell's capacities
-/// installed — field-identical to the arch the grid walk constructs.
-fn cell_arch(reference: &PackageConfig, m: &MemorySpace, cell: Cell, o_l2: u64) -> PackageConfig {
-    let mut arch = *reference;
-    arch.chiplet.core.a_l1_bytes = m.a_l1[cell.a1];
-    arch.chiplet.core.w_l1_bytes = m.w_l1[cell.w1];
-    arch.chiplet.a_l2_bytes = m.a_l2[cell.a2];
-    arch.chiplet.o_l2_bytes = o_l2;
-    arch
-}
-
-/// The production engine: streaming per-rung resolution into pooled
-/// struct-of-arrays lanes ([`baton_c3p::SweepLanes`]). Zero steady-state
-/// allocation per design point; bit-identical to [`ReferenceEngine`].
+/// The production engine: a branch-and-bound corner selection whose
+/// survivors are resolved per rung into pooled struct-of-arrays lanes
+/// ([`baton_c3p::SweepLanes`]). Zero steady-state allocation per design
+/// point; bit-identical to [`ReferenceEngine`].
 #[derive(Debug)]
 struct StreamingEngine;
 
@@ -501,30 +479,19 @@ impl SweepEngine for StreamingEngine {
         let core = &reference.chiplet.core;
         let min_w_bits = u64::from(core.lanes) * u64::from(core.vector) * 8;
         let mut lanes = sweep_lanes_for(&m.a_l1, &m.w_l1, &m.a_l2, min_w_bits);
-        let push = span("sweep_push");
-        visit_candidates(layer, reference, opts.enum_options, |geom_id, mapping| {
-            let (a_l1_floor, o_l2_floor) = candidate_floors(layer, reference, &mapping);
-            lanes.push_candidate(layer, reference, &mapping, geom_id, a_l1_floor, o_l2_floor);
-        });
-        drop(push);
-        let candidates = lanes.len() as u64;
-        let feasible = !lanes.is_empty();
-        if feasible {
-            let _corners = span("sweep_corners");
-            let keep = corner_keep(
-                lanes.len(),
-                reference,
-                opts,
-                Selection::Bounded,
-                |i, cell, arch| lanes.energy(i, (cell.a1, cell.w1, cell.a2), arch, tech),
-            );
-            lanes.retain(&keep);
-        }
+        let candidates = lanes.select(
+            layer,
+            reference,
+            tech,
+            opts.enum_options,
+            &corners(reference, opts),
+            opts.keep_per_corner,
+        );
         BuiltCands {
             kept: lanes.len() as u64,
             cands: lanes,
             candidates,
-            feasible,
+            feasible: candidates > 0,
         }
     }
 
@@ -563,32 +530,14 @@ impl SweepEngine for ReferenceEngine {
         tech: &Technology,
         opts: &SweepOptions,
     ) -> BuiltCands<Vec<Candidate>> {
-        let push = span("sweep_push");
+        let floor = span("sweep_floor");
         let cands = layer_candidates(layer, reference, opts);
-        drop(push);
+        drop(floor);
         let candidates = cands.len() as u64;
         let feasible = !cands.is_empty();
         let pruned = if feasible {
             let _corners = span("sweep_corners");
-            let m = &opts.space.memory;
-            let keep = corner_keep(
-                cands.len(),
-                reference,
-                opts,
-                Selection::FullSort,
-                |i, cell, arch| {
-                    score_candidate(
-                        &cands[i],
-                        m.a_l1[cell.a1],
-                        m.w_l1[cell.w1],
-                        m.a_l2[cell.a2],
-                        opts.o_l2_bytes,
-                        arch,
-                        tech,
-                    )
-                    .map(|(e, _)| e)
-                },
-            );
+            let keep = corner_keep(&cands, reference, opts, tech);
             cands
                 .into_iter()
                 .zip(keep)
@@ -634,9 +583,11 @@ impl SweepEngine for ReferenceEngine {
 /// memory allocation of the space, returning the *valid* design points.
 ///
 /// Repricing goes through the streaming struct-of-arrays engine
-/// ([`baton_c3p::SweepLanes`]): each `(geometry, O-L1)` unit resolves its
-/// candidates once per capacity rung into pooled thread-local lanes and
-/// pays zero steady-state allocation per design point. The retained
+/// ([`baton_c3p::SweepLanes`]): each `(geometry, O-L1)` unit selects a
+/// layer's corner-pruned candidates by branch-and-bound on per-pair corner
+/// floors, resolves only the candidates that can still place once per
+/// capacity rung into pooled thread-local lanes, and pays zero
+/// steady-state allocation per design point. The retained
 /// materialized path is [`full_sweep_reference`]; the two are bit-identical
 /// (pinned by `tests/sweep_equivalence.rs`).
 ///
@@ -818,6 +769,32 @@ struct UnitStats {
     wall_us: u64,
 }
 
+/// The reference machine of one `(geometry, O-L1)` unit: the most generous
+/// memory of the space. Candidate mappings and their profiles are geometry
+/// artifacts, independent of the swept buffer capacities.
+fn unit_machine(
+    opts: &SweepOptions,
+    (np, nc, l, p): (u32, u32, u32, u32),
+    o_l1: u64,
+) -> PackageConfig {
+    let m = &opts.space.memory;
+    PackageConfig::new(
+        np,
+        ChipletConfig::new(
+            nc,
+            CoreConfig::new(
+                l,
+                p,
+                o_l1,
+                *m.a_l1.last().expect("non-empty a_l1"),
+                *m.w_l1.last().expect("non-empty w_l1"),
+            ),
+            *m.a_l2.last().expect("non-empty a_l2"),
+            opts.o_l2_bytes,
+        ),
+    )
+}
+
 /// Sweeps the (A-L1, W-L1, A-L2) grid for one `(geometry, O-L1)` pair.
 fn sweep_geometry<E: SweepEngine>(
     engine: &E,
@@ -830,24 +807,7 @@ fn sweep_geometry<E: SweepEngine>(
 ) -> UnitStats {
     let mut stats = UnitStats::default();
     let (np, nc, l, p) = geometry;
-    // Reference machine with the most generous memory: candidate mappings
-    // and their profiles are geometry artifacts, independent of the swept
-    // buffer capacities.
-    let reference = PackageConfig::new(
-        np,
-        ChipletConfig::new(
-            nc,
-            CoreConfig::new(
-                l,
-                p,
-                o_l1,
-                *opts.space.memory.a_l1.last().expect("non-empty a_l1"),
-                *opts.space.memory.w_l1.last().expect("non-empty w_l1"),
-            ),
-            *opts.space.memory.a_l2.last().expect("non-empty a_l2"),
-            opts.o_l2_bytes,
-        ),
-    );
+    let reference = unit_machine(opts, geometry, o_l1);
     if validate(&reference).is_err() {
         return stats;
     }
@@ -931,7 +891,7 @@ fn layer_candidates(
             return;
         };
         let profiles = LayerProfiles::build(&d);
-        let (a_l1_floor, o_l2_floor) = candidate_floors(layer, reference, &mapping);
+        let (a_l1_floor, o_l2_floor) = feasibility_floors(layer, reference, &mapping);
         out.push(Candidate {
             decomposition: d,
             profiles,
@@ -994,6 +954,8 @@ fn evaluate_model_at<E: SweepEngine>(
 mod tests {
     use super::*;
     use baton_model::zoo;
+    use baton_parallel::TopK;
+    use proptest::prelude::*;
 
     fn tiny_model() -> Model {
         // A 3-layer stand-in so the tests stay fast; the benches run the
@@ -1445,6 +1407,156 @@ mod tests {
                 raw.iter().map(|&v| (v != 0).then(|| f64::from(v))).collect();
             let [bounded, sorted] = selections(&scores, k);
             proptest::prop_assert_eq!(bounded, sorted);
+        }
+    }
+
+    /// Geometry tuples `(N_P, N_C, L, P)` for the unit-level checks.
+    const GEOMETRIES: [(u32, u32, u32, u32); 4] =
+        [(4, 8, 8, 8), (1, 4, 8, 8), (2, 16, 4, 4), (8, 1, 16, 16)];
+    /// Ladders with starved rungs (A-L1 320 B, A-L2 2 KiB) and single-rung
+    /// ladders, whose corners repeat.
+    const A_L1S: [&[u64]; 3] = [&[320], &[320, 8 * 1024], &[1024, 8 * 1024, 128 * 1024]];
+    const W_L1S: [&[u64]; 2] = [&[18 * 1024], &[2 * 1024, 256 * 1024]];
+    const A_L2S: [&[u64]; 3] = [
+        &[2 * 1024],
+        &[2 * 1024, 256 * 1024],
+        &[32 * 1024, 256 * 1024],
+    ];
+
+    /// What the unbounded selection keeps: every decomposable candidate
+    /// scored at every corner, each corner's first `k` by a full stable
+    /// sort.
+    fn full_sort_keep(
+        cands: &[Candidate],
+        reference: &PackageConfig,
+        opts: &SweepOptions,
+        tech: &Technology,
+    ) -> Vec<bool> {
+        let m = &opts.space.memory;
+        let mut keep = vec![false; cands.len()];
+        for corner in corners(reference, opts) {
+            let (a1, w1, a2) = corner.cell;
+            let (a_l1, w_l1, a_l2) = (m.a_l1[a1], m.w_l1[w1], m.a_l2[a2]);
+            let scored = cands.iter().enumerate().filter_map(|(i, c)| {
+                let e = score_candidate(c, a_l1, w_l1, a_l2, opts.o_l2_bytes, &corner.arch, tech);
+                let floor = Floors::of(&c.decomposition, &corner.arch, tech).energy_pj;
+                assert!(
+                    e.is_none_or(|(e, _)| floor <= e),
+                    "floor {floor} above {e:?}"
+                );
+                e.map(|(e, _)| (e, i))
+            });
+            for (_, i) in sorted_top_k(scored, opts.keep_per_corner) {
+                keep[i] = true;
+            }
+        }
+        keep
+    }
+
+    /// Both engines' bounded corner selections for one layer on one unit
+    /// keep exactly what [`full_sort_keep`] keeps: the reference engine the
+    /// same candidates, the streaming engine lanes that score like them at
+    /// every grid cell. Returns how many candidates the full sort kept.
+    fn check_unit_selection(
+        layer: &ConvSpec,
+        geometry: (u32, u32, u32, u32),
+        (a_l1, w_l1, a_l2): (&[u64], &[u64], &[u64]),
+        k: usize,
+    ) -> usize {
+        let tech = Technology::paper_16nm();
+        let mut opts = small_sweep_opts();
+        opts.space.memory.a_l1 = a_l1.to_vec();
+        opts.space.memory.w_l1 = w_l1.to_vec();
+        opts.space.memory.a_l2 = a_l2.to_vec();
+        opts.keep_per_corner = k;
+        let reference = unit_machine(&opts, geometry, 144);
+        if validate(&reference).is_err() {
+            return 0;
+        }
+        let cands = layer_candidates(layer, &reference, &opts);
+        let keep = full_sort_keep(&cands, &reference, &opts, &tech);
+        let want: Vec<&Candidate> = cands
+            .iter()
+            .zip(&keep)
+            .filter(|(_, &k)| k)
+            .map(|(c, _)| c)
+            .collect();
+
+        let slow = ReferenceEngine.build(layer, &reference, &tech, &opts);
+        assert_eq!(slow.candidates, cands.len() as u64);
+        let got: Vec<&Decomposition> = slow.cands.iter().map(|c| &c.decomposition).collect();
+        let expected: Vec<&Decomposition> = want.iter().map(|c| &c.decomposition).collect();
+        assert_eq!(got, expected, "reference engine's kept set");
+
+        let fast = StreamingEngine.build(layer, &reference, &tech, &opts);
+        assert_eq!(
+            (fast.candidates, fast.kept),
+            (cands.len() as u64, want.len() as u64)
+        );
+        let m = &opts.space.memory;
+        for (a1, &a_l1) in m.a_l1.iter().enumerate() {
+            for (w1, &w_l1) in m.w_l1.iter().enumerate() {
+                for (a2, &a_l2) in m.a_l2.iter().enumerate() {
+                    let mut arch = reference;
+                    arch.chiplet.core.a_l1_bytes = a_l1;
+                    arch.chiplet.core.w_l1_bytes = w_l1;
+                    arch.chiplet.a_l2_bytes = a_l2;
+                    for (i, c) in want.iter().enumerate() {
+                        assert_eq!(
+                            fast.cands.score(i, (a1, w1, a2), &arch, &tech),
+                            score_candidate(c, a_l1, w_l1, a_l2, opts.o_l2_bytes, &arch, &tech),
+                            "kept lane {i} at ({a1},{w1},{a2})"
+                        );
+                    }
+                }
+            }
+        }
+        want.len()
+    }
+
+    #[test]
+    fn bounded_selection_matches_the_full_stable_sort_on_zoo_units() {
+        let mut kept = 0;
+        for (_, layer) in zoo::representative_layers(224) {
+            for ladders in [
+                (A_L1S[0], W_L1S[0], A_L2S[0]),
+                (A_L1S[2], W_L1S[1], A_L2S[2]),
+            ] {
+                kept += check_unit_selection(&layer, GEOMETRIES[0], ladders, 3);
+            }
+        }
+        assert!(kept > 0);
+    }
+
+    /// Bounded random conv layers that cross the swept machines' lane and
+    /// vector widths.
+    fn layers() -> impl Strategy<Value = ConvSpec> {
+        (
+            7u32..=40,
+            1u32..=96,
+            0usize..3,
+            1u32..=2,
+            0u32..=2,
+            1u32..=128,
+        )
+            .prop_filter_map("valid conv shape", |(hw, ci, ki, stride, pad, co)| {
+                ConvSpec::new("prop", hw, hw, ci, [1u32, 3, 5][ki], stride, pad, co).ok()
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn bounded_selection_matches_the_full_stable_sort_on_generated_units(
+            layer in layers(),
+            geo in 0..GEOMETRIES.len(),
+            a1 in 0..A_L1S.len(),
+            w1 in 0..W_L1S.len(),
+            a2 in 0..A_L2S.len(),
+            k in 0usize..5,
+        ) {
+            check_unit_selection(&layer, GEOMETRIES[geo], (A_L1S[a1], W_L1S[w1], A_L2S[a2]), k);
         }
     }
 }

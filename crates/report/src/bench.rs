@@ -56,8 +56,8 @@ pub const SCHEMA: u64 = 1;
 /// and its chunks' geometry, floor and pricing stages; the rest of
 /// `search_layer` is set-up, the fan-out and the reduce. The chunk stages
 /// run on the search workers, so the residual is a wall-time remainder only
-/// at one thread. A sweep unit times its candidate push, corner pruning and
-/// grid scoring.
+/// at one thread. A sweep unit times each fresh layer shape's pair floors
+/// (enumeration included) and corner selection, then its grid scoring.
 pub const STAGE_SPLITS: [(&str, &str, &[&str]); 2] = [
     (
         "search",
@@ -72,7 +72,7 @@ pub const STAGE_SPLITS: [(&str, &str, &[&str]); 2] = [
     (
         "sweep",
         "sweep_geometry",
-        &["sweep_push", "sweep_corners", "sweep_grid"],
+        &["sweep_floor", "sweep_corners", "sweep_grid"],
     ),
 ];
 
@@ -339,7 +339,7 @@ mod tests {
             ("search_geometry", ms(&[2000, 1000])),
             ("search_layer", ms(&[7000])),
             ("search_price", ms(&[500])),
-            ("sweep_push", ms(&[4000])),
+            ("sweep_floor", ms(&[4000])),
         ];
         let s = BenchSnapshot::build("smoke", "alexnet", 9.0, &counters, &phases);
         // 7 ms of search less 6 ms of stages, enumeration included.
@@ -463,11 +463,11 @@ mod tests {
         cur.nums.insert("phase.sweep_unattributed_ms".into(), -1.0);
         assert!(compare_snapshots(&cur, &base, 50.0).is_empty());
         // The stage spans themselves still gate.
-        base.nums.insert("phase.sweep_push.total_ms".into(), 200.0);
-        cur.nums.insert("phase.sweep_push.total_ms".into(), 400.0);
+        base.nums.insert("phase.sweep_floor.total_ms".into(), 200.0);
+        cur.nums.insert("phase.sweep_floor.total_ms".into(), 400.0);
         let regs = compare_snapshots(&cur, &base, 50.0);
         let keys: Vec<&str> = regs.iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(keys, ["phase.sweep_push.total_ms"]);
+        assert_eq!(keys, ["phase.sweep_floor.total_ms"]);
     }
 
     #[test]
