@@ -49,8 +49,10 @@ use std::cell::RefCell;
 
 use baton_arch::{PackageConfig, Technology};
 use baton_mapping::enumerate::{CandidateSpace, EnumOptions, EnumStats};
-use baton_mapping::{Mapping, MappingGeometry, NestScratch, Volumes};
-use baton_model::{ConvSpec, ACT_BITS};
+use baton_mapping::{
+    a_l1_floor_bytes, o_l2_floor_bytes, Mapping, MappingGeometry, NestScratch, Volumes,
+};
+use baton_model::ConvSpec;
 use baton_parallel::TopK;
 use baton_telemetry::{count_n, span, Counter};
 
@@ -87,16 +89,10 @@ pub struct Corner {
 /// the core's input window, and the minimum O-L2 bytes that hold the
 /// chiplet tile's outputs. Both depend on the candidate's geometry only.
 pub fn feasibility_floors(layer: &ConvSpec, arch: &PackageConfig, mapping: &Mapping) -> (u64, u64) {
-    let (ho_c, wo_c) = mapping.core_plane;
-    let win = |t: u32, s: u32, k: u32| u64::from((t - 1) * s + k);
-    let chunk = u64::from(arch.chiplet.core.vector.min(layer.ci_per_group().max(1)));
-    let a_l1_floor = win(ho_c, layer.stride_h(), layer.kh())
-        * win(wo_c, layer.stride_w(), layer.kw())
-        * chunk
-        * ACT_BITS
-        / 8;
-    let o_l2_floor = mapping.chiplet_tile.elems() * ACT_BITS / 8;
-    (a_l1_floor, o_l2_floor)
+    (
+        a_l1_floor_bytes(layer, arch.chiplet.core.vector, mapping.core_plane),
+        o_l2_floor_bytes(mapping.chiplet_tile),
+    )
 }
 
 /// The capacity ladders and the candidate-major rung lanes of one unit's

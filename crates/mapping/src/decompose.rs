@@ -23,7 +23,7 @@ use crate::mapping::Mapping;
 use crate::nest::{Loop, LoopLevel, LoopNest};
 use crate::primitives::TemporalOrder;
 use crate::primitives::{ChipletPartition, Dim, PackagePartition, RotationMode};
-use crate::tile::ceil_div;
+use crate::tile::{ceil_div, Tile};
 
 /// Reasons a mapping is illegal for a given layer/machine pair.
 ///
@@ -340,6 +340,24 @@ impl Axis {
 
 fn window(extent: u32, stride: u32, k: u32) -> u64 {
     u64::from((extent.max(1) - 1) * stride + k)
+}
+
+/// The A-L1 feasibility floor: bytes of the input window a core reads for
+/// an `ho_c x wo_c` output plane and one vector chunk of input channels.
+#[inline]
+pub fn a_l1_floor_bytes(layer: &ConvSpec, vector: u32, (ho_c, wo_c): (u32, u32)) -> u64 {
+    let chunk = u64::from(vector.min(layer.ci_per_group().max(1)));
+    window(ho_c, layer.stride_h(), layer.kh())
+        * window(wo_c, layer.stride_w(), layer.kw())
+        * chunk
+        * ACT_BITS
+        / 8
+}
+
+/// The O-L2 feasibility floor: bytes of one chiplet tile's outputs.
+#[inline]
+pub fn o_l2_floor_bytes(chiplet_tile: Tile) -> u64 {
+    chiplet_tile.elems() * ACT_BITS / 8
 }
 
 /// Decomposes `layer` mapped on `arch` with `mapping`.
@@ -796,15 +814,14 @@ pub fn mapping_geometry_with(
             available: o_l1_slots,
         });
     }
-    let tile_bytes = tile.elems() * ACT_BITS / 8;
+    let tile_bytes = o_l2_floor_bytes(tile);
     if tile_bytes > arch.chiplet.o_l2_bytes {
         return Err(MappingError::OL2Overflow {
             required: tile_bytes,
             available: arch.chiplet.o_l2_bytes,
         });
     }
-    let chunk = u64::from(vector.min(ci_g.max(1)));
-    let a_l1_need = window(ho_c, sh, kh) * window(wo_c, sw, kw) * chunk * ACT_BITS / 8;
+    let a_l1_need = a_l1_floor_bytes(layer, vector, mapping.core_plane);
     if a_l1_need > arch.chiplet.core.a_l1_bytes {
         return Err(MappingError::AL1Overflow {
             required: a_l1_need,

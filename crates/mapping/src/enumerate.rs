@@ -21,6 +21,7 @@ use std::cell::Cell;
 use std::iter::StepBy;
 use std::ops::Range;
 
+use crate::decompose::a_l1_floor_bytes;
 use crate::mapping::Mapping;
 use crate::primitives::{ChipletPartition, PackagePartition, RotationMode, TemporalOrder};
 use crate::tile::{ceil_div, Tile};
@@ -610,7 +611,6 @@ pub fn core_plane_for(
     };
     let sub_h = ceil_div(tile.ho, grid_r).max(1);
     let sub_w = ceil_div(tile.wo, grid_c).max(1);
-    let chunk = u64::from(core.vector.min(layer.ci_per_group().max(1)));
 
     // Start from the square bound and shrink until both floors pass.
     let mut h = (cap as f64).sqrt().floor() as u32;
@@ -619,10 +619,7 @@ pub fn core_plane_for(
     w = w.clamp(1, sub_w);
     loop {
         let fits_o_l1 = u64::from(h) * u64::from(w) <= cap;
-        let win = |t: u32, s: u32, k: u32| u64::from((t - 1) * s + k);
-        let need =
-            win(h, layer.stride_h(), layer.kh()) * win(w, layer.stride_w(), layer.kw()) * chunk;
-        let fits_a_l1 = need <= core.a_l1_bytes;
+        let fits_a_l1 = a_l1_floor_bytes(layer, core.vector, (h, w)) <= core.a_l1_bytes;
         if fits_o_l1 && fits_a_l1 {
             return (h, w);
         }

@@ -42,9 +42,9 @@ pub mod tile;
 
 pub use coverage::{verify_coverage, Coverage};
 pub use decompose::{
-    decompose, mapping_geometry, mapping_geometry_with, ChannelKey, ChannelTerms, Decomposition,
-    Footprints, MappingError, MappingGeometry, NestScratch, NoMemo, PlaneAxis, PlaneKey,
-    PlaneTerms, TermMemo, Volumes,
+    a_l1_floor_bytes, decompose, mapping_geometry, mapping_geometry_with, o_l2_floor_bytes,
+    ChannelKey, ChannelTerms, Decomposition, Footprints, MappingError, MappingGeometry,
+    NestScratch, NoMemo, PlaneAxis, PlaneKey, PlaneTerms, TermMemo, Volumes,
 };
 pub use mapping::Mapping;
 pub use nest::{Loop, LoopLevel, LoopNest};

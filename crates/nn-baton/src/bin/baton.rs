@@ -1003,20 +1003,16 @@ fn bench_model(
         &alloc_before,
         counter_delta.get(Counter::Evaluations),
     );
-    // Record the worker count and the model-level results alongside the
-    // timing metrics. The result keys have no gating direction — they exist
-    // so two runs at different thread counts can be diffed for identity.
-    snapshot
-        .strs
-        .insert("threads".into(), nn_baton::parallel::threads().to_string());
+    // Record the model-level results alongside the timing metrics. The
+    // result keys have no gating direction — they exist so two runs at
+    // different thread counts can be diffed for identity.
     snapshot
         .nums
         .insert("model.energy_pj".into(), report.energy.total_pj());
     snapshot
         .nums
         .insert("model.cycles".into(), report.cycles as f64);
-    std::fs::write(out, snapshot.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
+    let summary = format!(
         "bench {name}: {} layers in {:.1} ms, {:.0} evaluations/sec -> {out}",
         report.layers.len(),
         wall_ms,
@@ -1026,21 +1022,39 @@ fn bench_model(
             .copied()
             .unwrap_or(0.0)
     );
-    if let Some((path, base)) = baseline {
-        let regressions = compare_snapshots(&snapshot, base, max_regress);
-        if regressions.is_empty() {
-            println!("baseline {path}: ok (no metric regressed > {max_regress}%)");
-        } else {
-            for r in &regressions {
-                eprintln!("regression: {}", describe_regression(r));
-            }
-            return Err(format!(
-                "{} metric(s) regressed beyond {max_regress}% vs {path}",
-                regressions.len()
-            ));
-        }
+    write_and_gate(snapshot, out, &summary, baseline, max_regress)
+}
+
+/// The shared tail of `baton bench`: records the worker count, writes the
+/// snapshot to `out`, prints `summary`, then gates the snapshot against
+/// the baseline, if one was given.
+fn write_and_gate(
+    mut snapshot: BenchSnapshot,
+    out: &str,
+    summary: &str,
+    baseline: Option<&(String, BenchSnapshot)>,
+    max_regress: f64,
+) -> Result<(), String> {
+    snapshot
+        .strs
+        .insert("threads".into(), nn_baton::parallel::threads().to_string());
+    std::fs::write(out, snapshot.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
+    println!("{summary}");
+    let Some((path, base)) = baseline else {
+        return Ok(());
+    };
+    let regressions = compare_snapshots(&snapshot, base, max_regress);
+    if regressions.is_empty() {
+        println!("baseline {path}: ok (no metric regressed > {max_regress}%)");
+        return Ok(());
     }
-    Ok(())
+    for r in &regressions {
+        eprintln!("regression: {}", describe_regression(r));
+    }
+    Err(format!(
+        "{} metric(s) regressed beyond {max_regress}% vs {path}",
+        regressions.len()
+    ))
 }
 
 /// The `baton bench --sweep` variant: run the pre-design full sweep under
@@ -1097,11 +1111,7 @@ fn bench_sweep(
             );
         }
     }
-    snapshot
-        .strs
-        .insert("threads".into(), nn_baton::parallel::threads().to_string());
-    std::fs::write(out, snapshot.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
+    let summary = format!(
         "bench {name}: {} design points in {:.1} ms, {:.0} points/sec -> {out}",
         points.len(),
         wall_ms,
@@ -1111,19 +1121,5 @@ fn bench_sweep(
             .copied()
             .unwrap_or(0.0)
     );
-    if let Some((path, base)) = baseline {
-        let regressions = compare_snapshots(&snapshot, base, max_regress);
-        if regressions.is_empty() {
-            println!("baseline {path}: ok (no metric regressed > {max_regress}%)");
-        } else {
-            for r in &regressions {
-                eprintln!("regression: {}", describe_regression(r));
-            }
-            return Err(format!(
-                "{} metric(s) regressed beyond {max_regress}% vs {path}",
-                regressions.len()
-            ));
-        }
-    }
-    Ok(())
+    write_and_gate(snapshot, out, &summary, baseline, max_regress)
 }

@@ -98,9 +98,9 @@ use baton_model::{parse_model, zoo, ConvSpec, Model};
 use baton_parallel::queue::{
     BoundedQueue, Handoff, PushError, QUEUE_DEPTH_GAUGE, QUEUE_DEPTH_HELP,
 };
-use baton_report::perfetto::{parse_json, Json, PerfettoTrace};
+use baton_report::perfetto::PerfettoTrace;
 use baton_report::{explain_layer, Format};
-use baton_telemetry::json::ObjectWriter;
+use baton_telemetry::json::{self, ObjectWriter, Value};
 use baton_telemetry::trace::{CompletedTrace, FlightRecorder, TraceHandle};
 use baton_telemetry::{expo, metrics, span, trace, vlog};
 
@@ -415,10 +415,10 @@ impl MapRequest {
     /// Returns a client-facing message for malformed JSON, a missing or
     /// non-string `model`, and out-of-range `res`/`top`/`objective`.
     pub fn parse(body: &str) -> Result<Self, String> {
-        let request = parse_json(body).map_err(|e| format!("bad JSON body: {e}"))?;
+        let request = json::parse(body).map_err(|e| format!("bad JSON body: {e}"))?;
         let model = request
             .get("model")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or("missing string field \"model\"")?
             .to_string();
         let config = request.get("config");
@@ -463,13 +463,13 @@ impl MapRequest {
         };
         let layer = match field("layer") {
             None => LayerSelector::All,
-            Some(Json::Num(n)) => {
+            Some(Value::Number(n)) => {
                 if n.fract() != 0.0 || *n < 0.0 {
                     return Err("config.layer index must be a non-negative integer".into());
                 }
                 LayerSelector::Index(*n as usize)
             }
-            Some(Json::Str(s)) => match s.parse::<usize>() {
+            Some(Value::String(s)) => match s.parse::<usize>() {
                 // A numeric string selects by index — the CLI `--layer` rule.
                 Ok(idx) => LayerSelector::Index(idx),
                 Err(_) => LayerSelector::Name(s.clone()),
@@ -1840,6 +1840,11 @@ mod tests {
     #[test]
     fn map_request_rejects_bad_bodies_with_reasons() {
         assert!(map_request("{oops").unwrap_err().contains("bad JSON body"));
+        // Nesting past the reader's bound is a syntax error, not a stack
+        // overflow: a release server once aborted on 512 KiB of `[`.
+        let deep = format!("{{\"model\": {}", "[".repeat(1 << 19));
+        let err = map_request(&deep).unwrap_err();
+        assert!(err.contains("bad JSON body: nesting deeper than"), "{err}");
         assert!(map_request("{\"config\": {}}")
             .unwrap_err()
             .contains("missing string field \"model\""));

@@ -164,7 +164,7 @@ impl BenchSnapshot {
                 Value::String(st) => {
                     s.strs.insert(k, st);
                 }
-                Value::Bool(_) | Value::Null => {}
+                _ => {}
             }
         }
         Ok(s)

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use baton_sim::{Trace, TraceKind};
-use baton_telemetry::json::push_str_escaped;
+use baton_telemetry::json::{self, push_str_escaped, Value};
 use baton_telemetry::trace::CompletedTrace;
 
 /// The synthetic process id of package-level tracks (layer spans, occupancy
@@ -377,13 +377,7 @@ fn encode_event(out: &mut String, e: &Event) {
                 Arg::U64(n) => {
                     let _ = write!(out, "{n}");
                 }
-                Arg::F64(f) => {
-                    if f.is_finite() {
-                        let _ = write!(out, "{f}");
-                    } else {
-                        out.push_str("null");
-                    }
-                }
+                Arg::F64(f) => json::push_f64(out, *f),
                 Arg::Str(s) => push_str_escaped(out, s),
             }
         }
@@ -393,223 +387,7 @@ fn encode_event(out: &mut String, e: &Event) {
 }
 
 // ---------------------------------------------------------------------------
-// Validation: a minimal nested-JSON reader, enough to re-parse an export.
-
-/// A parsed JSON value (full nesting, unlike the flat telemetry parser).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// JSON null.
-    Null,
-    /// true / false.
-    Bool(bool),
-    /// Any number, kept as f64.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// The number, if this is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-}
-
-struct Reader<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Reader<'_> {
-    fn ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.i += 1; // '{'
-        let mut m = BTreeMap::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(m));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            if self.b.get(self.i) != Some(&b':') {
-                return Err(format!("expected ':' at byte {}", self.i));
-            }
-            self.i += 1;
-            m.insert(key, self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(m));
-                }
-                other => return Err(format!("expected ',' or '}}' got {other:?} at {}", self.i)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.i += 1; // '['
-        let mut v = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Json::Arr(v));
-        }
-        loop {
-            v.push(self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(v));
-                }
-                other => return Err(format!("expected ',' or ']' got {other:?} at {}", self.i)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        if self.b.get(self.i) != Some(&b'"') {
-            return Err(format!("expected string at byte {}", self.i));
-        }
-        self.i += 1;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                            self.i += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.i += 1;
-                }
-                Some(&c) => {
-                    let start = self.i;
-                    let len = match c {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => 1,
-                    };
-                    self.i += len;
-                    let slice = self.b.get(start..self.i).ok_or("truncated UTF-8")?;
-                    out.push_str(std::str::from_utf8(slice).map_err(|e| e.to_string())?);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while matches!(
-            self.b.get(self.i),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap_or("");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number `{text}` at byte {start}"))
-    }
-
-    fn lit(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-}
-
-/// Parses arbitrary (nested) JSON text.
-///
-/// # Errors
-///
-/// Returns a description of the first syntax problem.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut r = Reader {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let v = r.value()?;
-    r.ws();
-    if r.i != r.b.len() {
-        return Err(format!("trailing bytes at {}", r.i));
-    }
-    Ok(v)
-}
+// Validation.
 
 /// Structural summary of a validated trace document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -635,9 +413,8 @@ pub struct TraceStats {
 ///
 /// Returns the first structural violation found.
 pub fn validate(text: &str) -> Result<TraceStats, String> {
-    let doc = parse_json(text)?;
-    let events = doc.get("traceEvents").ok_or("no traceEvents key")?.clone();
-    let Json::Arr(events) = events else {
+    let doc = json::parse(text)?;
+    let Value::Array(events) = doc.get("traceEvents").ok_or("no traceEvents key")? else {
         return Err("traceEvents is not an array".into());
     };
     let mut stats = TraceStats {
@@ -649,22 +426,20 @@ pub fn validate(text: &str) -> Result<TraceStats, String> {
     for (i, e) in events.iter().enumerate() {
         let ph = e
             .get("ph")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| format!("event {i}: missing ph"))?;
-        for key in ["pid", "tid", "ts"] {
+        let num = |key: &str| {
             e.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("event {i}: missing numeric {key}"))?;
-        }
-        let pid = e.get("pid").and_then(Json::as_f64).unwrap() as u64;
-        let tid = e.get("tid").and_then(Json::as_f64).unwrap() as u64;
-        let ts = e.get("ts").and_then(Json::as_f64).unwrap();
+                .and_then(Value::as_f64)
+                .ok_or_else(|| format!("event {i}: missing numeric {key}"))
+        };
+        let (pid, tid, ts) = (num("pid")? as u64, num("tid")? as u64, num("ts")?);
         match ph {
             "X" => {
                 stats.spans += 1;
                 let dur = e
                     .get("dur")
-                    .and_then(Json::as_f64)
+                    .and_then(Value::as_f64)
                     .ok_or_else(|| format!("event {i}: X without dur"))?;
                 if dur < 0.0 {
                     return Err(format!("event {i}: negative dur"));
@@ -682,7 +457,7 @@ pub fn validate(text: &str) -> Result<TraceStats, String> {
             "C" => stats.counters += 1,
             "i" => {
                 stats.instants += 1;
-                if e.get("name").and_then(Json::as_str) == Some("analytical_vs_sim") {
+                if e.get("name").and_then(Value::as_str) == Some("analytical_vs_sim") {
                     stats.divergences += 1;
                 }
             }
@@ -745,14 +520,14 @@ mod tests {
         let mut p = PerfettoTrace::new();
         p.add_layer("a", &tiny_trace(), 62, 62, 0.5);
         p.add_layer("b", &tiny_trace(), 62, 62, 0.5);
-        let doc = parse_json(&p.to_json()).unwrap();
-        let Json::Arr(events) = doc.get("traceEvents").unwrap().clone() else {
+        let doc = json::parse(&p.to_json()).unwrap();
+        let Some(Value::Array(events)) = doc.get("traceEvents") else {
             panic!("not an array");
         };
         let layer_ts: Vec<f64> = events
             .iter()
-            .filter(|e| e.get("cat").and_then(Json::as_str) == Some("layer"))
-            .map(|e| e.get("ts").and_then(Json::as_f64).unwrap())
+            .filter(|e| e.get("cat").and_then(Value::as_str) == Some("layer"))
+            .map(|e| e.get("ts").and_then(Value::as_f64).unwrap())
             .collect();
         assert_eq!(layer_ts, vec![0.0, 62.0]);
         // Validation still passes with two layers on every track.
@@ -796,21 +571,21 @@ mod tests {
         let stats = validate(&json).unwrap();
         assert_eq!(stats.spans, 6, "root + 5 spans");
 
-        let doc = parse_json(&json).unwrap();
-        let Json::Arr(events) = doc.get("traceEvents").unwrap().clone() else {
+        let doc = json::parse(&json).unwrap();
+        let Some(Value::Array(events)) = doc.get("traceEvents") else {
             panic!("not an array");
         };
         let tid_of = |name: &str, label: Option<&str>| {
             events
                 .iter()
                 .find(|e| {
-                    e.get("name").and_then(Json::as_str) == Some(name)
+                    e.get("name").and_then(Value::as_str) == Some(name)
                         && e.get("args")
                             .and_then(|a| a.get("label"))
-                            .and_then(Json::as_str)
+                            .and_then(Value::as_str)
                             == label
                 })
-                .and_then(|e| e.get("tid").and_then(Json::as_f64))
+                .and_then(|e| e.get("tid").and_then(Value::as_f64))
                 .unwrap() as u64
         };
         // Root owns track 0; overlapping spans never share a lane; the
@@ -827,7 +602,7 @@ mod tests {
             .find(|e| {
                 e.get("args")
                     .and_then(|a| a.get("label"))
-                    .and_then(Json::as_str)
+                    .and_then(Value::as_str)
                     == Some("w0")
             })
             .unwrap();
@@ -835,25 +610,13 @@ mod tests {
             worker
                 .get("args")
                 .and_then(|a| a.get("parent"))
-                .and_then(Json::as_f64),
+                .and_then(Value::as_f64),
             Some(2.0)
         );
         // A second request lands in its own process.
         p.add_request(&trace);
         let stats = validate(&p.to_json()).unwrap();
         assert_eq!(stats.spans, 12);
-    }
-
-    #[test]
-    fn parser_round_trips_nested_structures() {
-        let v = parse_json(r#"{"a":[1,2,{"b":"x\n"}],"c":null,"d":true}"#).unwrap();
-        assert_eq!(v.get("d"), Some(&Json::Bool(true)));
-        let Some(Json::Arr(a)) = v.get("a") else {
-            panic!("a not array");
-        };
-        assert_eq!(a[2].get("b").and_then(Json::as_str), Some("x\n"));
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("[1,2] junk").is_err());
     }
 
     #[test]

@@ -1,14 +1,20 @@
-//! A minimal JSON encoder and validating parser.
+//! The workspace's JSON encoder and its one JSON reader.
 //!
-//! The workspace is hermetic (no serde_json), and trace events are flat
-//! objects of scalars — a hand-rolled encoder is ~50 lines and the parser
-//! exists so tests can round-trip the sink's output without external
-//! crates.
+//! The workspace is hermetic (no serde_json). Trace events, audit records,
+//! flight-recorder entries and `BENCH_*.json` snapshots are flat objects of
+//! scalars, written with [`ObjectWriter`] and read back with
+//! [`parse_flat_object`]. `POST /map` bodies and Perfetto exports nest, and
+//! [`parse`] reads those. `parse_flat_object` is `parse` plus a shape check,
+//! so every JSON document the workspace reads goes through one parser.
+//!
+//! The parser is recursive descent with a fixed nesting bound,
+//! [`MAX_DEPTH`]: past it, [`parse`] returns `Err` instead of recursing
+//! further, so no input can overflow the reading thread's stack.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON scalar (the only value shapes trace events use).
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON null.
@@ -19,6 +25,10 @@ pub enum Value {
     Number(f64),
     /// A string.
     String(String),
+    /// An array.
+    Array(Vec<Value>),
+    /// An object; a repeated key keeps its last value.
+    Object(BTreeMap<String, Value>),
 }
 
 impl Value {
@@ -34,6 +44,14 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Object field lookup; `None` for a missing key or a non-object.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Object(fields) => fields.get(key),
             _ => None,
         }
     }
@@ -175,55 +193,53 @@ impl ObjectWriter {
     }
 }
 
-/// Parses one line as a flat JSON object of scalars.
+/// The deepest container nesting [`parse`] accepts. `/map` bodies nest 2
+/// deep, Perfetto exports 4 and flat objects 1.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document.
 ///
 /// # Errors
 ///
-/// Returns a description of the first syntax problem, including nesting
-/// (which trace events never use).
+/// Returns a description of the first syntax problem, or of a container
+/// nested deeper than [`MAX_DEPTH`].
+pub fn parse(text: &str) -> Result<Value, String> {
+    let mut p = Parser { text, pos: 0 };
+    let value = p.value(0)?;
+    p.skip_ws();
+    if p.pos != text.len() {
+        return Err(format!("trailing bytes at {}", p.pos));
+    }
+    Ok(value)
+}
+
+/// Parses a flat JSON object of scalars: [`parse`], then a
+/// check that the top level is an object and no field holds a container.
+///
+/// # Errors
+///
+/// Returns [`parse`]'s error, or names the shape problem.
 pub fn parse_flat_object(line: &str) -> Result<BTreeMap<String, Value>, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let Value::Object(fields) = parse(line)? else {
+        return Err("expected a JSON object".into());
     };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut out = BTreeMap::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.scalar()?;
-            out.insert(key, value);
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => return Err(format!("expected , or }} at byte {}, got {other:?}", p.pos)),
-            }
-        }
+    match fields
+        .iter()
+        .find(|(_, v)| matches!(v, Value::Array(_) | Value::Object(_)))
+    {
+        Some((key, _)) => Err(format!("field `{key}` holds a container, not a scalar")),
+        None => Ok(fields),
     }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes after object at {}", p.pos));
-    }
-    Ok(out)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn next(&mut self) -> Option<u8> {
@@ -251,89 +267,136 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .next()
-                                .and_then(|b| (b as char).to_digit(16))
-                                .ok_or("bad \\u escape")?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(b) if b < 0x20 => return Err("raw control byte in string".into()),
-                Some(b) => {
-                    // Re-assemble UTF-8 continuation bytes verbatim.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    self.pos = start + len;
-                    let slice = self
-                        .bytes
-                        .get(start..self.pos)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(slice).map_err(|e| e.to_string())?);
-                }
-            }
-        }
-    }
-
-    fn scalar(&mut self) -> Result<Value, String> {
+    /// One value whose enclosing containers number `depth`.
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'"') => Ok(Value::String(self.string()?)),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'{') => {
+                let mut fields = BTreeMap::new();
+                self.items(b'}', |p| {
+                    p.skip_ws();
+                    let key = p.string()?;
+                    p.skip_ws();
+                    p.expect(b':')?;
+                    fields.insert(key, p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Value::Object(fields))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.items(b']', |p| {
+                    items.push(p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'"') => self.string().map(Value::String),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
-            Some(b'{' | b'[') => Err("nested containers are not valid trace scalars".into()),
-            Some(_) => {
-                let start = self.pos;
-                while matches!(
-                    self.peek(),
-                    Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                ) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-                text.parse::<f64>()
-                    .map(Value::Number)
-                    .map_err(|_| format!("bad number `{text}`"))
-            }
+            Some(_) => self.number(),
             None => Err("unexpected end of input".into()),
         }
     }
 
+    /// Reads the comma-separated `item`s of a container up to `close`,
+    /// starting at its opening bracket.
+    fn items(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            self.skip_ws();
+            if self.peek() != Some(b',') {
+                return self.expect(close);
+            }
+            self.pos += 1;
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // whole: all three are ASCII, so the run ends on a char boundary.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            let run = self
+                .text
+                .get(start..self.pos)
+                .ok_or("split UTF-8 sequence")?;
+            out.push_str(run);
+            match self.next() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => return Ok(out),
+                Some(b'\\') => out.push(self.escape()?),
+                Some(_) => return Err("raw control byte in string".into()),
+            }
+        }
+    }
+
+    /// The character of one escape sequence, after its backslash.
+    fn escape(&mut self) -> Result<char, String> {
+        Ok(match self.next() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                // Exactly four hex digits: no sign, no shorter run.
+                let mut code = 0u32;
+                for _ in 0..4 {
+                    let digit = self
+                        .next()
+                        .and_then(|b| (b as char).to_digit(16))
+                        .ok_or("bad \\u escape")?;
+                    code = code * 16 + digit;
+                }
+                char::from_u32(code).ok_or("bad \\u codepoint")?
+            }
+            other => return Err(format!("bad escape {other:?}")),
+        })
+    }
+
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
+        }
+        let text = self.text.get(start..self.pos).unwrap_or("");
+        text.parse::<f64>()
+            .map(Value::Number)
+            .map_err(|_| format!("bad number `{text}` at byte {start}"))
+    }
+
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
             Err(format!("bad literal at byte {}", self.pos))
         }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        0xF0..=0xF7 => 4,
-        _ => 1,
     }
 }
 
@@ -363,6 +426,10 @@ mod tests {
         assert!(parse_flat_object("{\"a\":1} tail").is_err());
         assert!(parse_flat_object("{\"a\":{}}").is_err());
         assert!(parse_flat_object("not json").is_err());
+        let err = parse_flat_object("{\"a\":1,\"b\":[]}").unwrap_err();
+        assert!(err.contains("`b`"), "{err}");
+        assert!(parse_flat_object("[1]").is_err());
+        assert!(parse_flat_object("{\"a\":\"raw\u{1}byte\"}").is_err());
     }
 
     #[test]
@@ -407,6 +474,7 @@ mod tests {
                 Value::String(s) => {
                     w.str(k, s);
                 }
+                Value::Array(_) | Value::Object(_) => unreachable!("flat objects hold scalars"),
             }
         }
         w.finish()
@@ -472,5 +540,163 @@ mod tests {
         assert_eq!(obj["b"], Value::Bool(false));
         assert_eq!(obj["c"], Value::Null);
         assert_eq!(obj["d"].as_f64(), Some(-2500.0));
+    }
+
+    #[test]
+    fn parser_round_trips_nested_structures() {
+        let v = parse(r#"{"a":[1,2,{"b":"x\n"}],"c":null,"d":true}"#).unwrap();
+        assert_eq!(v.get("d"), Some(&Value::Bool(true)));
+        let Some(Value::Array(a)) = v.get("a") else {
+            panic!("a not array");
+        };
+        assert_eq!(a[2].get("b").and_then(Value::as_str), Some("x\n"));
+        assert!(parse("{\"a\":}").is_err());
+        assert!(parse("[1,2] junk").is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9""#), Ok(Value::String("Aé".into())));
+        // `u32::from_str_radix` would read `+041` as 0x41.
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u41""#).is_err());
+        assert!(parse(r#""\ud800""#).is_err());
+    }
+
+    #[test]
+    fn nesting_bound_is_exact() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert_eq!(depth(&parse(&nest(MAX_DEPTH)).unwrap()), MAX_DEPTH);
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+    }
+
+    #[test]
+    fn megabytes_of_openers_are_an_error_on_a_default_thread_stack() {
+        // Without the bound, each opener is one more recursion, and a
+        // default 2 MiB spawned-thread stack overflows (an abort, which no
+        // `catch_unwind` can catch) long before the input runs out.
+        let brackets = "[".repeat(1 << 20);
+        let fields = "{\"a\":".repeat((1 << 20) / 5);
+        std::thread::spawn(move || {
+            assert!(parse(&brackets).is_err());
+            assert!(parse(&fields).is_err());
+            assert!(parse_flat_object(&fields).is_err());
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// Container depth of a value: 0 for a scalar.
+    fn depth(v: &Value) -> usize {
+        match v {
+            Value::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            Value::Object(fields) => 1 + fields.values().map(depth).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Bytes, half of them drawn from JSON's own alphabet so that random
+    /// inputs get past the first few bytes of the grammar.
+    fn json_ish_bytes() -> impl Strategy<Value = Vec<u8>> {
+        const ALPHABET: &[u8] = b"{}[]{}[]::,,\"\"\\ \n0123456789.eE+-ubtrnfalsenull";
+        let byte = (0u16..512).prop_map(|x| match u8::try_from(x) {
+            Ok(b) => b,
+            Err(_) => ALPHABET[usize::from(x) % ALPHABET.len()],
+        });
+        vec(byte, 0..96)
+    }
+
+    /// Strings over control characters, ASCII, and 2-, 3- and 4-byte
+    /// UTF-8 (surrogate code points dropped).
+    fn any_string() -> impl Strategy<Value = String> {
+        let code = prop_oneof![
+            0u32..0x20,
+            0x20u32..0x80,
+            0x80u32..0x800,
+            0x800u32..0x11_0000
+        ];
+        vec(code, 0..12).prop_map(|codes| codes.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    /// Finite doubles over the whole bit space: subnormals, huge
+    /// magnitudes and negative zero included.
+    fn any_finite() -> impl Strategy<Value = f64> {
+        (0u32..=u32::MAX, 0u32..=u32::MAX)
+            .prop_map(|(hi, lo)| f64::from_bits(u64::from(hi) << 32 | u64::from(lo)))
+            .prop_filter("finite", |v| v.is_finite())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_and_never_nest_past_the_bound(bytes in json_ish_bytes()) {
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(v) = parse(&text) {
+                prop_assert!(depth(&v) <= MAX_DEPTH);
+            }
+            let _ = parse_flat_object(&text);
+        }
+
+        #[test]
+        fn accepted_documents_nest_within_the_bound(
+            openers in vec(0u8..2, 0..2 * MAX_DEPTH),
+            leaf in 0u8..3,
+        ) {
+            let mut text = String::new();
+            for &o in &openers {
+                text.push_str(if o == 0 { "[" } else { "{\"k\":" });
+            }
+            text.push_str(["1", "[]", "{}"][usize::from(leaf)]);
+            for &o in openers.iter().rev() {
+                text.push(if o == 0 { ']' } else { '}' });
+            }
+            let want = openers.len() + usize::from(leaf > 0);
+            match parse(&text) {
+                Ok(v) => {
+                    prop_assert_eq!(depth(&v), want);
+                    prop_assert!(want <= MAX_DEPTH);
+                }
+                Err(e) => prop_assert!(want > MAX_DEPTH, "{e}"),
+            }
+        }
+
+        #[test]
+        fn written_flat_objects_round_trip(
+            fields in vec((any_string(), 0u8..4, any_string(), any_finite()), 0..8),
+            pretty in 0u8..2,
+        ) {
+            let mut w = if pretty == 1 { ObjectWriter::pretty() } else { ObjectWriter::new() };
+            let mut want = BTreeMap::new();
+            for (key, kind, s, n) in &fields {
+                let value = match kind {
+                    0 => Value::String(s.clone()),
+                    1 => Value::Number(*n),
+                    2 => Value::Bool(n.is_sign_negative()),
+                    _ => Value::Null,
+                };
+                match &value {
+                    Value::String(s) => w.str(key, s),
+                    Value::Number(n) => w.f64(key, *n),
+                    Value::Bool(b) => w.bool(key, *b),
+                    _ => w.f64(key, f64::NAN),
+                };
+                want.insert(key.clone(), value);
+            }
+            let text = w.finish();
+            let got = parse_flat_object(&text).map_err(|e| TestCaseError::fail(format!("{e}: {text}")))?;
+            prop_assert_eq!(got.len(), want.len());
+            for (key, value) in &want {
+                match (value, &got[key]) {
+                    // Bit-exact, so `-0` and the last digit of a subnormal count.
+                    (Value::Number(a), Value::Number(b)) => prop_assert_eq!(a.to_bits(), b.to_bits()),
+                    (a, b) => prop_assert_eq!(a, b),
+                }
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@ use std::process::Command;
 
 use nn_baton::report::perfetto;
 use nn_baton::report::BenchSnapshot;
-use nn_baton::telemetry::json::parse_flat_object;
+use nn_baton::telemetry::json::{self, parse_flat_object, Value};
 
 fn baton(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_baton"))
@@ -160,13 +160,13 @@ fn perfetto_export_is_valid_chrome_trace_json() {
     assert!(stats.counters > 0, "{stats:?}");
     assert!(stats.events > stats.spans, "{stats:?}");
     // One process per chiplet plus the package process.
-    let doc = perfetto::parse_json(&text).unwrap();
-    let perfetto::Json::Arr(events) = doc.get("traceEvents").unwrap().clone() else {
+    let doc = json::parse(&text).unwrap();
+    let Some(Value::Array(events)) = doc.get("traceEvents") else {
         panic!("traceEvents is not an array");
     };
     let processes: std::collections::BTreeSet<u64> = events
         .iter()
-        .filter_map(|e| e.get("pid").and_then(perfetto::Json::as_f64))
+        .filter_map(|e| e.get("pid").and_then(Value::as_f64))
         .map(|p| p as u64)
         .collect();
     assert!(processes.contains(&perfetto::PACKAGE_PID));

@@ -260,6 +260,15 @@ fn serve_speaks_http_and_observes_itself() {
         "early-exit 400s must be counted too:\n{metrics}"
     );
 
+    // A body nested past the JSON reader's bound is refused like any other
+    // malformed body, and the same process keeps answering. Before the
+    // bound, 512 KiB of `[` overflowed a worker's stack and aborted it.
+    let (status, _, body) = request(addr, "POST", "/map", &"[".repeat(512 << 10));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+    let (status, _, _) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "server died on a deeply nested body");
+
     // --- Request tracing and the flight recorder ------------------------
 
     // Every response names its trace; a fresh (uncached) mapping request
