@@ -8,12 +8,18 @@
 //! the pair's branch-and-bound floor into the memo's dense floor lane,
 //! through [`Floors::from_volumes`], the same `f64` path the scalar search
 //! uses, so prune decisions are bit-identical. Phase B walks the range in
-//! canonical order against that lane and builds a `Mapping` only for a
-//! candidate whose floor does not exceed the search's shared `k`-th score,
-//! builds its nest into reusable scratch (no `Decomposition`) and prices it
-//! through the one evaluator body `evaluate_decomposition` runs
-//! ([`crate::evaluate::evaluate_nest`]), so a steady-state search allocates
-//! nothing. Every priced candidate is offered
+//! canonical order against that lane. A candidate whose floor does not
+//! exceed the search's shared `k`-th score meets a second floor, its pair's
+//! order-free penalty floor ([`Floors::order_free`]): each C³P path's
+//! reload multiplier at the machine's capacities, minimised over the pair's
+//! four temporal orders. Phase B computes it on a pair's first such
+//! candidate and caches it in the memo's second lane; computing it in
+//! phase A for every pair measured slower, because only about a fifth of
+//! the pairs ever pass the penalty-free floor. Only a candidate that passes
+//! both floors is priced: its nest is built into reusable scratch (no
+//! `Decomposition`) and priced through the one evaluator body
+//! `evaluate_decomposition` runs ([`crate::evaluate::evaluate_nest`]), so a
+//! steady-state search allocates nothing. Every priced candidate is offered
 //! to the search's one [`Ranking`]; the winner search is its `k = 1` case.
 //!
 //! Counter semantics match a per-candidate decompose exactly: phase A adds
@@ -152,10 +158,11 @@ impl BatchScratch {
     /// returns how many it priced and how many it pruned.
     ///
     /// Phase A fills the memo's floors; phase B reads them in candidate
-    /// order and skips a candidate unpriced when its floor is strictly above
-    /// the shared `k`-th score. That score belongs to `k` priced candidates
-    /// and a floor never exceeds its score, so a skipped candidate scores
-    /// strictly worse than `k` others and cannot place.
+    /// order and skips a candidate unpriced when its floor, or then its
+    /// pair's order-free penalty floor, is strictly above the shared `k`-th
+    /// score. That score belongs to `k` priced candidates and neither floor
+    /// exceeds the candidate's score, so a skipped candidate scores strictly
+    /// worse than `k` others and cannot place.
     #[allow(clippy::too_many_arguments)] // the full search context, passed flat
     pub(crate) fn rank_chunk(
         &mut self,
@@ -183,10 +190,16 @@ impl BatchScratch {
                     continue;
                 }
                 let s = run.slot(pair);
-                let Some(geom) = self.memo.replayed(s.geom) else {
+                let m = space.mapping(s);
+                let Some((geom, floor)) = self.memo.replayed_with_penalty_floor(s, |geom| {
+                    Floors::order_free(geom, layer, &m, arch, tech).score(objective, tech)
+                }) else {
                     continue;
                 };
-                let m = space.mapping(s);
+                if floor > ranking.kth.get() {
+                    pruned += 1;
+                    continue;
+                }
                 let survivor = NestView::build(geom, layer, &m, &mut self.nest);
                 let ev = evaluate_nest(&survivor, arch, tech, &m);
                 feasible += 1;
@@ -324,12 +337,20 @@ mod tests {
         assert_eq!(a.memo.floor(s, |_| 1.0), Some(1.0));
         assert_eq!(a.memo.floor(s, |_| 2.0), Some(1.0));
         assert_eq!(a.memo.lane(s.pair()), 1.0);
+        let penalty = |memo: &mut GeomMemo, f: f64| {
+            memo.replayed_with_penalty_floor(s, |_| f)
+                .map(|(_, floor)| floor)
+        };
+        assert_eq!(penalty(&mut a.memo, 3.0), Some(3.0));
+        assert_eq!(penalty(&mut a.memo, 4.0), Some(3.0));
         drop(a);
-        let b = scratch(4);
+        let mut b = scratch(4);
         assert!(
             b.memo.replayed(s.geom).is_none() && b.memo.lane(s.pair()).is_nan(),
             "checkout must reset the memo"
         );
+        assert!(b.memo.get(&layer, &arch, &space.mapping(s), s.geom).is_ok());
+        assert_eq!(penalty(&mut b.memo, 5.0), Some(5.0), "and its penalty lane");
         assert!(b.memo.capacity() >= 16, "pool must keep capacity");
     }
 }

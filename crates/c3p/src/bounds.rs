@@ -6,14 +6,40 @@
 //! least once, and the MACs take at least `macs / peak` cycles. The ratio
 //! between a search result and its bound (the *optimality gap*) is how the
 //! tests and reports judge whether the exhaustive search is doing its job.
+//!
+//! [`Floors`] are the mapping search's per-candidate bounds. The
+//! penalty-free floor prices every C³P path at its base volume. The
+//! order-free penalty floor adds each path's reload multiplier at the
+//! machine's capacities, at the least any temporal order of the
+//! candidate's `(geometry, rotation)` pair pays. The orders permute loops
+//! only within a nest level (the rotation loop, the three core-level loops,
+//! the three chiplet-level loops), so an order can open a loop's reuse
+//! region no earlier than at its level's entry, where the footprint is the
+//! smallest any order gives it. Hence each loop that does not index a
+//! path's tensor multiplies the path by its trip count exactly when the
+//! capacity is below the footprint on entry to its level:
+//!
+//! - input paths (DRAM and D2D at A-L2, the A-L2 read at A-L1): a weight
+//!   rotation loop (CO, `N_P`) at position 0, the core CO loop after the
+//!   rotation loop, the chiplet CO loop after the core level;
+//! - weight paths (at the effective W-L1): the core HO·WO loops after the
+//!   rotation loop, the chiplet HO·WO loops after the core level. The
+//!   rotation loop slices CI or CO, which both index weights, so it adds
+//!   no weight step;
+//! - a rotated tensor's DRAM path applies the home slice `1/N_P` from the
+//!   core level up, as the walk does above the rotation loop.
+//!
+//! The order that puts each such loop first in its level pays exactly this,
+//! so the floor is the per-path minimum over the four orders, and it costs
+//! three coverage states instead of four nests.
 
 use baton_arch::{PackageConfig, Technology};
-use baton_mapping::Decomposition;
+use baton_mapping::{Decomposition, Mapping, MappingGeometry};
 use baton_model::{ConvSpec, ACT_BITS, WGT_BITS};
 use serde::{Deserialize, Serialize};
 
 use crate::evaluate::{price, runtime_bound, AccessCounts, Evaluation};
-use crate::kernel::Paths;
+use crate::kernel::{Paths, Rung, Staircases};
 use crate::search::Objective;
 
 /// Compulsory traffic and compute floors for one layer on one machine.
@@ -68,7 +94,7 @@ impl TrafficBounds {
     }
 }
 
-/// Per-candidate score floor for the branch-and-bound mapping search.
+/// Per-candidate score floors for the branch-and-bound mapping search.
 ///
 /// For one decomposition, this is the evaluation the candidate would get if
 /// every buffer were adequately sized: each capacity-dependent access
@@ -78,6 +104,12 @@ impl TrafficBounds {
 /// and *equals* it exactly (same `f64` path) whenever no capacity penalty
 /// triggers. A candidate whose floor is already worse than the search
 /// incumbent can therefore be discarded before the expensive profile build.
+///
+/// `Floors::order_free` is the second, tighter floor the search prunes
+/// on: the same assembly with each path's C³P penalty included, at the
+/// least any temporal order of the candidate's `(geometry, rotation)` pair
+/// pays, read in closed form off the nest's three levels (see the module
+/// documentation).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Floors {
     /// The penalty-free access counts (every profile at its base volume).
@@ -107,7 +139,50 @@ impl Floors {
         tech: &Technology,
     ) -> Self {
         // The kernel's assembly with every path at its base volume.
-        let access = Paths::base(v).access(v, u64::from(weight_streams));
+        Self::from_paths(
+            &Paths::base(v),
+            v,
+            weight_streams,
+            compute_cycles,
+            arch,
+            tech,
+        )
+    }
+
+    /// The order-free penalty floor of `mapping`'s `(geometry, rotation)`
+    /// pair: [`Self::from_volumes`] with each C³P path at its base volume
+    /// times the smallest reload multiplier any of the pair's temporal
+    /// orders pays at the machine's capacities
+    /// ([`Staircases::order_free`]). Access counts, energy and runtime are
+    /// monotone in the paths, so it never exceeds the score of any of the
+    /// pair's candidates, and it is never below the penalty-free floor,
+    /// which it equals bit for bit when no capacity penalty fires.
+    pub(crate) fn order_free(
+        geom: &MappingGeometry,
+        layer: &ConvSpec,
+        mapping: &Mapping,
+        arch: &PackageConfig,
+        tech: &Technology,
+    ) -> Self {
+        let (v, rot_in, rot_w) = geom.volumes_for(mapping.rotation);
+        let levels = geom.nest_levels(layer, mapping, rot_in, rot_w);
+        let stairs = Staircases::order_free(&levels, geom.n_p(), (rot_in, rot_w));
+        let paths = stairs.at(&v, Rung::machine(arch, geom.effective_w_l1_bits()));
+        let (streams, cycles) = (geom.weight_streams(), geom.compute_cycles());
+        Self::from_paths(&paths, &v, streams, cycles, arch, tech)
+    }
+
+    /// The floor of one resolve of the paths: the kernel's access assembly,
+    /// the energy price and the runtime bound.
+    fn from_paths(
+        paths: &Paths,
+        v: &baton_mapping::Volumes,
+        weight_streams: u32,
+        compute_cycles: u64,
+        arch: &PackageConfig,
+        tech: &Technology,
+    ) -> Self {
+        let access = paths.access(v, u64::from(weight_streams));
         let energy_pj = price(&access, arch, tech).total_pj();
         let (cycles, _) = runtime_bound(compute_cycles, &access, arch, tech);
         Self {
@@ -130,10 +205,143 @@ impl Floors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use crate::evaluate::evaluate_decomposition;
-    use crate::{search_layer, Objective};
+    use crate::kernel::tests::{layers, machines};
+    use crate::kernel::NestView;
+    use crate::{reference, search_layer, Objective};
     use baton_arch::{presets, Technology};
+    use baton_mapping::enumerate::{CandidateSpace, EnumOptions, Slot};
+    use baton_mapping::{decompose, mapping_geometry, NestScratch};
     use baton_model::zoo;
+    use proptest::prelude::*;
+
+    const OBJECTIVES: [Objective; 3] = [Objective::Energy, Objective::Edp, Objective::Runtime];
+
+    /// `arch` with its A-L1, A-L2 and W-L1 starved (320 B, 2 KiB, 2 KiB),
+    /// so that capacity penalties fire on most candidates.
+    fn starved(mut arch: PackageConfig) -> PackageConfig {
+        arch.chiplet.core.a_l1_bytes = 320;
+        arch.chiplet.a_l2_bytes = 2 * 1024;
+        arch.chiplet.core.w_l1_bytes = 2 * 1024;
+        arch
+    }
+
+    fn path_bits(p: Paths) -> [u64; 5] {
+        [
+            p.dram_input,
+            p.d2d_input,
+            p.a_l2_read,
+            p.dram_weight,
+            p.d2d_weight,
+        ]
+    }
+
+    /// The order-free paths of `slot`'s pair at the machine's capacities.
+    fn order_free_paths(
+        geom: &MappingGeometry,
+        layer: &ConvSpec,
+        slot: Slot,
+        space: &CandidateSpace,
+        arch: &PackageConfig,
+    ) -> (Paths, baton_mapping::Volumes) {
+        let m = space.mapping(slot);
+        let (v, rot_in, rot_w) = geom.volumes_for(m.rotation);
+        let levels = geom.nest_levels(layer, &m, rot_in, rot_w);
+        let stairs = Staircases::order_free(&levels, geom.n_p(), (rot_in, rot_w));
+        let rung = Rung::machine(arch, geom.effective_w_l1_bits());
+        (stairs.at(&v, rung), v)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// On random layers and machines, starved or not, the order-free
+        /// penalty floor is the same from every order of a pair, never
+        /// exceeds a candidate's access counts or score under the oracle
+        /// evaluator, never falls below the penalty-free floor, and equals
+        /// it bit for bit when no step fires.
+        #[test]
+        fn order_free_floor_never_exceeds_a_candidates_score(
+            layer in layers(),
+            arch in machines(),
+            starve in 0u8..2,
+        ) {
+            let arch = if starve == 1 { starved(arch) } else { arch };
+            let tech = Technology::paper_16nm();
+            let mut space = CandidateSpace::default();
+            let emitted = space.fill(&layer, &arch, EnumOptions::default()).emitted;
+            let mut pairs: HashMap<usize, Floors> = HashMap::new();
+            for s in space.slots(0..emitted) {
+                let m = space.mapping(s);
+                let Ok(geom) = mapping_geometry(&layer, &arch, &m) else {
+                    continue;
+                };
+                let fl = Floors::order_free(&geom, &layer, &m, &arch, &tech);
+                prop_assert_eq!(*pairs.entry(s.pair()).or_insert(fl), fl, "{:?}", m);
+                let d = decompose(&layer, &arch, &m).expect("the geometry decomposed");
+                let ev = reference::evaluate_decomposition(&d, &arch, &tech, &m);
+                let (f, a) = (fl.access, ev.access);
+                prop_assert!(
+                    f.dram_input_bits <= a.dram_input_bits
+                        && f.dram_weight_bits <= a.dram_weight_bits
+                        && f.d2d_bits <= a.d2d_bits
+                        && f.a_l2_bits <= a.a_l2_bits
+                        && f.a_l1_bits <= a.a_l1_bits
+                        && f.w_l1_bits <= a.w_l1_bits,
+                    "{:?}: floor {:?} above {:?}", m, f, a
+                );
+                let base = Floors::of(&d, &arch, &tech);
+                for obj in OBJECTIVES {
+                    let floor = fl.score(obj, &tech);
+                    prop_assert!(floor <= obj.score(&ev, &tech), "{:?} {:?}", obj, m);
+                    prop_assert!(base.score(obj, &tech) <= floor, "{:?} {:?}", obj, m);
+                }
+                let (paths, v) = order_free_paths(&geom, &layer, s, &space, &arch);
+                if paths == Paths::base(&v) {
+                    prop_assert_eq!(fl, base);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn order_free_paths_are_the_per_path_minimum_over_the_orders() {
+        // The floor is tight: on zoo layers, each path's order-free volume
+        // is the least that any order of its pair pays, on the case-study
+        // machine and on a starved one.
+        let case_study = presets::case_study_accelerator();
+        let mut nest = NestScratch::default();
+        let mut pairs = 0;
+        for arch in [case_study, starved(case_study)] {
+            for (bucket, layer) in zoo::representative_layers(224) {
+                let mut space = CandidateSpace::default();
+                let emitted = space.fill(&layer, &arch, EnumOptions::default()).emitted;
+                let mut least: HashMap<usize, (Slot, [u64; 5])> = HashMap::new();
+                for s in space.slots(0..emitted) {
+                    let m = space.mapping(s);
+                    let Ok(geom) = mapping_geometry(&layer, &arch, &m) else {
+                        continue;
+                    };
+                    let n = NestView::build(&geom, &layer, &m, &mut nest);
+                    let rung = Rung::machine(&arch, n.w_eff_bits);
+                    let got = path_bits(n.stairs().at(&n.volumes, rung));
+                    let (_, min) = least.entry(s.pair()).or_insert((s, got));
+                    for (m, g) in min.iter_mut().zip(got) {
+                        *m = (*m).min(g);
+                    }
+                }
+                for (s, min) in least.into_values() {
+                    let geom = mapping_geometry(&layer, &arch, &space.mapping(s)).unwrap();
+                    let (p, _) = order_free_paths(&geom, &layer, s, &space, &arch);
+                    assert_eq!(path_bits(p), min, "{bucket}: {:?}", space.mapping(s));
+                    pairs += 1;
+                }
+            }
+        }
+        assert!(pairs > 1000, "only {pairs} pairs compared");
+    }
 
     #[test]
     fn search_results_respect_the_floors() {

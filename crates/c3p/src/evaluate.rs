@@ -109,12 +109,7 @@ pub(crate) fn evaluate_nest(
     mapping: &Mapping,
 ) -> Evaluation {
     count(Counter::Evaluations);
-    let rung = Rung {
-        a_l1_bits: Some(arch.chiplet.core.a_l1_bytes * 8),
-        a_l2_bits: Some(arch.chiplet.a_l2_bytes * 8),
-        w_eff_bits: Some(n.w_eff_bits),
-    };
-    let paths = n.stairs().at(&n.volumes, rung);
+    let paths = n.stairs().at(&n.volumes, Rung::machine(arch, n.w_eff_bits));
     paths.count_penalties(&n.volumes);
     let access = paths.access(&n.volumes, n.fill_streams);
     let energy = price(&access, arch, tech);

@@ -14,7 +14,9 @@
 //! the sweep reads every rung of its capacity ladders off the same walk.
 //!
 //! [`Paths::access`] assembles a resolve into [`AccessCounts`]; the
-//! branch-and-bound floors assemble [`Paths::base`]. [`GeomMemo`] and
+//! branch-and-bound floors assemble [`Paths::base`], and the search's
+//! penalty floor the [`Staircases::order_free`] of a `(geometry,
+//! rotation)` pair, read at the machine's [`Rung`]. [`GeomMemo`] and
 //! [`Pooled`] are the scratch management the search and the sweep share.
 //! Their unit tests and the equivalence harnesses in `tests/` pin all of
 //! it to the materialized oracle of [`crate::reference`] bit for bit.
@@ -28,7 +30,7 @@ use baton_arch::PackageConfig;
 use baton_mapping::enumerate::Slot;
 use baton_mapping::{
     mapping_geometry_with, ChannelKey, ChannelTerms, Decomposition, Dim, Footprints, Loop,
-    LoopLevel, Mapping, MappingError, MappingGeometry, NestScratch, PlaneAxis, PlaneKey,
+    LoopLevel, Mapping, MappingError, MappingGeometry, NestLevel, NestScratch, PlaneAxis, PlaneKey,
     PlaneTerms, TermMemo, Volumes,
 };
 use baton_model::ConvSpec;
@@ -47,6 +49,19 @@ pub(crate) struct Rung {
     pub a_l2_bits: Option<u64>,
     /// Effective W-L1 (pool share) capacity: prices the weight paths.
     pub w_eff_bits: Option<u64>,
+}
+
+impl Rung {
+    /// The machine's own capacities, with `w_eff_bits` the candidate's
+    /// effective W-L1 (pool share).
+    #[inline]
+    pub(crate) fn machine(arch: &PackageConfig, w_eff_bits: u64) -> Self {
+        Self {
+            a_l1_bits: Some(arch.chiplet.core.a_l1_bytes * 8),
+            a_l2_bits: Some(arch.chiplet.a_l2_bytes * 8),
+            w_eff_bits: Some(w_eff_bits),
+        }
+    }
 }
 
 /// The five capacity-dependent access paths of one candidate, in bits.
@@ -160,19 +175,12 @@ impl Staircases {
         n_p: u32,
         (rotate_inputs, rotate_weights): (bool, bool),
     ) -> Self {
-        let n_p = u64::from(n_p).max(1);
         // First nest position above the rotation loop (0 if there is none).
         let cut = loops
             .iter()
             .position(|l| l.level == LoopLevel::Rotation)
             .map_or(0, |p| p + 1);
-        let home = |t: &[u64], rotated: bool, i: usize| {
-            if rotated && i >= cut {
-                t[i] / n_p
-            } else {
-                t[i]
-            }
-        };
+        let home = |t: &[u64], rotated: bool, i: usize| home_slice(t[i], rotated && i >= cut, n_p);
         let [dram_input, d2d_input, a_l2_read] = Staircase::walk(
             loops,
             |i| {
@@ -186,6 +194,45 @@ impl Staircases {
             |i| {
                 let stream = &fp.stream_weight;
                 [home(stream, rotate_weights, i), stream[i]]
+            },
+            Dim::weight_relevant,
+        );
+        Self {
+            dram_input,
+            d2d_input,
+            a_l2_read,
+            dram_weight,
+            d2d_weight,
+        }
+    }
+
+    /// The five paths of every temporal order of one `(geometry,
+    /// rotation)` pair, each floored over the orders
+    /// ([`Staircase::order_free`]): at any capacity, each path's multiplier
+    /// is at most that of the pair's every order. `levels` and the flags
+    /// are as [`MappingGeometry::nest_levels`] and
+    /// [`MappingGeometry::volumes_for`] gave them. A rotated tensor's
+    /// rotation loop exists and is innermost, so the home-slice rule
+    /// applies from the core level up.
+    #[inline]
+    pub(crate) fn order_free(
+        levels: &[NestLevel; 3],
+        n_p: u32,
+        (rotate_inputs, rotate_weights): (bool, bool),
+    ) -> Self {
+        let [dram_input, d2d_input, a_l2_read] = Staircase::order_free(
+            levels,
+            |k, l| {
+                let home = home_slice(l.chiplet_input, rotate_inputs && k > 0, n_p);
+                [home, l.chiplet_input, l.core_input]
+            },
+            Dim::input_relevant,
+        );
+        let [dram_weight, d2d_weight] = Staircase::order_free(
+            levels,
+            |k, l| {
+                let home = home_slice(l.stream_weight, rotate_weights && k > 0, n_p);
+                [home, l.stream_weight]
             },
             Dim::weight_relevant,
         );
@@ -217,6 +264,18 @@ impl Staircases {
             p.d2d_weight = v.d2d_weight_base.saturating_mul(self.d2d_weight.at(cap));
         }
         p
+    }
+}
+
+/// The home-slice rule: above the rotation loop (`sliced`) only `1/N_P`
+/// of a rotated tensor's working set must stay resident to avoid DRAM
+/// reloads.
+#[inline]
+fn home_slice(footprint: u64, sliced: bool, n_p: u32) -> u64 {
+    if sliced {
+        footprint / u64::from(n_p).max(1)
+    } else {
+        footprint
     }
 }
 
@@ -369,31 +428,34 @@ impl TermMemo for AxisTerms {
 }
 
 /// Geometry memo indexed by the enumerator's dense `geom_id`: one entry
-/// serves all order/rotation siblings of a distinct geometry, and a dense
-/// lane beside the entries keeps the search's branch-and-bound floor per
+/// serves all order/rotation siblings of a distinct geometry, and two dense
+/// lanes beside the entries keep the search's branch-and-bound floors per
 /// `(geometry, rotation)` pair id
-/// ([`pair_id`](baton_mapping::enumerate::pair_id), NaN until computed). A
-/// miss decomposes through per-axis term caches, since distinct geometries
+/// ([`pair_id`](baton_mapping::enumerate::pair_id), NaN until computed):
+/// the penalty-free floor and the order-free penalty floor. A miss
+/// decomposes through per-axis term caches, since distinct geometries
 /// share far fewer distinct H, W and CO tilings. All of it is valid for one
 /// `(layer, arch)` only; [`Self::reset`] clears it. The tables grow on
 /// demand, because a streaming caller does not know the id count up front.
 #[derive(Debug, Default)]
 pub(crate) struct GeomMemo {
     entries: Vec<Option<Result<MappingGeometry, MappingError>>>,
-    /// Floors by pair id: two per geometry id.
+    /// Penalty-free floors by pair id: two per geometry id.
     floors: Vec<f64>,
+    /// Order-free penalty floors by pair id, beside `floors`.
+    penalty_floors: Vec<f64>,
     terms: AxisTerms,
 }
 
 impl GeomMemo {
     /// Forgets every entry, floor and term, keeping the capacity, and
     /// reserves room for `ids` geometry ids (0 when the count is not known
-    /// up front).
+    /// up front). The floor lanes grow on their first write instead.
     pub(crate) fn reset(&mut self, ids: usize) {
         self.entries.clear();
         self.entries.reserve(ids);
         self.floors.clear();
-        self.floors.reserve(2 * ids);
+        self.penalty_floors.clear();
         self.terms.rows.clear();
         self.terms.cols.clear();
         self.terms.channels.clear();
@@ -412,7 +474,6 @@ impl GeomMemo {
         let idx = geom_id as usize;
         if idx >= self.entries.len() {
             self.entries.resize(idx + 1, None);
-            self.floors.resize(2 * (idx + 1), f64::NAN);
         }
         let terms = &mut self.terms;
         self.entries[idx]
@@ -457,11 +518,26 @@ impl GeomMemo {
             .as_ref()?
             .as_ref()
             .ok()?;
-        let lane = &mut self.floors[slot.pair()];
+        let (ids, room) = (self.entries.len(), self.entries.capacity());
+        let lane = Self::lane_slot(&mut self.floors, slot.pair(), ids, room);
         if lane.is_nan() {
             *lane = floor(geom);
         }
         Some(*lane)
+    }
+
+    /// `pair`'s slot in `lane`. A write past the lane's end grows it to
+    /// the `ids` geometry ids the entry table holds, reserving two slots
+    /// for each of the `room` ids the table has room for, so the lane
+    /// reallocates no more often than the table. Only the search writes
+    /// the floor lanes, so a sweep sharing the memo never allocates them.
+    #[inline]
+    fn lane_slot(lane: &mut Vec<f64>, pair: usize, ids: usize, room: usize) -> &mut f64 {
+        if pair >= lane.len() {
+            lane.reserve((2 * room).saturating_sub(lane.len()));
+            lane.resize(2 * ids, f64::NAN);
+        }
+        &mut lane[pair]
     }
 
     /// The floor of `pair` as the lane holds it: NaN unless [`Self::floor`]
@@ -476,13 +552,39 @@ impl GeomMemo {
     /// decompose would, and gives `None`, as does one not resolved yet.
     #[inline]
     pub(crate) fn replayed(&self, geom_id: u32) -> Option<&MappingGeometry> {
-        match self.entries.get(geom_id as usize)?.as_ref()? {
+        Self::replay(&self.entries, geom_id)
+    }
+
+    #[inline]
+    fn replay(
+        entries: &[Option<Result<MappingGeometry, MappingError>>],
+        geom_id: u32,
+    ) -> Option<&MappingGeometry> {
+        match entries.get(geom_id as usize)?.as_ref()? {
             Ok(geom) => Some(geom),
             Err(e) => {
                 count(e.counter());
                 None
             }
         }
+    }
+
+    /// [`Self::replayed`] for `slot`'s geometry, with the penalty floor of
+    /// its `(geometry, rotation)` pair: `floor` computes it on first use,
+    /// and later siblings read it back.
+    #[inline]
+    pub(crate) fn replayed_with_penalty_floor(
+        &mut self,
+        slot: Slot,
+        floor: impl FnOnce(&MappingGeometry) -> f64,
+    ) -> Option<(&MappingGeometry, f64)> {
+        let geom = Self::replay(&self.entries, slot.geom)?;
+        let (ids, room) = (self.entries.len(), self.entries.capacity());
+        let lane = Self::lane_slot(&mut self.penalty_floors, slot.pair(), ids, room);
+        if lane.is_nan() {
+            *lane = floor(geom);
+        }
+        Some((geom, *lane))
     }
 
     /// Geometry ids the entry table holds room for.

@@ -5,8 +5,9 @@
 //! pooled one, its index range is fanned out in chunks over
 //! [`baton_parallel::map_chunks`] workers that share one top-`k` ranking,
 //! and each worker memoizes geometry per `geom_id`, prunes candidates whose
-//! [`Floors`](crate::bounds::Floors) lower bound already scores worse than
-//! the shared `k`-th score, and prices each survivor with the C³P kernel
+//! [`Floors`](crate::bounds::Floors) lower bounds (penalty-free, then with
+//! the C³P penalties at the least any loop order pays) already score worse
+//! than the shared `k`-th score, and prices each survivor with the C³P kernel
 //! the memory sweep uses, as a one-rung resolve at the machine's own
 //! capacities. Only survivors are built as
 //! [`Mapping`](baton_mapping::Mapping)s. The winner search

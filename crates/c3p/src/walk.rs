@@ -17,7 +17,7 @@
 //! regions into the `Vec` of the materialized oracle in
 //! [`crate::reference`].
 
-use baton_mapping::{Dim, Loop};
+use baton_mapping::{Dim, Loop, NestLevel};
 
 /// The most reuse regions one path of a production nest can have. A
 /// mapping's temporal nest holds at most seven loops (three core-level, one
@@ -110,6 +110,43 @@ impl Staircase {
                 s.len += 1;
             }
         });
+        out
+    }
+
+    /// The staircases of `N` paths that share `relevant`, floored over
+    /// every temporal order of one `(geometry, rotation)` pair: for each of
+    /// the nest's [`NestLevel`]s, its loops that do not index the tensor
+    /// form one step, their trip-count product at `footprints(k, level)`,
+    /// the paths' footprints on entry to level `k`.
+    ///
+    /// In any order, such a loop's reuse region opens after the last loop
+    /// before it that indexes the tensor. Loops that do not index a tensor,
+    /// and unit loops, leave its footprint unchanged, so the footprint at
+    /// that entry covers at least every loop of the inner levels, and
+    /// coverage only grows along a nest: it is at least the level's entry
+    /// footprint. So at every capacity each path's multiplier is at most
+    /// that of any order, and the order that puts every such loop first in
+    /// its level pays exactly it.
+    #[inline]
+    pub(crate) fn order_free<const N: usize>(
+        levels: &[NestLevel; 3],
+        footprints: impl Fn(usize, &NestLevel) -> [u64; N],
+        relevant: impl Fn(Dim) -> bool,
+    ) -> [Self; N] {
+        let mut out = [Self::FLAT; N];
+        for (k, level) in levels.iter().enumerate() {
+            let multiplier = level
+                .loops()
+                .iter()
+                .filter(|l| !relevant(l.dim))
+                .fold(1u64, |p, l| p.saturating_mul(l.count));
+            if multiplier > 1 {
+                for (s, cc) in out.iter_mut().zip(footprints(k, level)) {
+                    s.steps[s.len] = (cc, multiplier);
+                    s.len += 1;
+                }
+            }
+        }
         out
     }
 

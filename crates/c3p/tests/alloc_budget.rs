@@ -32,9 +32,11 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// The committed budget: with the batched SoA engine the steady state
 /// measures well under one allocation per evaluation (the thread-local
-/// enumeration buffers, geometry memo, and nest scratch are all reused
-/// across searches; only telemetry events and the returned `Evaluation`
-/// remain). The budget sits far above the measured ~0.3 so incidental
+/// candidate space, geometry memo, and nest scratch are all reused across
+/// searches, and the space's partition lists are iterators; only
+/// telemetry events and the returned `Evaluation` remain: 10 allocations
+/// over 5 searches of 42 evaluations each). The budget sits far above the
+/// measured ~0.05 so incidental
 /// telemetry/allocator churn never flakes the gate, yet two orders of
 /// magnitude below the pre-batch ~891 — any return of per-candidate
 /// allocation trips it immediately. Never loosen it to paper over a
@@ -46,8 +48,9 @@ const ALLOCS_PER_EVAL_BUDGET: f64 = 50.0;
 /// out of the thread-local pool, runs the corner selection (pair floors,
 /// then a walk into retained-capacity rung lanes for each candidate that
 /// can still place) and reprices the full grid with lane lookups —
-/// nothing on that path allocates once the pool is warm.
-/// The measured steady state is ~0.0 allocs/point; the budget leaves room
+/// nothing on that path allocates once the pool is warm, the candidate
+/// space's fill included. The measured steady state is 0 allocs/point (0
+/// over 120 points); the budget leaves room
 /// for allocator/telemetry jitter while still catching any return of
 /// per-point or per-candidate materialization (the pre-streaming path
 /// paid ~15 allocations per candidate just building profiles).
@@ -55,7 +58,7 @@ const SWEEP_ALLOCS_PER_POINT_BUDGET: f64 = 5.0;
 
 /// Bytes one warm k = 9 `search_layer_k_best` may allocate (k = 9 is the
 /// largest ranking the `serve_cold` benchmark's `/map` keys request). The
-/// one shared ranking keeps at most `k` evaluations and measures ~4.4 KB on
+/// one shared ranking keeps at most `k` evaluations and measures ~2.1 KB on
 /// resnet50 `res3a_branch2b`; collecting and sorting every feasible
 /// candidate's `Evaluation` instead allocated ~20.5 MB, so any return of
 /// that materialization trips this at once.

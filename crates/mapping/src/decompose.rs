@@ -997,26 +997,63 @@ pub struct NestScratch {
     pub footprints: Footprints,
 }
 
+/// One level of a temporal nest as every temporal order of one
+/// `(geometry, rotation)` pair sees it: the level's loops, and the
+/// footprints on entry to it, with every loop of the inner levels
+/// complete ([`MappingGeometry::nest_levels`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NestLevel {
+    loops: [Loop; 3],
+    len: usize,
+    /// Input working set of one core on entry, in bits.
+    pub core_input: u64,
+    /// Input working set of one chiplet on entry, in bits.
+    pub chiplet_input: u64,
+    /// Weight working set of one weight stream on entry, in bits.
+    pub stream_weight: u64,
+}
+
+impl NestLevel {
+    /// No loops yet; unused slots hold unit loops.
+    const EMPTY: Self = Self {
+        loops: [Loop {
+            dim: Dim::Co,
+            count: 1,
+            level: LoopLevel::Rotation,
+        }; 3],
+        len: 0,
+        core_input: 0,
+        chiplet_input: 0,
+        stream_weight: 0,
+    };
+
+    /// The level's loops in the mapping's order, unit loops included.
+    pub fn loops(&self) -> &[Loop] {
+        &self.loops[..self.len]
+    }
+}
+
 impl MappingGeometry {
-    /// Builds the temporal nest (innermost first) and the aligned footprint
-    /// tables into `out`. The rotate flags must come from
-    /// [`Self::volumes_for`] on the same geometry; `mapping` contributes
-    /// only its temporal orders, tile, and core plane (all part of the
-    /// geometry key or order data).
-    pub fn build_nest_into(
+    /// The one coverage walk, behind [`Self::build_nest_into`] and
+    /// [`Self::nest_levels`]. It visits nest position 0 (`None`, the core
+    /// compute block) and then each raw temporal loop once it completes,
+    /// innermost first and unit loops included: the rotation loop, if the
+    /// tensor named by the rotate flags rotates, then the three core-level
+    /// and the three chiplet-level loops in `mapping`'s orders. At each
+    /// visit `wants` says whether the footprints there are needed, and if
+    /// so `take` gets them as `[core input, chiplet input, stream weight]`
+    /// in bits. Loops of one level update disjoint coverage, so a level's
+    /// updates commute.
+    #[inline]
+    fn walk_coverage(
         &self,
         layer: &ConvSpec,
         mapping: &Mapping,
         rotate_inputs: bool,
         rotate_weights: bool,
-        out: &mut NestScratch,
+        mut wants: impl FnMut(Option<Loop>) -> bool,
+        mut take: impl FnMut([u64; 3]),
     ) {
-        out.loops.clear();
-        let fp = &mut out.footprints;
-        fp.core_input.clear();
-        fp.chiplet_input.clear();
-        fp.stream_weight.clear();
-
         let (kh, kw) = (layer.kh(), layer.kw());
         let (sh, sw) = (layer.stride_h(), layer.stride_w());
         let ci_g = u64::from(layer.ci_per_group());
@@ -1111,12 +1148,13 @@ impl MappingGeometry {
         let fp_in = |h: u64, w: u64, ci: u64| win(h, w) * ci * ACT_BITS;
         let fp_weight = |co: u64, ci: u64| co * ci * kernel_pts * WGT_BITS;
 
-        // Position 0: inside the innermost loop (core compute block).
-        fp.core_input.push(fp_in(core_h, core_w, ci_cov));
-        fp.chiplet_input.push(fp_in(chip_h, chip_w, ci_cov));
-        fp.stream_weight
-            .push(fp_weight(weight_co, ci_cov.min(ci_g)));
-
+        if wants(None) {
+            take([
+                fp_in(core_h, core_w, ci_cov),
+                fp_in(chip_h, chip_w, ci_cov),
+                fp_weight(weight_co, ci_cov.min(ci_g)),
+            ]);
+        }
         for l in rot.into_iter().chain(core_loops).chain(chip_loops) {
             // Update coverage as this loop completes.
             match (l.level, l.dim) {
@@ -1148,14 +1186,111 @@ impl MappingGeometry {
                 }
                 _ => {}
             }
-            if l.count > 1 {
-                out.loops.push(l);
-                fp.core_input.push(fp_in(core_h, core_w, ci_cov));
-                fp.chiplet_input.push(fp_in(chip_h, chip_w, ci_cov));
-                fp.stream_weight
-                    .push(fp_weight(weight_co, ci_cov.min(ci_g)));
+            if wants(Some(l)) {
+                take([
+                    fp_in(core_h, core_w, ci_cov),
+                    fp_in(chip_h, chip_w, ci_cov),
+                    fp_weight(weight_co, ci_cov.min(ci_g)),
+                ]);
             }
         }
+    }
+
+    /// Builds the temporal nest (innermost first) and the aligned footprint
+    /// tables into `out`. The rotate flags must come from
+    /// [`Self::volumes_for`] on the same geometry; `mapping` contributes
+    /// only its temporal orders, tile, and core plane (all part of the
+    /// geometry key or order data).
+    pub fn build_nest_into(
+        &self,
+        layer: &ConvSpec,
+        mapping: &Mapping,
+        rotate_inputs: bool,
+        rotate_weights: bool,
+        out: &mut NestScratch,
+    ) {
+        out.loops.clear();
+        let fp = &mut out.footprints;
+        fp.core_input.clear();
+        fp.chiplet_input.clear();
+        fp.stream_weight.clear();
+        let loops = &mut out.loops;
+        self.walk_coverage(
+            layer,
+            mapping,
+            rotate_inputs,
+            rotate_weights,
+            // Position 0, then every non-unit loop.
+            |l| match l {
+                None => true,
+                Some(l) if l.count > 1 => {
+                    loops.push(l);
+                    true
+                }
+                Some(_) => false,
+            },
+            |[core, chiplet, weight]| {
+                fp.core_input.push(core);
+                fp.chiplet_input.push(chiplet);
+                fp.stream_weight.push(weight);
+            },
+        );
+    }
+
+    /// The nest's three levels (the rotation loop, the core-level loops,
+    /// the chiplet-level loops), each with the footprints on entry to it,
+    /// read off the coverage walk [`Self::build_nest_into`] runs. The
+    /// temporal orders permute loops only within a level and a level's
+    /// updates commute, so every order of `mapping`'s `(geometry,
+    /// rotation)` pair passes through these three states; the flags are
+    /// as for [`Self::build_nest_into`].
+    pub fn nest_levels(
+        &self,
+        layer: &ConvSpec,
+        mapping: &Mapping,
+        rotate_inputs: bool,
+        rotate_weights: bool,
+    ) -> [NestLevel; 3] {
+        let mut levels = [NestLevel::EMPTY; 3];
+        // The footprints at position 0, after the rotation loop (if any)
+        // and after the last core-level loop.
+        let mut entries = [[0u64; 3]; 3];
+        let mut taken = 0;
+        self.walk_coverage(
+            layer,
+            mapping,
+            rotate_inputs,
+            rotate_weights,
+            |l| {
+                let Some(l) = l else {
+                    return true;
+                };
+                let k = match l.level {
+                    LoopLevel::Rotation => 0,
+                    LoopLevel::Core => 1,
+                    LoopLevel::Chiplet => 2,
+                };
+                let level = &mut levels[k];
+                level.loops[level.len] = l;
+                level.len += 1;
+                // The entries of the core and chiplet levels.
+                k == 0 || (k == 1 && level.len == 3)
+            },
+            |fp| {
+                entries[taken] = fp;
+                taken += 1;
+            },
+        );
+        if levels[0].len == 0 {
+            // No rotation loop: the core level opens at position 0.
+            entries = [entries[0], entries[0], entries[1]];
+        }
+        for (level, [core_input, chiplet_input, stream_weight]) in levels.iter_mut().zip(entries) {
+            level.core_input = core_input;
+            level.chiplet_input = chiplet_input;
+            level.stream_weight = stream_weight;
+        }
+        levels
     }
 }
 

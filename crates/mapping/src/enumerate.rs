@@ -513,53 +513,39 @@ fn mapping_key(m: &Mapping) -> [u32; 13] {
 }
 
 /// Legal package-level spatial partitions for this layer, in ascending
-/// `mapping_key` order (Channel, then planar grids by `(rows, cols)`).
-pub fn package_options(layer: &ConvSpec, n_p: u32) -> Vec<PackagePartition> {
-    let mut out = Vec::new();
-    if layer.co() >= n_p {
-        out.push(PackagePartition::Channel);
-    }
-    if n_p == 1 {
-        // A single chiplet needs no partition; Channel is the identity and
-        // always legal.
-        if out.is_empty() {
-            out.push(PackagePartition::Channel);
-        }
-        return out;
-    }
-    for g in PlanarGrid::factor_grids(n_p) {
-        if g.rows() <= layer.ho() && g.cols() <= layer.wo() {
-            out.push(PackagePartition::Planar(g));
-        }
-    }
-    out
+/// `mapping_key` order (Channel, then planar grids by `(rows, cols)`),
+/// without allocating.
+pub fn package_options(layer: &ConvSpec, n_p: u32) -> impl Iterator<Item = PackagePartition> {
+    // A single chiplet needs no partition: Channel is the identity and
+    // always legal.
+    let channel = (layer.co() >= n_p || n_p == 1).then_some(PackagePartition::Channel);
+    let (ho, wo) = (layer.ho(), layer.wo());
+    let planar = PlanarGrid::factor_grids(n_p)
+        .filter(move |g| n_p > 1 && g.rows() <= ho && g.cols() <= wo)
+        .map(PackagePartition::Planar);
+    channel.into_iter().chain(planar)
 }
 
 /// Legal chiplet-level spatial partitions for `n_c` cores, in ascending
 /// `mapping_key` order (Channel, planar grids, then hybrids by channel
-/// ways).
-pub fn chiplet_options(n_c: u32) -> Vec<ChipletPartition> {
-    let mut out = vec![ChipletPartition::Channel];
-    if n_c == 1 {
-        return out;
-    }
-    for g in PlanarGrid::factor_grids(n_c) {
-        out.push(ChipletPartition::Planar(g));
-    }
-    // Hybrid: channel_ways strictly between 1 and n_c.
-    let mut cw = 2;
-    while cw < n_c {
-        if n_c.is_multiple_of(cw) {
-            for g in PlanarGrid::factor_grids(n_c / cw) {
-                out.push(ChipletPartition::Hybrid {
-                    channel_ways: cw,
-                    grid: g,
-                });
-            }
-        }
-        cw *= 2;
-    }
-    out
+/// ways), without allocating.
+pub fn chiplet_options(n_c: u32) -> impl Iterator<Item = ChipletPartition> {
+    let planar = PlanarGrid::factor_grids(n_c)
+        .filter(move |_| n_c > 1)
+        .map(ChipletPartition::Planar);
+    // Hybrid: power-of-two channel ways strictly between 1 and n_c.
+    let hybrid = std::iter::successors(Some(2u32), |cw| cw.checked_mul(2))
+        .take_while(move |&cw| cw < n_c)
+        .filter(move |&cw| n_c.is_multiple_of(cw))
+        .flat_map(move |cw| {
+            PlanarGrid::factor_grids(n_c / cw).map(move |grid| ChipletPartition::Hybrid {
+                channel_ways: cw,
+                grid,
+            })
+        });
+    std::iter::once(ChipletPartition::Channel)
+        .chain(planar)
+        .chain(hybrid)
 }
 
 /// The structural filter, mirroring the decompose-time checks so the
@@ -659,7 +645,7 @@ mod tests {
         // Paper Figure 11 removes the (C, C) option for layers whose output
         // channels cannot split across chiplets.
         let thin = ConvSpec::new("thin", 64, 64, 16, 3, 1, 1, 2).unwrap();
-        let opts = package_options(&thin, 4);
+        let opts: Vec<_> = package_options(&thin, 4).collect();
         assert!(opts.iter().all(|p| !matches!(p, PackagePartition::Channel)));
         // But planar options survive.
         assert!(!opts.is_empty());
@@ -668,14 +654,13 @@ mod tests {
     #[test]
     fn single_chiplet_has_identity_partition() {
         let layer = zoo::vgg16(224).layer("conv1_1").cloned().unwrap();
-        let opts = package_options(&layer, 1);
+        let opts: Vec<_> = package_options(&layer, 1).collect();
         assert_eq!(opts, vec![PackagePartition::Channel]);
     }
 
     #[test]
     fn chiplet_options_cover_c_p_h() {
-        let opts = chiplet_options(8);
-        let tags: std::collections::BTreeSet<char> = opts.iter().map(|c| c.tag()).collect();
+        let tags: std::collections::BTreeSet<char> = chiplet_options(8).map(|c| c.tag()).collect();
         assert!(tags.contains(&'C'));
         assert!(tags.contains(&'P'));
         assert!(tags.contains(&'H'));

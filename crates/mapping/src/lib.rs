@@ -43,7 +43,7 @@ pub mod tile;
 pub use coverage::{verify_coverage, Coverage};
 pub use decompose::{
     a_l1_floor_bytes, decompose, mapping_geometry, mapping_geometry_with, o_l2_floor_bytes,
-    ChannelKey, ChannelTerms, Decomposition, Footprints, MappingError, MappingGeometry,
+    ChannelKey, ChannelTerms, Decomposition, Footprints, MappingError, MappingGeometry, NestLevel,
     NestScratch, NoMemo, PlaneAxis, PlaneKey, PlaneTerms, TermMemo, Volumes,
 };
 pub use mapping::Mapping;

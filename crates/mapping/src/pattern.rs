@@ -40,12 +40,11 @@ pub fn preferred_grid(layer: &ConvSpec, tiles: u32, context: PatternContext) -> 
             // redundancy among the remaining grids.
             let grids = PlanarGrid::factor_grids(tiles);
             let min_sharing = grids
-                .iter()
-                .map(|&g| max_sharing_degree(layer, g))
+                .clone()
+                .map(|g| max_sharing_degree(layer, g))
                 .min()
                 .unwrap_or(1);
             grids
-                .into_iter()
                 .filter(|&g| max_sharing_degree(layer, g) == min_sharing)
                 .min_by(|&a, &b| {
                     planar_redundancy(layer, a)
@@ -59,7 +58,6 @@ pub fn preferred_grid(layer: &ConvSpec, tiles: u32, context: PatternContext) -> 
 
 fn best_by_redundancy(layer: &ConvSpec, tiles: u32) -> PlanarGrid {
     PlanarGrid::factor_grids(tiles)
-        .into_iter()
         .min_by(|&a, &b| {
             planar_redundancy(layer, a)
                 .overhead()

@@ -82,27 +82,24 @@ impl PlanarGrid {
     /// This is the pattern candidate set the mapping engine sweeps
     /// ("partition patterns with different height-width ratios",
     /// Section V-C).
-    pub fn factor_grids(n: u32) -> Vec<PlanarGrid> {
-        let mut out = Vec::new();
-        let mut d = 1;
-        while d * d <= n {
-            if n.is_multiple_of(d) {
-                out.push(PlanarGrid::new(d, n / d));
-                if d != n / d {
-                    out.push(PlanarGrid::new(n / d, d));
-                }
-            }
-            d += 1;
-        }
-        out.sort_by_key(|g| (g.rows, g.cols));
-        out
+    /// The grids come in ascending `(rows, cols)` order, without
+    /// allocating.
+    pub fn factor_grids(n: u32) -> impl Iterator<Item = PlanarGrid> + Clone {
+        // Row counts up to `sqrt(n)`, then their cofactors, descending.
+        let low = (1..=n.isqrt()).filter(move |&d| n.is_multiple_of(d));
+        let high = low
+            .clone()
+            .rev()
+            .filter(move |&d| d * d != n)
+            .map(move |d| n / d);
+        low.chain(high)
+            .map(move |rows| PlanarGrid::new(rows, n / rows))
     }
 
     /// The most square factor grid for `n` tiles (minimal skew; ties broken
     /// toward more rows).
     pub fn squarest(n: u32) -> PlanarGrid {
         Self::factor_grids(n)
-            .into_iter()
             .min_by_key(|g| (g.skew(), g.rows))
             .expect("n > 0 always yields at least the 1 x n grid")
     }
@@ -293,7 +290,7 @@ mod tests {
 
     #[test]
     fn factor_grids_enumerate_all_pairs() {
-        let grids = PlanarGrid::factor_grids(16);
+        let grids: Vec<_> = PlanarGrid::factor_grids(16).collect();
         assert_eq!(grids.len(), 5); // 1x16, 2x8, 4x4, 8x2, 16x1
         assert!(grids.contains(&PlanarGrid::new(4, 4)));
         assert_eq!(PlanarGrid::squarest(16), PlanarGrid::new(4, 4));

@@ -355,7 +355,9 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".into());
     };
-    if cmd == "help" || cmd == "--help" || cmd == "-h" {
+    // `--help` asks for the usage wherever it stands, also after a
+    // subcommand, where it would otherwise read as the model name.
+    if cmd == "help" || args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "baton -- NN-Baton workload orchestration and chiplet DSE\n\n\
              usage:\n  baton stats|map|explain|profile|bench|compare|explore|sweep|recommend|fidelity <model> [flags]\n  \
@@ -759,7 +761,7 @@ fn profile_model(
             &alloc_initial,
             counters::snapshot()
                 .since(&initial)
-                .get(Counter::Evaluations),
+                .get(Counter::CandidatesGenerated),
         );
         print!("{}", snapshot.to_json());
         return Ok(());
@@ -890,12 +892,13 @@ fn profile_model(
 }
 
 /// Folds the allocation ledger into a bench/profile snapshot:
-/// `alloc.allocs_per_eval` (the budget-gated metric), the raw operation
-/// and byte deltas, and — where procfs answers — `alloc.peak_rss_bytes`.
+/// `alloc.allocs_per_candidate` (the budget-gated metric, over the
+/// `candidates` generated), the raw operation and byte deltas, and — where
+/// procfs answers — `alloc.peak_rss_bytes`.
 fn insert_alloc_metrics(
     snapshot: &mut BenchSnapshot,
     before: &telemetry::alloc::AllocTotals,
-    evaluations: u64,
+    candidates: u64,
 ) {
     let now = telemetry::alloc::totals();
     let allocs = now.allocs - before.allocs;
@@ -907,10 +910,10 @@ fn insert_alloc_metrics(
     snapshot
         .nums
         .insert("alloc.peak_live_bytes".into(), now.peak_live_bytes as f64);
-    if evaluations > 0 {
+    if candidates > 0 {
         snapshot.nums.insert(
-            "alloc.allocs_per_eval".into(),
-            allocs as f64 / evaluations as f64,
+            "alloc.allocs_per_candidate".into(),
+            allocs as f64 / candidates as f64,
         );
     }
     if let Some(peak_rss) = telemetry::procfs::peak_rss_bytes() {
@@ -1001,7 +1004,7 @@ fn bench_model(
     insert_alloc_metrics(
         &mut snapshot,
         &alloc_before,
-        counter_delta.get(Counter::Evaluations),
+        counter_delta.get(Counter::CandidatesGenerated),
     );
     // Record the model-level results alongside the timing metrics. The
     // result keys have no gating direction — they exist so two runs at
@@ -1013,12 +1016,12 @@ fn bench_model(
         .nums
         .insert("model.cycles".into(), report.cycles as f64);
     let summary = format!(
-        "bench {name}: {} layers in {:.1} ms, {:.0} evaluations/sec -> {out}",
+        "bench {name}: {} layers in {:.1} ms, {:.0} candidates/sec -> {out}",
         report.layers.len(),
         wall_ms,
         snapshot
             .nums
-            .get("throughput.evals_per_sec")
+            .get("throughput.candidates_per_sec")
             .copied()
             .unwrap_or(0.0)
     );
@@ -1092,8 +1095,7 @@ fn bench_sweep(
         &counter_delta,
         &span::phase_stats(),
     );
-    // No per-eval rate here: the streaming sweep prices points, not
-    // materialized evaluations.
+    // No per-candidate rate here: the sweep's unit of work is the point.
     insert_alloc_metrics(&mut snapshot, &alloc_before, 0);
     let secs = (wall_ms / 1e3).max(f64::MIN_POSITIVE);
     snapshot

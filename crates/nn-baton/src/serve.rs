@@ -1864,6 +1864,24 @@ mod tests {
     }
 
     #[test]
+    fn map_reads_bodies_as_strict_json() {
+        // A number outside the JSON grammar is a syntax error, answered
+        // before any field is read.
+        let state = test_state(true);
+        let body = r#"{"model":"alexnet","config":{"res":+00032.,"layer":0}}"#;
+        let resp = dispatch("POST", "/map", body, &state);
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(
+            resp.body.contains("bad JSON body: bad number"),
+            "{}",
+            resp.body
+        );
+        // `\b` is a JSON escape: the body parses, and the model is unknown.
+        let err = map_request(r#"{"model":"alex\bnet"}"#).unwrap_err();
+        assert!(err.contains("unknown model"), "{err}");
+    }
+
+    #[test]
     fn map_request_refuses_file_paths_over_http() {
         // The CLI resolves .baton paths; the HTTP surface must not, so
         // remote clients cannot probe the server's filesystem.

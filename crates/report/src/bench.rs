@@ -17,8 +17,9 @@
 //!   canonical Prometheus series name ([`Counter::metric_name`], e.g.
 //!   `counter.baton_evaluations_total`) so snapshots and `/metrics` scrapes
 //!   join on the same keys,
-//! * `throughput.evals_per_sec` / `throughput.mappings_per_sec` — derived
-//!   rates.
+//! * `throughput.candidates_per_sec` — the derived rate of candidates
+//!   generated, the search's fixed unit of work (its evaluations fall
+//!   whenever its pruning tightens, so they make no rate to gate).
 //!
 //! [`compare_snapshots`] checks a current snapshot against a committed
 //! baseline: wall/phase times may not grow, throughputs may not shrink, by
@@ -30,7 +31,7 @@
 //! below the bound, `gate.max.<metric>` when it rises above. Bounds are
 //! exempt from the regression tolerance — they are hard floors/ceilings,
 //! hand-written into the committed baseline (e.g. the batched-engine gate
-//! `gate.min.throughput.evals_per_sec` in `results/BENCH_soa.json`), and
+//! `gate.min.throughput.candidates_per_sec` in `results/BENCH_soa.json`), and
 //! are never emitted by [`BenchSnapshot::build`] itself.
 
 use std::collections::BTreeMap;
@@ -124,11 +125,7 @@ impl BenchSnapshot {
         }
         let secs = (wall_ms / 1e3).max(f64::MIN_POSITIVE);
         s.nums.insert(
-            "throughput.evals_per_sec".into(),
-            counters.get(Counter::Evaluations) as f64 / secs,
-        );
-        s.nums.insert(
-            "throughput.mappings_per_sec".into(),
+            "throughput.candidates_per_sec".into(),
             counters.get(Counter::CandidatesGenerated) as f64 / secs,
         );
         s
@@ -191,7 +188,7 @@ fn direction(key: &str) -> Option<bool> {
     // Some(false): lower is worse (throughputs). None: informational only
     // (counts, means, counters, absolute byte totals — machine-dependent).
     if key == "wall_ms.total"
-        || key == "alloc.allocs_per_eval"
+        || key == "alloc.allocs_per_candidate"
         || key == "alloc.allocs_per_point"
         || (key.starts_with("phase.") && key.ends_with(".total_ms"))
     {
@@ -284,7 +281,7 @@ pub fn describe_regression(r: &Regression) -> String {
 mod tests {
     use super::*;
 
-    fn synthetic(wall: f64, search_ms: f64, evals_per_sec: f64) -> BenchSnapshot {
+    fn synthetic(wall: f64, search_ms: f64, candidates_per_sec: f64) -> BenchSnapshot {
         let mut s = BenchSnapshot::default();
         s.strs.insert("name".into(), "smoke".into());
         s.strs.insert("model".into(), "alexnet".into());
@@ -293,7 +290,7 @@ mod tests {
         s.nums.insert("phase.search.total_ms".into(), search_ms);
         s.nums.insert("phase.search.count".into(), 5.0);
         s.nums
-            .insert("throughput.evals_per_sec".into(), evals_per_sec);
+            .insert("throughput.candidates_per_sec".into(), candidates_per_sec);
         s.nums
             .insert("counter.baton_evaluations_total".into(), 1000.0);
         s
@@ -319,8 +316,8 @@ mod tests {
         assert_eq!(s.nums["schema"], SCHEMA as f64);
         assert_eq!(s.nums["phase.search.count"], 2.0);
         assert!((s.nums["phase.search.total_ms"] - 4.0).abs() < 1e-9);
-        // No evaluations counted -> zero throughput, but the key exists.
-        assert_eq!(s.nums["throughput.evals_per_sec"], 0.0);
+        // No candidates counted -> zero throughput, but the key exists.
+        assert_eq!(s.nums["throughput.candidates_per_sec"], 0.0);
         // Empty phases are skipped.
         assert!(!s.nums.keys().any(|k| k.starts_with("phase.idle")));
     }
@@ -364,21 +361,21 @@ mod tests {
     }
 
     #[test]
-    fn allocs_per_eval_regressions_trip_the_gate() {
+    fn allocs_per_candidate_regressions_trip_the_gate() {
         let mut base = synthetic(100.0, 60.0, 10000.0);
-        base.nums.insert("alloc.allocs_per_eval".into(), 10.0);
+        base.nums.insert("alloc.allocs_per_candidate".into(), 10.0);
         base.nums.insert("alloc.peak_rss_bytes".into(), 1e8);
         let mut cur = base.clone();
-        cur.nums.insert("alloc.allocs_per_eval".into(), 16.0);
+        cur.nums.insert("alloc.allocs_per_candidate".into(), 16.0);
         // Peak RSS is machine-dependent and informational: never gated.
         cur.nums.insert("alloc.peak_rss_bytes".into(), 9e9);
         let regs = compare_snapshots(&cur, &base, 25.0);
         let keys: Vec<&str> = regs.iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(keys, ["alloc.allocs_per_eval"]);
+        assert_eq!(keys, ["alloc.allocs_per_candidate"]);
         assert!((regs[0].change_pct - 60.0).abs() < 1e-9);
-        // Fewer allocations per eval is an improvement, not a regression.
+        // Fewer allocations per candidate is an improvement, not a regression.
         let mut better = base.clone();
-        better.nums.insert("alloc.allocs_per_eval".into(), 1.0);
+        better.nums.insert("alloc.allocs_per_candidate".into(), 1.0);
         assert!(compare_snapshots(&better, &base, 25.0).is_empty());
         // The sweep's per-point cousin gates in the same direction.
         let mut swept = base.clone();
@@ -401,7 +398,7 @@ mod tests {
             keys,
             [
                 "phase.search.total_ms",
-                "throughput.evals_per_sec",
+                "throughput.candidates_per_sec",
                 "wall_ms.total"
             ]
         );
@@ -422,28 +419,28 @@ mod tests {
     fn absolute_bounds_gate_regardless_of_tolerance() {
         let mut base = synthetic(100.0, 60.0, 10000.0);
         base.nums
-            .insert("gate.min.throughput.evals_per_sec".into(), 8000.0);
+            .insert("gate.min.throughput.candidates_per_sec".into(), 8000.0);
         base.nums
-            .insert("gate.max.alloc.allocs_per_eval".into(), 50.0);
+            .insert("gate.max.alloc.allocs_per_candidate".into(), 50.0);
         // Above the floor, below the ceiling: clean.
         let mut cur = synthetic(100.0, 60.0, 9000.0);
-        cur.nums.insert("alloc.allocs_per_eval".into(), 2.0);
+        cur.nums.insert("alloc.allocs_per_candidate".into(), 2.0);
         assert!(compare_snapshots(&cur, &base, 25.0).is_empty());
         // Below the floor: fails even inside the relative tolerance
         // (10000 -> 7900 is -21%, under the 25% gate).
         let mut slow = synthetic(100.0, 60.0, 7900.0);
-        slow.nums.insert("alloc.allocs_per_eval".into(), 2.0);
+        slow.nums.insert("alloc.allocs_per_candidate".into(), 2.0);
         let regs = compare_snapshots(&slow, &base, 25.0);
         let keys: Vec<&str> = regs.iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(keys, ["gate.min.throughput.evals_per_sec"]);
+        assert_eq!(keys, ["gate.min.throughput.candidates_per_sec"]);
         assert!((regs[0].change_pct - 1.25).abs() < 1e-9);
         assert!(describe_regression(&regs[0]).contains("gate.min"));
         // Above the ceiling: fails with an enormous tolerance.
         let mut leaky = synthetic(100.0, 60.0, 9000.0);
-        leaky.nums.insert("alloc.allocs_per_eval".into(), 51.0);
+        leaky.nums.insert("alloc.allocs_per_candidate".into(), 51.0);
         let regs = compare_snapshots(&leaky, &base, 1e9);
         let keys: Vec<&str> = regs.iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(keys, ["gate.max.alloc.allocs_per_eval"]);
+        assert_eq!(keys, ["gate.max.alloc.allocs_per_candidate"]);
         // A bound on a metric the current run lacks is skipped, and the
         // gate keys themselves are never treated as ordinary metrics.
         let bare = synthetic(100.0, 60.0, 9000.0);

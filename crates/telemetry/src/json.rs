@@ -351,43 +351,93 @@ impl Parser<'_> {
         }
     }
 
-    /// The character of one escape sequence, after its backslash.
+    /// The character of one escape sequence, after its backslash. A
+    /// `\u` escape of a UTF-16 high surrogate must be followed by the
+    /// escape of a low one, and the pair reads as one character.
     fn escape(&mut self) -> Result<char, String> {
         Ok(match self.next() {
             Some(b'"') => '"',
             Some(b'\\') => '\\',
             Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
             Some(b'n') => '\n',
             Some(b'r') => '\r',
             Some(b't') => '\t',
             Some(b'u') => {
-                // Exactly four hex digits: no sign, no shorter run.
-                let mut code = 0u32;
-                for _ in 0..4 {
-                    let digit = self
-                        .next()
-                        .and_then(|b| (b as char).to_digit(16))
-                        .ok_or("bad \\u escape")?;
-                    code = code * 16 + digit;
-                }
+                let unit = self.hex4()?;
+                let code = match unit {
+                    0xD800..=0xDBFF => {
+                        if self.next() != Some(b'\\') || self.next() != Some(b'u') {
+                            return Err("unpaired surrogate escape".into());
+                        }
+                        match self.hex4()? {
+                            low @ 0xDC00..=0xDFFF => {
+                                0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+                            }
+                            _ => return Err("unpaired surrogate escape".into()),
+                        }
+                    }
+                    code => code,
+                };
                 char::from_u32(code).ok_or("bad \\u codepoint")?
             }
             other => return Err(format!("bad escape {other:?}")),
         })
     }
 
+    /// Exactly four hex digits: no sign, no shorter run.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let digit = self
+                .next()
+                .and_then(|b| (b as char).to_digit(16))
+                .ok_or("bad \\u escape")?;
+            code = code * 16 + digit;
+        }
+        Ok(code)
+    }
+
+    /// A number as RFC 8259 spells it: an optional minus, an integer part
+    /// without leading zeros, then an optional fraction and exponent, each
+    /// with at least one digit. The span it takes is valid `f64` syntax.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
+        let bad = || format!("bad number at byte {start}");
+        if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let text = self.text.get(start..self.pos).unwrap_or("");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| format!("bad number `{text}` at byte {start}"))
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits(),
+            _ => return Err(bad()),
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(bad());
+            }
+            self.digits();
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(bad());
+            }
+            self.digits();
+        }
+        let text = self.text.get(start..self.pos).ok_or_else(bad)?;
+        text.parse::<f64>().map(Value::Number).map_err(|_| bad())
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
@@ -561,6 +611,49 @@ mod tests {
         assert!(parse(r#""\u+041""#).is_err());
         assert!(parse(r#""\u41""#).is_err());
         assert!(parse(r#""\ud800""#).is_err());
+    }
+
+    #[test]
+    fn every_rfc_8259_escape_reads() {
+        assert_eq!(
+            parse(r#""\"\\\/\b\f\n\r\t""#),
+            Ok(Value::String("\"\\/\u{8}\u{c}\n\r\t".into()))
+        );
+        // A surrogate pair is one character; a half pair is an error.
+        assert_eq!(parse(r#""\ud83d\ude00""#), Ok(Value::String("😀".into())));
+        assert_eq!(parse(r#""\uD834\uDD1E""#), Ok(Value::String("𝄞".into())));
+        for half in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+        ] {
+            assert!(parse(half).is_err(), "{half}");
+        }
+        assert!(parse(r#""\a""#).is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for (text, want) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("32", 32.0),
+            ("-2.5e3", -2500.0),
+            ("1E+2", 100.0),
+            ("1e-2", 0.01),
+            ("0.125", 0.125),
+        ] {
+            assert_eq!(parse(text), Ok(Value::Number(want)), "{text}");
+        }
+        for text in [
+            "+1", "+00032.", "00032", "01", "1.", ".5", "-", "-.5", "1e", "1e+", "1.e3", "0x10",
+            "Infinity", "NaN", "1_000", "--1",
+        ] {
+            assert!(parse(text).is_err(), "{text} parsed");
+        }
+        let err = parse_flat_object(r#"{"res":+00032.}"#).unwrap_err();
+        assert!(err.contains("bad number at byte 7"), "{err}");
     }
 
     #[test]

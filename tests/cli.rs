@@ -33,6 +33,21 @@ fn help_lists_subcommands() {
 }
 
 #[test]
+fn help_after_a_subcommand_prints_the_usage() {
+    for args in [
+        &["sweep", "--help"][..],
+        &["map", "alexnet", "-h"],
+        &["serve", "--help"],
+        &["--help"],
+    ] {
+        let (ok, stdout, stderr) = baton(args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(stdout.contains("usage:"), "{args:?}: {stdout}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn stats_prints_the_model_table() {
     let (ok, stdout, _) = baton(&["stats", "darknet19", "--res", "224"]);
     assert!(ok);

@@ -191,8 +191,8 @@ fn bench_writes_a_parseable_snapshot() {
     for key in [
         "schema",
         "wall_ms.total",
-        "throughput.evals_per_sec",
-        "throughput.mappings_per_sec",
+        "throughput.candidates_per_sec",
+        "alloc.allocs_per_candidate",
         "counter.baton_evaluations_total",
         "phase.search_layer.total_ms",
     ] {
