@@ -10,9 +10,9 @@
 //! uses, so prune decisions are bit-identical. Phase B walks the range in
 //! canonical order against that lane. A candidate whose floor does not
 //! exceed the search's shared `k`-th score meets a second floor, its pair's
-//! order-free penalty floor ([`Floors::order_free`]): each C³P path's
-//! reload multiplier at the machine's capacities, minimised over the pair's
-//! four temporal orders. Phase B computes it on a pair's first such
+//! order-free penalty floor ([`PairFloor`] read at the machine): each C³P
+//! path's reload multiplier at the machine's capacities, minimised over the
+//! pair's four temporal orders. Phase B computes it on a pair's first such
 //! candidate and caches it in the memo's second lane; computing it in
 //! phase A for every pair measured slower, because only about a fifth of
 //! the pairs ever pass the penalty-free floor. Only a candidate that passes
@@ -40,7 +40,7 @@ use baton_model::ConvSpec;
 use baton_parallel::{AtomicBest, TopK};
 use baton_telemetry::{count, count_n, stage_span, Counter};
 
-use crate::bounds::Floors;
+use crate::bounds::{Floors, PairFloor};
 use crate::evaluate::{evaluate_nest, Evaluation};
 use crate::kernel::{GeomMemo, NestView, Pooled};
 use crate::search::Objective;
@@ -192,7 +192,9 @@ impl BatchScratch {
                 let s = run.slot(pair);
                 let m = space.mapping(s);
                 let Some((geom, floor)) = self.memo.replayed_with_penalty_floor(s, |geom| {
-                    Floors::order_free(geom, layer, &m, arch, tech).score(objective, tech)
+                    PairFloor::of(geom, layer, &m)
+                        .at(arch, tech)
+                        .score(objective, tech)
                 }) else {
                     continue;
                 };

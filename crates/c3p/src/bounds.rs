@@ -9,15 +9,17 @@
 //!
 //! [`Floors`] are the mapping search's per-candidate bounds. The
 //! penalty-free floor prices every C³P path at its base volume. The
-//! order-free penalty floor adds each path's reload multiplier at the
-//! machine's capacities, at the least any temporal order of the
-//! candidate's `(geometry, rotation)` pair pays. The orders permute loops
-//! only within a nest level (the rotation loop, the three core-level loops,
-//! the three chiplet-level loops), so an order can open a loop's reuse
-//! region no earlier than at its level's entry, where the footprint is the
-//! smallest any order gives it. Hence each loop that does not index a
-//! path's tensor multiplies the path by its trip count exactly when the
-//! capacity is below the footprint on entry to its level:
+//! order-free penalty floor ([`PairFloor`]) adds each path's reload
+//! multiplier at a machine's capacities, at the least any temporal order
+//! of the candidate's `(geometry, rotation)` pair pays. It is one set of
+//! staircases per pair, read at the searched machine by the mapping
+//! search and at each pruning corner by the pre-design sweep. The orders
+//! permute loops only within a nest level (the rotation loop, the three
+//! core-level loops, the three chiplet-level loops), so an order can open
+//! a loop's reuse region no earlier than at its level's entry, where the
+//! footprint is the smallest any order gives it. Hence each loop that does
+//! not index a path's tensor multiplies the path by its trip count exactly
+//! when the capacity is below the footprint on entry to its level:
 //!
 //! - input paths (DRAM and D2D at A-L2, the A-L2 read at A-L1): a weight
 //!   rotation loop (CO, `N_P`) at position 0, the core CO loop after the
@@ -34,7 +36,7 @@
 //! three coverage states instead of four nests.
 
 use baton_arch::{PackageConfig, Technology};
-use baton_mapping::{Decomposition, Mapping, MappingGeometry};
+use baton_mapping::{Decomposition, Mapping, MappingGeometry, Volumes};
 use baton_model::{ConvSpec, ACT_BITS, WGT_BITS};
 use serde::{Deserialize, Serialize};
 
@@ -105,10 +107,10 @@ impl TrafficBounds {
 /// triggers. A candidate whose floor is already worse than the search
 /// incumbent can therefore be discarded before the expensive profile build.
 ///
-/// `Floors::order_free` is the second, tighter floor the search prunes
-/// on: the same assembly with each path's C³P penalty included, at the
-/// least any temporal order of the candidate's `(geometry, rotation)` pair
-/// pays, read in closed form off the nest's three levels (see the module
+/// [`PairFloor::at`] is the second, tighter floor the search prunes on:
+/// the same assembly with each path's C³P penalty included, at the least
+/// any temporal order of the candidate's `(geometry, rotation)` pair pays,
+/// read in closed form off the nest's three levels (see the module
 /// documentation).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Floors {
@@ -132,7 +134,7 @@ impl Floors {
     /// search paths share the identical `f64` arithmetic (the prune rule and
     /// the bit-identity guarantee depend on that).
     pub fn from_volumes(
-        v: &baton_mapping::Volumes,
+        v: &Volumes,
         weight_streams: u32,
         compute_cycles: u64,
         arch: &PackageConfig,
@@ -149,34 +151,11 @@ impl Floors {
         )
     }
 
-    /// The order-free penalty floor of `mapping`'s `(geometry, rotation)`
-    /// pair: [`Self::from_volumes`] with each C³P path at its base volume
-    /// times the smallest reload multiplier any of the pair's temporal
-    /// orders pays at the machine's capacities
-    /// ([`Staircases::order_free`]). Access counts, energy and runtime are
-    /// monotone in the paths, so it never exceeds the score of any of the
-    /// pair's candidates, and it is never below the penalty-free floor,
-    /// which it equals bit for bit when no capacity penalty fires.
-    pub(crate) fn order_free(
-        geom: &MappingGeometry,
-        layer: &ConvSpec,
-        mapping: &Mapping,
-        arch: &PackageConfig,
-        tech: &Technology,
-    ) -> Self {
-        let (v, rot_in, rot_w) = geom.volumes_for(mapping.rotation);
-        let levels = geom.nest_levels(layer, mapping, rot_in, rot_w);
-        let stairs = Staircases::order_free(&levels, geom.n_p(), (rot_in, rot_w));
-        let paths = stairs.at(&v, Rung::machine(arch, geom.effective_w_l1_bits()));
-        let (streams, cycles) = (geom.weight_streams(), geom.compute_cycles());
-        Self::from_paths(&paths, &v, streams, cycles, arch, tech)
-    }
-
     /// The floor of one resolve of the paths: the kernel's access assembly,
     /// the energy price and the runtime bound.
     fn from_paths(
         paths: &Paths,
-        v: &baton_mapping::Volumes,
+        v: &Volumes,
         weight_streams: u32,
         compute_cycles: u64,
         arch: &PackageConfig,
@@ -199,6 +178,78 @@ impl Floors {
             Objective::Runtime => self.cycles as f64,
             Objective::Edp => self.energy_pj * 1e-12 * tech.cycles_to_seconds(self.cycles),
         }
+    }
+}
+
+/// The order-free C³P staircases of one `(geometry, rotation)` pair (the
+/// kernel's `Staircases::order_free`): each path's smallest reload
+/// multiplier over the pair's temporal orders, at every capacity. Built
+/// once per pair and read at any machine's buffer capacities: the mapping
+/// search reads it at its machine, the pre-design sweep at each pruning
+/// corner.
+///
+/// Read at a machine, it is [`Floors::from_volumes`] with each C³P path at
+/// its base volume times that multiplier. Access counts, energy and
+/// runtime are monotone in the paths, so it never exceeds the score of
+/// any of the pair's candidates at the same capacities, and it is never
+/// below the penalty-free floor, which it equals bit for bit when no
+/// capacity penalty fires.
+#[derive(Debug, Clone, Copy)]
+pub struct PairFloor {
+    stairs: Staircases,
+    volumes: Volumes,
+    /// Cores sharing one weight stream (effective W-L1 pool share).
+    plane_ways: u64,
+    weight_streams: u32,
+    compute_cycles: u64,
+}
+
+impl PairFloor {
+    /// The order-free staircases of `mapping`'s `(geometry, rotation)`
+    /// pair on `geom`.
+    pub fn of(geom: &MappingGeometry, layer: &ConvSpec, mapping: &Mapping) -> Self {
+        let (volumes, rot_in, rot_w) = geom.volumes_for(mapping.rotation);
+        let levels = geom.nest_levels(layer, mapping, rot_in, rot_w);
+        Self {
+            stairs: Staircases::order_free(&levels, geom.n_p(), (rot_in, rot_w)),
+            volumes,
+            plane_ways: u64::from(geom.plane_ways()),
+            weight_streams: geom.weight_streams(),
+            compute_cycles: geom.compute_cycles(),
+        }
+    }
+
+    /// The paths at `arch`'s A-L1, A-L2 and W-L1 capacities, the W-L1 as
+    /// the pair's pool share (on the geometry's own machine, its
+    /// [`MappingGeometry::effective_w_l1_bits`]).
+    #[inline]
+    pub(crate) fn paths(&self, arch: &PackageConfig) -> Paths {
+        let w_eff_bits = self.plane_ways * arch.chiplet.core.w_l1_bytes * 8;
+        self.stairs
+            .at(&self.volumes, Rung::machine(arch, w_eff_bits))
+    }
+
+    /// The floor's energy in pJ on `arch`: the same `f64` as
+    /// [`Self::at`]`(arch, tech).energy_pj`, without the runtime bound.
+    #[inline]
+    pub fn energy_pj(&self, arch: &PackageConfig, tech: &Technology) -> f64 {
+        let access = self
+            .paths(arch)
+            .access(&self.volumes, u64::from(self.weight_streams));
+        price(&access, arch, tech).total_pj()
+    }
+
+    /// The floor on `arch`, whose buffer capacities are the rung it is
+    /// read at.
+    pub fn at(&self, arch: &PackageConfig, tech: &Technology) -> Floors {
+        Floors::from_paths(
+            &self.paths(arch),
+            &self.volumes,
+            self.weight_streams,
+            self.compute_cycles,
+            arch,
+            tech,
+        )
     }
 }
 
@@ -245,13 +296,9 @@ mod tests {
         slot: Slot,
         space: &CandidateSpace,
         arch: &PackageConfig,
-    ) -> (Paths, baton_mapping::Volumes) {
-        let m = space.mapping(slot);
-        let (v, rot_in, rot_w) = geom.volumes_for(m.rotation);
-        let levels = geom.nest_levels(layer, &m, rot_in, rot_w);
-        let stairs = Staircases::order_free(&levels, geom.n_p(), (rot_in, rot_w));
-        let rung = Rung::machine(arch, geom.effective_w_l1_bits());
-        (stairs.at(&v, rung), v)
+    ) -> (Paths, Volumes) {
+        let floor = PairFloor::of(geom, layer, &space.mapping(slot));
+        (floor.paths(arch), floor.volumes)
     }
 
     proptest! {
@@ -278,7 +325,9 @@ mod tests {
                 let Ok(geom) = mapping_geometry(&layer, &arch, &m) else {
                     continue;
                 };
-                let fl = Floors::order_free(&geom, &layer, &m, &arch, &tech);
+                let pair = PairFloor::of(&geom, &layer, &m);
+                let fl = pair.at(&arch, &tech);
+                prop_assert_eq!(pair.energy_pj(&arch, &tech).to_bits(), fl.energy_pj.to_bits());
                 prop_assert_eq!(*pairs.entry(s.pair()).or_insert(fl), fl, "{:?}", m);
                 let d = decompose(&layer, &arch, &m).expect("the geometry decomposed");
                 let ev = reference::evaluate_decomposition(&d, &arch, &tech, &m);

@@ -14,9 +14,10 @@
 //! the sweep reads every rung of its capacity ladders off the same walk.
 //!
 //! [`Paths::access`] assembles a resolve into [`AccessCounts`]; the
-//! branch-and-bound floors assemble [`Paths::base`], and the search's
-//! penalty floor the [`Staircases::order_free`] of a `(geometry,
-//! rotation)` pair, read at the machine's [`Rung`]. [`GeomMemo`] and
+//! branch-and-bound floors assemble [`Paths::base`], and the order-free
+//! penalty floor ([`crate::PairFloor`]) the [`Staircases::order_free`] of
+//! a `(geometry, rotation)` pair, read at the machine's [`Rung`] by the
+//! search and at each pruning corner's by the sweep. [`GeomMemo`] and
 //! [`Pooled`] are the scratch management the search and the sweep share.
 //! Their unit tests and the equivalence harnesses in `tests/` pin all of
 //! it to the materialized oracle of [`crate::reference`] bit for bit.

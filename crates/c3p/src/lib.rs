@@ -44,7 +44,7 @@ pub mod sweep;
 pub mod verdict;
 mod walk;
 
-pub use bounds::{Floors, TrafficBounds};
+pub use bounds::{Floors, PairFloor, TrafficBounds};
 pub use cache::{search_layer_memo, SearchMemo, ShapeMemo};
 pub use energy::EnergyBreakdown;
 pub use evaluate::{

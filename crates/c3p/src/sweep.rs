@@ -8,12 +8,13 @@
 //! search's batched scan (`crate::batch`):
 //!
 //! * Phase A (span `sweep_floor`) resolves each `(geometry, rotation)`
-//!   pair once through the geometry memo and prices its penalty-free
-//!   volumes (`Paths::base`) at every corner into a per-pair floor lane:
-//!   the same `f64` as [`Floors`](crate::Floors)`::energy_pj` on that
-//!   corner's machine, or NaN where the corner's A-L1, O-L2 or W-L1 stream
-//!   check rejects the geometry. Each corner needs its own floor because
-//!   per-access SRAM energy grows with capacity.
+//!   pair once through the geometry memo, builds its order-free C³P
+//!   staircases ([`PairFloor`]) once, and prices them at every corner's
+//!   capacities into a per-pair floor lane: the same `f64` as
+//!   [`PairFloor::at`]`(..).energy_pj` on that corner's machine, or NaN
+//!   where the corner's A-L1, O-L2 or W-L1 stream check rejects the
+//!   geometry. Each corner needs its own floor because the penalties
+//!   depend on the capacities and per-access SRAM energy grows with them.
 //! * Phase B (span `sweep_corners`) visits the candidates in canonical
 //!   order against one [`TopK`] per corner. A candidate whose floor is NaN
 //!   or strictly above the corner's `k`-th score at every corner is
@@ -25,12 +26,12 @@
 //!   where its floor can still place. The kept set is the union of the
 //!   corners' selections, compacted in place.
 //!
-//! A floor never exceeds its candidate's score at the same corner (every
-//! reload multiplier is at least 1 and pricing is monotone in the access
-//! counts), so a skipped candidate scores above `k` candidates a corner
-//! already holds. Offers still arrive in index order, so each corner's
-//! selection is exactly the first `k` of a stable sort over every
-//! candidate. Repricing a kept candidate at a design point then costs five
+//! A floor never exceeds its candidate's score at the same corner (no
+//! temporal order of the pair pays a smaller reload multiplier on any
+//! path, and pricing is monotone in the access counts), so a skipped
+//! candidate scores above `k` candidates a corner already holds. Offers
+//! still arrive in index order, so each corner's selection is exactly the
+//! first `k` of a stable sort over every candidate. Repricing a kept candidate at a design point then costs five
 //! lane lookups, the kernel's assembly, and the energy model (plus the
 //! runtime model for [`SweepLanes::score`]); steady-state sweep units
 //! allocate nothing.
@@ -43,7 +44,7 @@
 //! enumerated candidate (geometry memo replay, as in the search) and one
 //! penalty-counter check per scored point; the skip rule decides which
 //! corner points are scored, and the reference engine applies the same
-//! rule from its own data.
+//! rule, reading the same [`PairFloor`] at each corner.
 
 use std::cell::RefCell;
 
@@ -56,6 +57,7 @@ use baton_model::ConvSpec;
 use baton_parallel::TopK;
 use baton_telemetry::{count_n, span, Counter};
 
+use crate::bounds::PairFloor;
 use crate::evaluate::{price, runtime_bound, AccessCounts};
 use crate::kernel::{GeomMemo, NestView, Paths, Pooled, Rung};
 
@@ -258,16 +260,23 @@ impl Lanes {
         if !self.fits((m.a_l1_floor, m.o_l2_floor), m.plane_ways, (a1, w1), arch) {
             return None;
         }
+        let paths = self.paths_at(i, (a1, w1, a2));
+        paths.count_penalties(&m.v);
+        Some(paths.access(&m.v, m.fill_streams))
+    }
+
+    /// Candidate `i`'s five paths at the cell `(a1, w1, a2)`, each read off
+    /// the lane at its own buffer's rung.
+    #[inline]
+    fn paths_at(&self, i: usize, (a1, w1, a2): (usize, usize, usize)) -> Paths {
         let lane = &self.paths[i * self.rungs..(i + 1) * self.rungs];
-        let paths = Paths {
+        Paths {
             dram_input: lane[a2].dram_input,
             d2d_input: lane[a2].d2d_input,
             a_l2_read: lane[a1].a_l2_read,
             dram_weight: lane[w1].dram_weight,
             d2d_weight: lane[w1].d2d_weight,
-        };
-        paths.count_penalties(&m.v);
-        Some(paths.access(&m.v, m.fill_streams))
+        }
     }
 }
 
@@ -335,8 +344,7 @@ impl SweepLanes {
             let Ok(geom) = self.memo.resolve(layer, reference, s.geom, || m) else {
                 continue;
             };
-            let (v, _, _) = geom.volumes_for(s.rotation);
-            let base = Paths::base(&v).access(&v, u64::from(geom.weight_streams()));
+            let pair_floor = PairFloor::of(geom, layer, &m);
             let bytes = feasibility_floors(layer, reference, &m);
             let plane_ways = u64::from(geom.plane_ways());
             let lane = &mut self.floors[s.pair() * width..][..width];
@@ -345,7 +353,7 @@ impl SweepLanes {
                     .lanes
                     .fits(bytes, plane_ways, (c.cell.0, c.cell.1), &c.arch)
                 {
-                    *floor = price(&base, &c.arch, tech).total_pj();
+                    *floor = pair_floor.energy_pj(&c.arch, tech);
                 }
             }
         }
@@ -469,6 +477,7 @@ mod tests {
     use baton_mapping::enumerate::enumerate_into;
     use baton_model::zoo;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     const A_L1: [u64; 3] = [1024, 8 * 1024, 128 * 1024];
     const W_L1: [u64; 3] = [2 * 1024, 18 * 1024, 256 * 1024];
@@ -664,6 +673,17 @@ mod tests {
         assert!(b.lanes.a_l1.capacity() >= 3, "pool must keep capacity");
     }
 
+    /// Each path's lesser value of `a` and `b`.
+    fn per_path_min(a: Paths, b: Paths) -> Paths {
+        Paths {
+            dram_input: a.dram_input.min(b.dram_input),
+            d2d_input: a.d2d_input.min(b.d2d_input),
+            a_l2_read: a.a_l2_read.min(b.a_l2_read),
+            dram_weight: a.dram_weight.min(b.dram_weight),
+            d2d_weight: a.d2d_weight.min(b.d2d_weight),
+        }
+    }
+
     /// The enumeration ladder of the pre-design sweep's defaults.
     fn sweep_enum() -> EnumOptions {
         EnumOptions {
@@ -710,6 +730,9 @@ mod tests {
         /// Feasible corner points where a penalty lifts the score above
         /// the floor.
         penalized: usize,
+        /// Feasible corner points where the pair's order-free steps lift
+        /// the floor above the penalty-free one.
+        lifted: usize,
         /// Corner points rejected by a feasibility check (NaN floor).
         infeasible: usize,
         /// Corners whose full sort cut through a run of tied scores.
@@ -721,7 +744,11 @@ mod tests {
     /// into lanes, each corner's best `k` by a full stable sort.
     ///
     /// * Soundness: each candidate's pair floor at each corner is at most
-    ///   its lane energy there, and NaN exactly where it is infeasible.
+    ///   its lane energy there, at least the penalty-free floor (equal to
+    ///   it bit for bit where no order-free step fires), and NaN exactly
+    ///   where it is infeasible.
+    /// * Tightness: at each corner, each path of the pair's order-free
+    ///   floor is the least that any of the pair's candidates pays there.
     /// * Exactness: the bounded selection keeps the oracle's lanes, in
     ///   order, field for field.
     fn check_bounded_selection(
@@ -745,6 +772,7 @@ mod tests {
 
         let mut all = sweep_lanes_for(a_l1, w_l1, a_l2, min_w);
         let mut pairs = Vec::new();
+        let mut pair_floors: HashMap<usize, PairFloor> = HashMap::new();
         CandidateSpace::pooled(|space| {
             let stats = space.fill(layer, &reference, sweep_enum());
             all.fill_floors(layer, &reference, &tech, space, stats, &corners);
@@ -754,6 +782,9 @@ mod tests {
                     let m = space.mapping(s);
                     lanes.push(geom, layer, &m, feasibility_floors(layer, &reference, &m));
                     pairs.push(s.pair());
+                    pair_floors
+                        .entry(s.pair())
+                        .or_insert_with(|| PairFloor::of(geom, layer, &m));
                 }
             }
         });
@@ -764,12 +795,30 @@ mod tests {
         };
 
         let width = corners.len();
+        // The least each path costs over the walked candidates of a pair,
+        // per `(pair, corner)`.
+        let mut least: HashMap<(usize, usize), Paths> = HashMap::new();
         for (i, &pair) in pairs.iter().enumerate() {
+            let meta = all.lanes.meta[i];
+            let v = &meta.v;
             for (c, corner) in corners.iter().enumerate() {
                 let floor = all.floors[pair * width + c];
+                let paths = all.lanes.paths_at(i, corner.cell);
+                least
+                    .entry((pair, c))
+                    .and_modify(|min| *min = per_path_min(*min, paths))
+                    .or_insert(paths);
                 match all.lanes.energy(i, corner.cell, &corner.arch, &tech) {
                     Some(e) => {
+                        let base = Paths::base(v).access(v, meta.fill_streams);
+                        let base = price(&base, &corner.arch, &tech).total_pj();
+                        assert!(base <= floor, "floor {floor} below {base} at {c}");
                         assert!(floor <= e, "floor {floor} above energy {e} at {c}");
+                        if pair_floors[&pair].paths(&corner.arch) == Paths::base(v) {
+                            assert_eq!(floor.to_bits(), base.to_bits(), "no step fires at {c}");
+                        } else if floor > base {
+                            seen.lifted += 1;
+                        }
                         if floor == e {
                             seen.exact += 1;
                         } else {
@@ -782,6 +831,11 @@ mod tests {
                     }
                 }
             }
+        }
+
+        for ((pair, c), min) in least {
+            let floor = pair_floors[&pair].paths(&corners[c].arch);
+            assert_eq!(floor, min, "pair {pair} at corner {c}");
         }
 
         let mut keep = vec![false; all.len()];
@@ -827,8 +881,9 @@ mod tests {
     #[test]
     fn bounded_selection_is_sound_and_exact_on_zoo_layers() {
         // Fixed cases that must reach every branch the generated ones may
-        // miss: skipped candidates, exact and penalized floors, infeasible
-        // corners, and sorts that cut through tied scores.
+        // miss: skipped candidates, exact and penalized floors, floors the
+        // order-free steps lift, infeasible corners, and sorts that cut
+        // through tied scores.
         let machine = presets::case_study_accelerator();
         let mut total = Exercised::default();
         for (_, layer) in zoo::representative_layers(224) {
@@ -843,6 +898,7 @@ mod tests {
                     total.skipped += seen.skipped;
                     total.exact += seen.exact;
                     total.penalized += seen.penalized;
+                    total.lifted += seen.lifted;
                     total.infeasible += seen.infeasible;
                     total.cut_ties += seen.cut_ties;
                 }
@@ -852,6 +908,7 @@ mod tests {
             total.skipped > 0
                 && total.exact > 0
                 && total.penalized > 0
+                && total.lifted > 0
                 && total.infeasible > 0
                 && total.cut_ties > 0,
             "{total:?}"
@@ -871,6 +928,7 @@ mod tests {
             k in 0usize..5,
         ) {
             check_bounded_selection(&layer, &machine, (A_L1S[a1], W_L1S[w1], A_L2S[a2]), k);
+            check_bounded_selection(&layer, &machine, (&STARVED.0, &STARVED.1, &STARVED.2), k);
         }
     }
 }

@@ -8,10 +8,10 @@ use baton_arch::{validate, ChipletConfig, CoreConfig, PackageConfig, Technology}
 use baton_c3p::reference::{resolve_at_capacities, LayerProfiles};
 use baton_c3p::sweep::{feasibility_floors, Corner};
 use baton_c3p::{
-    price, runtime_bound, sweep_lanes_for, Floors, Objective, Pooled, ShapeMemo, SweepLanes,
+    price, runtime_bound, sweep_lanes_for, Objective, PairFloor, Pooled, ShapeMemo, SweepLanes,
 };
 use baton_mapping::enumerate::{visit_candidates, EnumOptions};
-use baton_mapping::{decompose, Decomposition};
+use baton_mapping::{decompose, mapping_geometry, Decomposition};
 use baton_model::{ConvSpec, Model};
 use baton_telemetry::{count, count_n, event, span, span_labeled, Counter, Progress};
 use serde::{Deserialize, Serialize};
@@ -303,6 +303,9 @@ impl Default for SweepOptions {
 struct Candidate {
     decomposition: Decomposition,
     profiles: LayerProfiles,
+    /// The order-free penalty floor of the candidate's `(geometry,
+    /// rotation)` pair, read at each pruning corner.
+    floor: PairFloor,
     /// A-L1 feasibility floor in bytes.
     a_l1_floor: u64,
     /// O-L2 feasibility floor in bytes (tile outputs).
@@ -414,12 +417,13 @@ fn sorted_top_k(scored: impl Iterator<Item = (f64, usize)>, k: usize) -> Vec<(f6
 /// `keep_per_corner` candidates (by energy, ties to the earliest) at each
 /// corner, chosen by a full stable sort of the scores priced there.
 ///
-/// A candidate is priced at a corner only if its [`Floors`] energy on the
-/// corner's machine is not above the `k`-th lowest score priced there so
-/// far, the skip rule the streaming engine applies from its pair floors:
-/// both engines price, and count penalties at, the same corner points. A
-/// floor never exceeds its score, so a skipped candidate scores above `k`
-/// priced ones and the sort keeps what it would keep over every candidate.
+/// A candidate is priced at a corner only if its [`PairFloor`] energy on
+/// the corner's machine is not above the `k`-th lowest score priced there
+/// so far, the skip rule the streaming engine applies from its pair
+/// floors: both engines price, and count penalties at, the same corner
+/// points. A floor never exceeds its score, so a skipped candidate scores
+/// above `k` priced ones and the sort keeps what it would keep over every
+/// candidate.
 fn corner_keep(
     cands: &[Candidate],
     reference: &PackageConfig,
@@ -440,7 +444,7 @@ fn corner_keep(
                 Some(&score) => score,
                 None => f64::INFINITY,
             };
-            if Floors::of(&c.decomposition, &corner.arch, tech).energy_pj > kth {
+            if c.floor.energy_pj(&corner.arch, tech) > kth {
                 continue;
             }
             let Some((e, _)) = score_candidate(c, a_l1, w_l1, a_l2, o_l2, &corner.arch, tech)
@@ -891,10 +895,14 @@ fn layer_candidates(
             return;
         };
         let profiles = LayerProfiles::build(&d);
+        // `mapping_geometry` counts nothing; `decompose` has counted the
+        // candidate.
+        let geom = mapping_geometry(layer, reference, &mapping).expect("the mapping decomposed");
         let (a_l1_floor, o_l2_floor) = feasibility_floors(layer, reference, &mapping);
         out.push(Candidate {
             decomposition: d,
             profiles,
+            floor: PairFloor::of(&geom, layer, &mapping),
             a_l1_floor,
             o_l2_floor,
         });
@@ -953,6 +961,7 @@ fn evaluate_model_at<E: SweepEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use baton_c3p::Floors;
     use baton_model::zoo;
     use baton_parallel::TopK;
     use proptest::prelude::*;
@@ -1439,7 +1448,9 @@ mod tests {
             let (a_l1, w_l1, a_l2) = (m.a_l1[a1], m.w_l1[w1], m.a_l2[a2]);
             let scored = cands.iter().enumerate().filter_map(|(i, c)| {
                 let e = score_candidate(c, a_l1, w_l1, a_l2, opts.o_l2_bytes, &corner.arch, tech);
-                let floor = Floors::of(&c.decomposition, &corner.arch, tech).energy_pj;
+                let base = Floors::of(&c.decomposition, &corner.arch, tech).energy_pj;
+                let floor = c.floor.energy_pj(&corner.arch, tech);
+                assert!(base <= floor, "floor {floor} below {base}");
                 assert!(
                     e.is_none_or(|(e, _)| floor <= e),
                     "floor {floor} above {e:?}"

@@ -130,10 +130,11 @@ fn sweep_counters_match_the_pinned_values() {
         ("sweep_points_infeasible", 16),
         // Scored corner and grid points whose paths exceed their base
         // volumes; scoring every candidate at all eight corners counted
-        // 83424, 54532 and 9346.
-        ("penalty_a_l1", 9444),
-        ("penalty_a_l2", 8723),
-        ("penalty_w_l1", 1246),
+        // 83424, 54532 and 9346, and skipping on penalty-free pair floors
+        // 9444, 8723 and 1246.
+        ("penalty_a_l1", 1195),
+        ("penalty_a_l2", 593),
+        ("penalty_w_l1", 47),
     ];
     for threads in [1, 4] {
         assert_eq!(run(threads).counts, want, "threads={threads}");

@@ -52,6 +52,11 @@ pub enum ShapeError {
         /// Kernel extent in the failing axis.
         kernel: u32,
     },
+    /// The padded input extent does not fit in 32 bits.
+    PaddedInputTooLarge {
+        /// Padded input extent in the failing axis.
+        padded_input: u64,
+    },
     /// `groups` does not divide both channel counts.
     BadGrouping {
         /// Input channel count.
@@ -74,6 +79,9 @@ impl fmt::Display for ShapeError {
                 f,
                 "kernel extent {kernel} exceeds padded input extent {padded_input}"
             ),
+            ShapeError::PaddedInputTooLarge { padded_input } => {
+                write!(f, "padded input extent {padded_input} exceeds {}", u32::MAX)
+            }
             ShapeError::BadGrouping { ci, co, groups } => write!(
                 f,
                 "groups {groups} must divide both input channels {ci} and output channels {co}"
@@ -512,8 +520,9 @@ impl ConvSpecBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] for zero dimensions, kernels larger than the
-    /// padded input, or a group count that does not divide the channels.
+    /// Returns [`ShapeError`] for zero dimensions, a padded input extent
+    /// beyond `u32::MAX`, kernels larger than the padded input, or a group
+    /// count that does not divide the channels.
     pub fn build(self) -> Result<ConvSpec, ShapeError> {
         for (v, name) in [
             (self.hi, "hi"),
@@ -530,17 +539,21 @@ impl ConvSpecBuilder {
                 return Err(ShapeError::ZeroDimension(name));
             }
         }
-        if self.hi + 2 * self.pad_h < self.kh {
-            return Err(ShapeError::KernelTooLarge {
-                padded_input: self.hi + 2 * self.pad_h,
-                kernel: self.kh,
-            });
-        }
-        if self.wi + 2 * self.pad_w < self.kw {
-            return Err(ShapeError::KernelTooLarge {
-                padded_input: self.wi + 2 * self.pad_w,
-                kernel: self.kw,
-            });
+        for (input, pad, kernel) in [
+            (self.hi, self.pad_h, self.kh),
+            (self.wi, self.pad_w, self.kw),
+        ] {
+            let padded = u64::from(input) + 2 * u64::from(pad);
+            let padded_input =
+                u32::try_from(padded).map_err(|_| ShapeError::PaddedInputTooLarge {
+                    padded_input: padded,
+                })?;
+            if padded_input < kernel {
+                return Err(ShapeError::KernelTooLarge {
+                    padded_input,
+                    kernel,
+                });
+            }
         }
         if !self.ci.is_multiple_of(self.groups) || !self.co.is_multiple_of(self.groups) {
             return Err(ShapeError::BadGrouping {
@@ -631,6 +644,29 @@ mod tests {
     fn oversized_kernel_is_rejected() {
         let err = ConvSpec::new("bad", 4, 4, 3, 7, 1, 0, 8).unwrap_err();
         assert!(matches!(err, ShapeError::KernelTooLarge { .. }));
+    }
+
+    #[test]
+    fn padded_extents_beyond_u32_are_rejected() {
+        // Both used to wrap in 32-bit arithmetic: to 8 (a valid layer) and
+        // to 1 (a misleading kernel error).
+        let err = ConvSpec::new("wide", 8, 8, 3, 3, 1, 1 << 31, 8).unwrap_err();
+        assert_eq!(
+            err,
+            ShapeError::PaddedInputTooLarge {
+                padded_input: 8 + (1 << 32)
+            }
+        );
+        let err = ConvSpec::new("tall", u32::MAX, 8, 3, 3, 1, 1, 8).unwrap_err();
+        assert_eq!(
+            err,
+            ShapeError::PaddedInputTooLarge {
+                padded_input: u64::from(u32::MAX) + 2
+            }
+        );
+        // The largest padded extent that fits still builds.
+        let edge = ConvSpec::new("edge", u32::MAX - 2, 8, 3, 3, 1, 1, 8).unwrap();
+        assert_eq!(edge.ho(), u32::MAX - 2);
     }
 
     #[test]

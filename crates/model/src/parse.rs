@@ -124,13 +124,20 @@ pub fn parse_model(text: &str) -> Result<Model, ParseModelError> {
 /// Renders a model back into the text description format, such that
 /// `parse_model(&render_model(&m))` round-trips exactly.
 ///
-/// Depthwise layers are emitted with the `depthwise` keyword; 1x1-plane
-/// point-wise layers with unit stride render as `fc`, other 1x1 kernels as
-/// `pointwise`; everything else as `conv` (with `groups=` when grouped).
+/// Depthwise layers are emitted with the `depthwise` keyword; unpadded,
+/// ungrouped point-wise layers with unit stride render as `fc` on a 1x1
+/// plane and as `pointwise` otherwise; everything else as `conv` (with
+/// `groups=` when grouped).
 pub fn render_model(model: &Model) -> String {
     use crate::layer::LayerKind;
     let mut out = format!("model {} @{}\n", model.name(), model.input_resolution());
     for l in model.layers() {
+        // What the `pointwise` and `fc` keywords build.
+        let plain_1x1 = l.stride_h() == 1
+            && l.stride_w() == 1
+            && l.pad_h() == 0
+            && l.pad_w() == 0
+            && l.groups() == 1;
         let line = match l.kind() {
             LayerKind::Depthwise => format!(
                 "depthwise name={} in={}x{}x{} k={} s={} p={}",
@@ -142,10 +149,10 @@ pub fn render_model(model: &Model) -> String {
                 l.stride_h(),
                 l.pad_h()
             ),
-            LayerKind::Pointwise if l.hi() == 1 && l.wi() == 1 && l.stride_h() == 1 => {
+            LayerKind::Pointwise if plain_1x1 && l.hi() == 1 && l.wi() == 1 => {
                 format!("fc name={} ci={} co={}", l.name(), l.ci(), l.co())
             }
-            LayerKind::Pointwise if l.stride_h() == 1 && l.stride_w() == 1 => format!(
+            LayerKind::Pointwise if plain_1x1 => format!(
                 "pointwise name={} in={}x{}x{} co={}",
                 l.name(),
                 l.hi(),

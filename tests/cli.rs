@@ -91,6 +91,37 @@ fn check_validates_and_rejects_model_files() {
 }
 
 #[test]
+fn check_rejects_padded_extents_beyond_u32() {
+    // Both paddings used to wrap in 32-bit arithmetic: the first to a valid
+    // 8-wide input, the second to a padded extent of 1.
+    let dir = std::env::temp_dir().join("baton-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (file, conv, extent) in [
+        (
+            "wrap-pad.baton",
+            "conv name=c in=8x8x3 k=3 s=1 p=2147483648 co=8",
+            "4294967304",
+        ),
+        (
+            "wrap-in.baton",
+            "conv name=c in=4294967295x8x3 k=3 s=1 p=1 co=8",
+            "4294967297",
+        ),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, format!("model demo @64\n{conv}\n")).unwrap();
+        let (ok, stdout, stderr) = baton(&["check", path.to_str().unwrap()]);
+        assert!(!ok, "{conv}: {stdout}");
+        assert!(
+            stderr.contains(&format!(
+                "line 2: invalid layer shape: padded input extent {extent} exceeds 4294967295"
+            )),
+            "{conv}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn unknown_inputs_fail_cleanly() {
     // The offending word must be named even when no model argument follows.
     let (ok, _, stderr) = baton(&["frobnicate"]);
