@@ -98,6 +98,23 @@ mod tests {
         assert!((e.sram_access_pj_per_bit(32 * 1024) - 0.81).abs() < 1e-9);
     }
 
+    proptest::proptest! {
+        /// A bigger SRAM never costs less per bit (Fig. 10), over the whole
+        /// `u64` range of capacities and below the 256 B clamp.
+        #[test]
+        fn sram_energy_does_not_decrease_with_capacity(
+            bytes in 0u64..u64::MAX,
+            more in 0u64..u64::MAX,
+            small in 0u64..4096,
+        ) {
+            let e = crate::Technology::paper_16nm().energy;
+            for (lo, hi) in [(bytes, bytes.saturating_add(more)), (small, small + more % 4096)] {
+                let (a, b) = (e.sram_access_pj_per_bit(lo), e.sram_access_pj_per_bit(hi));
+                proptest::prop_assert!(a <= b, "{} B: {} pJ/bit, {} B: {} pJ/bit", lo, a, hi, b);
+            }
+        }
+    }
+
     #[test]
     fn table1_relative_costs() {
         // DRAM: 8.75 / 0.024 = 364.58x; L2: 33.75x; L1: 12.5x; RF: 4.33x.

@@ -355,6 +355,66 @@ mod tests {
         }
     }
 
+    /// Buffer capacities in bytes, from starved to generous.
+    const CAPACITIES: [u64; 9] = [
+        256,
+        320,
+        1024,
+        2048,
+        4096,
+        16 << 10,
+        64 << 10,
+        256 << 10,
+        1 << 20,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A pair floor's paths never grow with a buffer: raising any one of
+        /// A-L1, A-L2 or W-L1 a rung, the others held, leaves every path at
+        /// most where it was. A floor over a box of capacities can read
+        /// each path at the box's largest corner on this.
+        #[test]
+        fn pair_floor_paths_do_not_increase_with_capacity(
+            layer in layers(),
+            arch in machines(),
+            rungs in (0..CAPACITIES.len() - 1, 0..CAPACITIES.len() - 1, 0..CAPACITIES.len() - 1),
+        ) {
+            let at = |(a1, a2, w1): (usize, usize, usize)| {
+                let mut m = arch;
+                m.chiplet.core.a_l1_bytes = CAPACITIES[a1];
+                m.chiplet.a_l2_bytes = CAPACITIES[a2];
+                m.chiplet.core.w_l1_bytes = CAPACITIES[w1];
+                m
+            };
+            let base = at(rungs);
+            let (a1, a2, w1) = rungs;
+            let raised = [at((a1 + 1, a2, w1)), at((a1, a2 + 1, w1)), at((a1, a2, w1 + 1))];
+            let mut space = CandidateSpace::default();
+            let emitted = space.fill(&layer, &arch, EnumOptions::default()).emitted;
+            let mut seen = std::collections::HashSet::new();
+            for s in space.slots(0..emitted) {
+                if !seen.insert(s.pair()) {
+                    continue;
+                }
+                let m = space.mapping(s);
+                let Ok(geom) = mapping_geometry(&layer, &arch, &m) else {
+                    continue;
+                };
+                let floor = PairFloor::of(&geom, &layer, &m);
+                let low = path_bits(floor.paths(&base));
+                for (axis, machine) in raised.iter().enumerate() {
+                    let high = path_bits(floor.paths(machine));
+                    prop_assert!(
+                        high.iter().zip(low).all(|(h, l)| *h <= l),
+                        "axis {}: {:?} above {:?} for {:?}", axis, high, low, m
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn order_free_paths_are_the_per_path_minimum_over_the_orders() {
         // The floor is tight: on zoo layers, each path's order-free volume

@@ -316,6 +316,44 @@ mod tests {
         assert!(ev.utilization < 1.0);
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Neither the energy model nor the runtime bound reads O-L1: two
+        /// machines that differ only in it price any access counts to the
+        /// same bits. The pre-design sweep shares one grid walk across the
+        /// O-L1 rungs of a class on this.
+        #[test]
+        fn pricing_ignores_o_l1(
+            arch in crate::kernel::tests::machines(),
+            o_l1 in (1u64..=4096, 1u64..=4096),
+            bits in proptest::collection::vec(0u64..1 << 40, 10..11),
+            compute_cycles in 1u64..1 << 40,
+        ) {
+            let a = AccessCounts {
+                dram_input_bits: bits[0],
+                dram_weight_bits: bits[1],
+                dram_output_bits: bits[2],
+                d2d_bits: bits[3],
+                a_l2_bits: bits[4],
+                o_l2_bits: bits[5],
+                a_l1_bits: bits[6],
+                w_l1_bits: bits[7],
+                o_l1_rmw_bits: bits[8],
+                mac_ops: bits[9],
+            };
+            let (mut one, mut two) = (arch, arch);
+            one.chiplet.core.o_l1_bytes = o_l1.0;
+            two.chiplet.core.o_l1_bytes = o_l1.1;
+            let priced = |m: &PackageConfig| {
+                let energy = price(&a, m, &tech()).buckets().map(|(_, pj)| pj.to_bits());
+                let (cycles, utilization) = runtime_bound(compute_cycles, &a, m, &tech());
+                (energy, cycles, utilization.to_bits())
+            };
+            proptest::prop_assert_eq!(priced(&one), priced(&two));
+        }
+    }
+
     #[test]
     fn profiles_match_direct_evaluation() {
         // The materialized oracle resolved at the machine's capacities must

@@ -10,7 +10,7 @@ use baton_c3p::sweep::{feasibility_floors, Corner};
 use baton_c3p::{
     price, runtime_bound, sweep_lanes_for, Objective, PairFloor, Pooled, ShapeMemo, SweepLanes,
 };
-use baton_mapping::enumerate::{visit_candidates, EnumOptions};
+use baton_mapping::enumerate::{core_plane_side, visit_candidates, EnumOptions};
 use baton_mapping::{decompose, mapping_geometry, Decomposition};
 use baton_model::{ConvSpec, Model};
 use baton_telemetry::{count, count_n, event, span, span_labeled, Counter, Progress};
@@ -587,18 +587,20 @@ impl SweepEngine for ReferenceEngine {
 /// memory allocation of the space, returning the *valid* design points.
 ///
 /// Repricing goes through the streaming struct-of-arrays engine
-/// ([`baton_c3p::SweepLanes`]): each `(geometry, O-L1)` unit selects a
-/// layer's corner-pruned candidates by branch-and-bound on per-pair corner
+/// ([`baton_c3p::SweepLanes`]): each class of `(geometry, O-L1)` units
+/// selects a layer's corner-pruned candidates by branch-and-bound on per-pair corner
 /// floors, resolves only the candidates that can still place once per
 /// capacity rung into pooled thread-local lanes, and pays zero
 /// steady-state allocation per design point. The retained
 /// materialized path is [`full_sweep_reference`]; the two are bit-identical
 /// (pinned by `tests/sweep_equivalence.rs`).
 ///
-/// The `(geometry, O-L1)` units fan out over [`baton_parallel::map_chunks`]
-/// workers; each unit fills a local point vector and the results are
-/// spliced back in unit order, so the returned points are identical — order
-/// included — for any `--threads` count.
+/// A geometry's O-L1 rungs that share a core-plane side form one class,
+/// which builds its candidates and walks the memory grid once for all of
+/// them. The classes fan out over [`baton_parallel::map_chunks`] workers;
+/// each `(geometry, O-L1)` unit fills a local point vector and the results
+/// are spliced back in unit order, so the returned points are identical —
+/// order included — for any `--threads` count.
 pub fn full_sweep(model: &Model, tech: &Technology, opts: &SweepOptions) -> Vec<DesignPoint> {
     full_sweep_audited(model, tech, opts, &SweepAudit::disabled())
 }
@@ -645,6 +647,13 @@ pub fn full_sweep_reference_audited(
 }
 
 /// The engine-generic sweep body shared by every `full_sweep*` entry point.
+///
+/// The unit of reporting is a `(geometry, O-L1)` pair; the unit of work is
+/// a class of them ([`sweep_classes`]). Each class builds its layers'
+/// candidate sets and walks the memory grid once, at its first rung that
+/// validates; every rung then runs its own validation and emits its own
+/// points, tallies, audit record, event, metric sample and progress tick,
+/// exactly as if it had been swept alone.
 fn full_sweep_with<E: SweepEngine>(
     engine: &E,
     model: &Model,
@@ -657,12 +666,13 @@ fn full_sweep_with<E: SweepEngine>(
     let metered = baton_telemetry::metrics::enabled();
     let geometries = opts.space.compute.geometries_for(opts.total_macs);
     count_n(Counter::SweepGeometries, geometries.len() as u64);
-    let units: Vec<((u32, u32, u32, u32), u64)> = geometries
+    let units: Vec<Unit> = geometries
         .iter()
         .flat_map(|&g| opts.space.memory.o_l1.iter().map(move |&o_l1| (g, o_l1)))
         .collect();
+    let classes = sweep_classes(&units, opts);
     let meter = Progress::new("full_sweep", units.len() as u64);
-    let unit = |&(geometry, o_l1): &((u32, u32, u32, u32), u64)| {
+    let rung = |grid: &mut Option<ClassGrid>, (geometry, o_l1): Unit| {
         // Labelled per unit so a request trace (or `-vv` profile) can tell
         // which geometry a slow chunk was grinding on.
         let unit_span = span_labeled("sweep_geometry", || {
@@ -671,7 +681,14 @@ fn full_sweep_with<E: SweepEngine>(
         });
         let unit_t0 = std::time::Instant::now();
         let mut local = Vec::new();
-        let mut stats = sweep_geometry(engine, model, tech, opts, geometry, o_l1, &mut local);
+        let mut stats = UnitStats::default();
+        let machine = unit_machine(opts, geometry, o_l1);
+        if validate(&machine).is_ok() {
+            let grid = grid.get_or_insert_with(|| sweep_class(engine, model, tech, opts, &machine));
+            stats = grid.stats;
+            grid.emit(&machine, tech, &mut local);
+            count_n(Counter::SweepPointsInfeasible, stats.infeasible);
+        }
         stats.wall_us = unit_t0.elapsed().as_micros() as u64;
         if baton_telemetry::enabled() {
             let (np, nc, l, p) = geometry;
@@ -691,19 +708,30 @@ fn full_sweep_with<E: SweepEngine>(
         meter.tick(1);
         (local, stats)
     };
-    // One unit per chunk: a unit is milliseconds of work, so the cursor
-    // traffic is noise, and each chunk's result is its unit's own, with no
-    // per-chunk vector to splice.
+    // One class per chunk: a class is milliseconds of work, so the cursor
+    // traffic is noise, and each chunk's result is its class's own.
     let workers = baton_parallel::threads();
-    let per_unit = baton_parallel::map_chunks(
-        units.len(),
+    let per_class = baton_parallel::map_chunks(
+        classes.len(),
         workers,
         1,
         || (),
-        |(), range| unit(&units[range.start]),
+        |(), range| {
+            let mut grid = None;
+            let members = &classes[range.start];
+            members
+                .iter()
+                .map(|&u| (u, rung(&mut grid, units[u])))
+                .collect::<Vec<_>>()
+        },
     );
+    // Back into unit order, regardless of which class or worker ran what.
+    let mut per_unit: Vec<_> = per_class.into_iter().flatten().collect();
+    per_unit.sort_unstable_by_key(|&(u, _)| u);
+    let per_unit: Vec<(Vec<DesignPoint>, UnitStats)> =
+        per_unit.into_iter().map(|(_, result)| result).collect();
     // The audit stream mirrors the splice: unit order, each unit record
-    // followed by its points, regardless of which worker ran what.
+    // followed by its points.
     if audit.enabled() {
         for (&(geometry, o_l1), (local, stats)) in units.iter().zip(&per_unit) {
             audit.record(AuditRecord::Unit {
@@ -750,7 +778,37 @@ fn full_sweep_with<E: SweepEngine>(
     points
 }
 
-/// Per-unit exploration tallies, collected by [`sweep_geometry`] for the
+/// A sweep unit: a geometry `(N_P, N_C, L, P)` and an O-L1 size in bytes.
+type Unit = ((u32, u32, u32, u32), u64);
+
+/// Groups the `(geometry, O-L1)` units into the sweep's classes: the units
+/// of one geometry whose machines share a [`core_plane_side`], as indices
+/// into `units` in ladder order, classes ordered by their first unit.
+///
+/// O-L1 reaches a design point only through that side (which core planes
+/// the candidates take) and the chiplet area: pricing never reads it. So
+/// the rungs of a class enumerate the same candidates, select the same
+/// survivors and score every cell alike.
+fn sweep_classes(units: &[Unit], opts: &SweepOptions) -> Vec<Vec<usize>> {
+    let mut keys = Vec::new();
+    let mut classes: Vec<Vec<usize>> = Vec::new();
+    for (u, &(geometry, o_l1)) in units.iter().enumerate() {
+        let key = (
+            geometry,
+            core_plane_side(&unit_machine(opts, geometry, o_l1).chiplet.core),
+        );
+        match keys.iter().position(|&k| k == key) {
+            Some(c) => classes[c].push(u),
+            None => {
+                keys.push(key);
+                classes.push(vec![u]);
+            }
+        }
+    }
+    classes
+}
+
+/// Per-unit exploration tallies, collected by [`sweep_class`] for the
 /// audit trail. Cheap plain integers — maintained even when auditing is off
 /// (branching per counter would cost more than the adds).
 #[derive(Debug, Default, Clone, Copy)]
@@ -799,25 +857,58 @@ fn unit_machine(
     )
 }
 
-/// Sweeps the (A-L1, W-L1, A-L2) grid for one `(geometry, O-L1)` pair.
-fn sweep_geometry<E: SweepEngine>(
+/// What one class's grid walk found, shared by every rung of the class.
+#[derive(Debug)]
+struct ClassGrid {
+    /// The tallies each rung reports (its wall time aside).
+    stats: UnitStats,
+    /// The feasible cells in walk order: `(A-L1, W-L1, A-L2)` in bytes, and
+    /// the model's energy in pJ and cycles there.
+    cells: Vec<((u64, u64, u64), f64, u64)>,
+}
+
+impl ClassGrid {
+    /// Emits the class's design points for the rung whose reference machine
+    /// is `machine`: its O-L1 in `memory`, its own chiplet area.
+    fn emit(&self, machine: &PackageConfig, tech: &Technology, points: &mut Vec<DesignPoint>) {
+        let core = machine.chiplet.core;
+        let geometry = (
+            machine.chiplets,
+            machine.chiplet.cores,
+            core.lanes,
+            core.vector,
+        );
+        points.reserve(self.cells.len());
+        for &((a_l1, w_l1, a_l2), energy_pj, cycles) in &self.cells {
+            let mut chiplet = machine.chiplet;
+            chiplet.core.a_l1_bytes = a_l1;
+            chiplet.core.w_l1_bytes = w_l1;
+            chiplet.a_l2_bytes = a_l2;
+            points.push(DesignPoint {
+                geometry,
+                memory: (core.o_l1_bytes, a_l1, w_l1, a_l2),
+                chiplet_area_mm2: tech.area.chiplet_mm2(&chiplet),
+                energy_pj,
+                cycles,
+            });
+        }
+    }
+}
+
+/// Builds each layer's candidates on `reference`, a validated unit machine
+/// of the class, and sweeps the (A-L1, W-L1, A-L2) grid once for the class.
+fn sweep_class<E: SweepEngine>(
     engine: &E,
     model: &Model,
     tech: &Technology,
     opts: &SweepOptions,
-    geometry: (u32, u32, u32, u32),
-    o_l1: u64,
-    points: &mut Vec<DesignPoint>,
-) -> UnitStats {
+    reference: &PackageConfig,
+) -> ClassGrid {
     let mut stats = UnitStats::default();
-    let (np, nc, l, p) = geometry;
-    let reference = unit_machine(opts, geometry, o_l1);
-    if validate(&reference).is_err() {
-        return stats;
-    }
+    let mut cells = Vec::new();
 
     // Per-layer candidate sets, corner-pruned. Candidates depend only on a
-    // layer's *shape* (and this unit's reference machine), so repeated
+    // layer's *shape* (and the class's reference machine), so repeated
     // shapes — ResNet towers, VGG blocks — build their set exactly once.
     let memo: ShapeMemo<BuiltCands<E::Cands>> = ShapeMemo::new();
     let mut per_layer: Vec<Arc<BuiltCands<E::Cands>>> = Vec::with_capacity(model.layers().len());
@@ -825,7 +916,7 @@ fn sweep_geometry<E: SweepEngine>(
         let mut built = false;
         let entry = memo.get_or_insert_with(layer.shape_key(), || {
             built = true;
-            let b = engine.build(layer, &reference, tech, opts);
+            let b = engine.build(layer, reference, tech, opts);
             stats.candidates += b.candidates;
             stats.kept += b.kept;
             b
@@ -836,7 +927,8 @@ fn sweep_geometry<E: SweepEngine>(
             stats.memo_hits += 1;
         }
         if !entry.feasible {
-            return stats; // no feasible mapping for this geometry at any memory
+            // No feasible mapping for this geometry at any memory.
+            return ClassGrid { stats, cells };
         }
         per_layer.push(entry);
     }
@@ -851,34 +943,21 @@ fn sweep_geometry<E: SweepEngine>(
                     stats.skipped += 1;
                     continue;
                 }
-                let arch = PackageConfig::new(
-                    np,
-                    ChipletConfig::new(
-                        nc,
-                        CoreConfig::new(l, p, o_l1, a_l1, w_l1),
-                        a_l2,
-                        opts.o_l2_bytes,
-                    ),
-                );
+                let mut arch = *reference;
+                arch.chiplet.core.a_l1_bytes = a_l1;
+                arch.chiplet.core.w_l1_bytes = w_l1;
+                arch.chiplet.a_l2_bytes = a_l2;
                 let cell = Cell { a1, w1, a2 };
-                let Some((energy_pj, cycles)) =
-                    evaluate_model_at(engine, &per_layer, cell, &arch, tech)
-                else {
-                    count(Counter::SweepPointsInfeasible);
-                    stats.infeasible += 1;
-                    continue;
-                };
-                points.push(DesignPoint {
-                    geometry,
-                    memory: (o_l1, a_l1, w_l1, a_l2),
-                    chiplet_area_mm2: tech.area.chiplet_mm2(&arch.chiplet),
-                    energy_pj,
-                    cycles,
-                });
+                match evaluate_model_at(engine, &per_layer, cell, &arch, tech) {
+                    Some((energy_pj, cycles)) => {
+                        cells.push(((a_l1, w_l1, a_l2), energy_pj, cycles))
+                    }
+                    None => stats.infeasible += 1,
+                }
             }
         }
     }
-    stats
+    ClassGrid { stats, cells }
 }
 
 /// Builds the candidate set for one layer on the reference machine.
@@ -1088,6 +1167,8 @@ mod tests {
     fn full_sweep_is_bit_identical_across_thread_counts() {
         // The parallel fan-out's ordered splice must reproduce the
         // sequential sweep exactly: same points, same order, same floats.
+        // The default O-L1 ladder (48, 96, 144 B) puts rungs of one geometry
+        // in one class, whose units come back from one chunk.
         let tech = Technology::paper_16nm();
         let mut opts = SweepOptions {
             total_macs: 2048,
@@ -1096,7 +1177,7 @@ mod tests {
         opts.space.memory.a_l1 = vec![1024, 32 * 1024];
         opts.space.memory.w_l1 = vec![18 * 1024];
         opts.space.memory.a_l2 = vec![64 * 1024, 256 * 1024];
-        opts.space.memory.o_l1 = vec![144];
+        assert_eq!(opts.space.memory.o_l1, [48, 96, 144]);
         let model = tiny_model();
         baton_parallel::configure_threads(Some(1));
         let seq = full_sweep(&model, &tech, &opts);

@@ -28,7 +28,9 @@ fn exclusive_telemetry() -> MutexGuard<'static, ()> {
 
 /// Three layers, one a repeated shape (a shape-memo hit), on two
 /// geometries x two O-L1 rungs, over a grid with starved rungs (A-L1
-/// 320 B, A-L2 2 KiB, W-L1 2 KiB) where the C³P penalties fire.
+/// 320 B, A-L2 2 KiB, W-L1 2 KiB) where the C³P penalties fire. At 8 lanes
+/// the 48 B and 144 B rungs have different core-plane sides, so every unit
+/// is its own class and builds its own candidates.
 fn fixture() -> (Model, SweepOptions) {
     let model = Model::new(
         "counter-model",
@@ -53,6 +55,15 @@ fn fixture() -> (Model, SweepOptions) {
     opts.space.memory.a_l1 = vec![320, 2 * 1024];
     opts.space.memory.w_l1 = vec![2 * 1024, 18 * 1024];
     opts.space.memory.a_l2 = vec![2 * 1024, 64 * 1024];
+    (model, opts)
+}
+
+/// [`fixture`] on the rungs 96 B and 144 B, which share a core-plane side
+/// at 8 lanes: each geometry's two units form one class, which enumerates,
+/// selects and walks its grid once for both.
+fn shared_fixture() -> (Model, SweepOptions) {
+    let (model, mut opts) = fixture();
+    opts.space.memory.o_l1 = vec![96, 144];
     (model, opts)
 }
 
@@ -84,9 +95,8 @@ struct Observed {
     tallies: Vec<(u64, u64)>,
 }
 
-/// Runs the fixture at `threads` workers.
-fn run(threads: usize) -> Observed {
-    let (model, opts) = fixture();
+/// Runs a fixture at `threads` workers.
+fn run((model, opts): (Model, SweepOptions), threads: usize) -> Observed {
     let tech = Technology::paper_16nm();
     let _session = baton_telemetry::attach_with_sink(&Default::default(), None);
     baton_parallel::configure_threads(Some(threads));
@@ -137,7 +147,7 @@ fn sweep_counters_match_the_pinned_values() {
         ("penalty_w_l1", 47),
     ];
     for threads in [1, 4] {
-        assert_eq!(run(threads).counts, want, "threads={threads}");
+        assert_eq!(run(fixture(), threads).counts, want, "threads={threads}");
     }
 }
 
@@ -146,6 +156,55 @@ fn audit_tallies_match_the_pinned_values() {
     let _guard = exclusive_telemetry();
     let want = [(7328, 21), (7328, 19), (7464, 33), (7464, 29)];
     for threads in [1, 4] {
-        assert_eq!(run(threads).tallies, want, "threads={threads}");
+        assert_eq!(run(fixture(), threads).tallies, want, "threads={threads}");
+    }
+}
+
+#[test]
+fn shared_class_counters_match_the_pinned_values() {
+    let _guard = exclusive_telemetry();
+    // Each class counts its enumeration, decompositions, shape-memo misses
+    // and corner penalties once; per-unit sweeps counted them twice (32000
+    // decompositions, 12 misses, penalties 1010, 382 and 38). Points and
+    // infeasible cells are each rung's own.
+    let want = [
+        ("decompose_calls", 16000),
+        ("candidates_generated", 16000),
+        ("candidates_deduped", 512),
+        ("candidates_structurally_rejected", 2526),
+        ("reject_grid_mismatch", 0),
+        ("reject_plane_too_fine", 0),
+        ("reject_channels_too_few", 0),
+        ("reject_o_l1_overflow", 0),
+        ("reject_o_l2_overflow", 1208),
+        ("reject_a_l1_overflow", 0),
+        ("reject_w_l1_overflow", 0),
+        ("cache_miss", 6),
+        ("sweep_points", 8),
+        ("sweep_points_infeasible", 16),
+        ("penalty_a_l1", 505),
+        ("penalty_a_l2", 191),
+        ("penalty_w_l1", 19),
+    ];
+    for threads in [1, 4] {
+        assert_eq!(
+            run(shared_fixture(), threads).counts,
+            want,
+            "threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn shared_class_audit_tallies_match_the_pinned_values() {
+    let _guard = exclusive_telemetry();
+    // Every rung reports its class's tallies, as if swept alone.
+    let want = [(7328, 19), (7328, 19), (7464, 29), (7464, 29)];
+    for threads in [1, 4] {
+        assert_eq!(
+            run(shared_fixture(), threads).tallies,
+            want,
+            "threads={threads}"
+        );
     }
 }

@@ -25,7 +25,7 @@ use crate::decompose::a_l1_floor_bytes;
 use crate::mapping::Mapping;
 use crate::primitives::{ChipletPartition, PackagePartition, RotationMode, TemporalOrder};
 use crate::tile::{ceil_div, Tile};
-use baton_arch::PackageConfig;
+use baton_arch::{CoreConfig, PackageConfig};
 use baton_model::{ConvSpec, PlanarGrid, PSUM_BITS};
 use baton_telemetry::{count_n, Counter};
 
@@ -578,9 +578,22 @@ fn axis_ladder(extent: u32, fractions: &[u32], min: u32, out: &mut Vec<u32>) -> 
     legal
 }
 
+/// The side of the largest square core plane the O-L1 psum register file
+/// holds: `floor(sqrt(slots / L))`, 0 when it cannot hold one psum per lane.
+///
+/// This is the only way O-L1 enters the candidate space: two machines that
+/// differ only in `o_l1_bytes` and share this side enumerate the same
+/// mappings, and every one of them decomposes alike on both, since a core
+/// plane within the side's square fits either O-L1.
+pub fn core_plane_side(core: &CoreConfig) -> u32 {
+    let slots = core.o_l1_bytes * 8 / PSUM_BITS;
+    (slots / u64::from(core.lanes).max(1)).isqrt() as u32
+}
+
 /// Picks the core tile: the largest square-ish `HO_c x WO_c` that fits both
-/// the O-L1 psum register file and the A-L1 chunk floor (Section IV-C
-/// recommends the square pattern for the fine temporal tiles).
+/// the O-L1 psum register file (a square of [`core_plane_side`]) and the
+/// A-L1 chunk floor (Section IV-C recommends the square pattern for the
+/// fine temporal tiles).
 pub fn core_plane_for(
     layer: &ConvSpec,
     arch: &PackageConfig,
@@ -588,8 +601,6 @@ pub fn core_plane_for(
     tile: Tile,
 ) -> (u32, u32) {
     let core = &arch.chiplet.core;
-    let slots = core.o_l1_bytes * 8 / PSUM_BITS;
-    let cap = (slots / u64::from(core.lanes).max(1)).max(1);
     let (grid_r, grid_c) = match chip {
         ChipletPartition::Channel => (1, 1),
         ChipletPartition::Planar(g) => (g.rows(), g.cols()),
@@ -598,15 +609,12 @@ pub fn core_plane_for(
     let sub_h = ceil_div(tile.ho, grid_r).max(1);
     let sub_w = ceil_div(tile.wo, grid_c).max(1);
 
-    // Start from the square bound and shrink until both floors pass.
-    let mut h = (cap as f64).sqrt().floor() as u32;
-    let mut w = h.max(1);
-    h = h.clamp(1, sub_h);
-    w = w.clamp(1, sub_w);
+    // Start from the square bound, which fits the O-L1, and shrink until
+    // the A-L1 floor passes.
+    let side = core_plane_side(core);
+    let (mut h, mut w) = (side.clamp(1, sub_h), side.clamp(1, sub_w));
     loop {
-        let fits_o_l1 = u64::from(h) * u64::from(w) <= cap;
-        let fits_a_l1 = a_l1_floor_bytes(layer, core.vector, (h, w)) <= core.a_l1_bytes;
-        if fits_o_l1 && fits_a_l1 {
+        if a_l1_floor_bytes(layer, core.vector, (h, w)) <= core.a_l1_bytes {
             return (h, w);
         }
         if h >= w && h > 1 {

@@ -9,7 +9,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::datatype::{ACT_BITS, WGT_BITS};
+use crate::datatype::{ACT_BITS, PSUM_BITS, WGT_BITS};
 
 /// Classification of a layer workload.
 ///
@@ -57,6 +57,12 @@ pub enum ShapeError {
         /// Padded input extent in the failing axis.
         padded_input: u64,
     },
+    /// A bit volume of the layer does not fit in 64 bits.
+    VolumeTooLarge {
+        /// Which volume: `input bits`, or `partial-sum bits` (MACs times
+        /// the psum width, which bounds the weight and output bits).
+        volume: &'static str,
+    },
     /// `groups` does not divide both channel counts.
     BadGrouping {
         /// Input channel count.
@@ -82,6 +88,7 @@ impl fmt::Display for ShapeError {
             ShapeError::PaddedInputTooLarge { padded_input } => {
                 write!(f, "padded input extent {padded_input} exceeds {}", u32::MAX)
             }
+            ShapeError::VolumeTooLarge { volume } => write!(f, "{volume} exceed {}", u64::MAX),
             ShapeError::BadGrouping { ci, co, groups } => write!(
                 f,
                 "groups {groups} must divide both input channels {ci} and output channels {co}"
@@ -521,8 +528,9 @@ impl ConvSpecBuilder {
     /// # Errors
     ///
     /// Returns [`ShapeError`] for zero dimensions, a padded input extent
-    /// beyond `u32::MAX`, kernels larger than the padded input, or a group
-    /// count that does not divide the channels.
+    /// beyond `u32::MAX`, kernels larger than the padded input, a group
+    /// count that does not divide the channels, or element counts whose bit
+    /// volumes overflow a `u64`.
     pub fn build(self) -> Result<ConvSpec, ShapeError> {
         for (v, name) in [
             (self.hi, "hi"),
@@ -569,7 +577,7 @@ impl ConvSpecBuilder {
         } else {
             LayerKind::Conv
         };
-        Ok(ConvSpec {
+        let spec = ConvSpec {
             name: self.name,
             kind,
             hi: self.hi,
@@ -583,8 +591,43 @@ impl ConvSpecBuilder {
             pad_w: self.pad_w,
             co: self.co,
             groups: self.groups,
-        })
+        };
+        check_volumes(&spec)?;
+        Ok(spec)
     }
+}
+
+/// Checks that the layer's counts fit in a `u64` in bits, so
+/// [`ConvSpec::macs`] and the `*_elems`/`*_bits` counts cannot wrap. Two
+/// volumes bind: the input bits and the partial-sum bits (MACs times
+/// [`PSUM_BITS`]). The weight and output element counts divide the MAC
+/// count and take fewer bits each, so the partial-sum bound covers them,
+/// and every volume the mapping decomposition forms from the MAC and
+/// output counts.
+fn check_volumes(spec: &ConvSpec) -> Result<(), ShapeError> {
+    let input = [spec.hi, spec.wi, spec.ci].map(u64::from);
+    let macs = [
+        spec.ho(),
+        spec.wo(),
+        spec.co,
+        spec.kh,
+        spec.kw,
+        spec.ci_per_group(),
+    ]
+    .map(u64::from);
+    for (volume, counts, bits) in [
+        ("input bits", &input[..], ACT_BITS),
+        ("partial-sum bits", &macs[..], PSUM_BITS),
+    ] {
+        if counts
+            .iter()
+            .try_fold(bits, |acc, &n| acc.checked_mul(n))
+            .is_none()
+        {
+            return Err(ShapeError::VolumeTooLarge { volume });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -667,6 +710,40 @@ mod tests {
         // The largest padded extent that fits still builds.
         let edge = ConvSpec::new("edge", u32::MAX - 2, 8, 3, 3, 1, 1, 8).unwrap();
         assert_eq!(edge.ho(), u32::MAX - 2);
+    }
+
+    #[test]
+    fn volumes_beyond_u64_are_rejected() {
+        let max = u32::MAX;
+        let too_large = |volume| Err(ShapeError::VolumeTooLarge { volume });
+        // The wrapped layer `baton check` used to accept: every count
+        // overflows, the input first.
+        assert_eq!(
+            ConvSpec::new("c", max, max, max, 1, 1, 0, max),
+            too_large("input bits")
+        );
+        // A 1x1 output plane: only the kernel and channels make counts
+        // large.
+        let wide = |ci, k, co| ConvSpecBuilder::new("w", k, k, ci, co).kernel(k, k).build();
+        assert_eq!(wide(max, 1 << 16, max), too_large("input bits"));
+        // Weights overflow, and so the MACs they are a factor of.
+        assert_eq!(
+            wide(1 << 20, 1 << 12, 1 << 20),
+            too_large("partial-sum bits")
+        );
+        // 2^60 outputs x 8 bits fit; x 24 psum bits do not.
+        let plane = ConvSpec::pointwise("p", 1 << 20, 1 << 20, 1, 1 << 20);
+        assert_eq!(plane, too_large("partial-sum bits"));
+        let l = ConvSpec::pointwise("p", 1 << 20, 1 << 20, 1, 1 << 18).unwrap();
+        assert_eq!(l.macs(), 1 << 58);
+        assert_eq!(l.output_bits(), 1 << 61);
+        assert_eq!(
+            ShapeError::VolumeTooLarge {
+                volume: "input bits"
+            }
+            .to_string(),
+            "input bits exceed 18446744073709551615"
+        );
     }
 
     #[test]

@@ -26,13 +26,18 @@ const NUMBERS: [&str; 14] = [
     "+3",
     "",
 ];
-/// `in=` values: well-formed extents, the `u32` edge, and malformed ones.
-const EXTENTS: [&str; 8] = [
+/// `in=` values: well-formed extents, the `u32` edge, extents whose
+/// element counts overflow 64 bits (alone or with a large `co` or kernel),
+/// and malformed ones.
+const EXTENTS: [&str; 11] = [
     "8x8x3",
     "1x1x64",
     "224x224x3",
     "4294967295x8x3",
     "8x4294967295x3",
+    "4294967295x4294967295x4294967295",
+    "65536x65536x65536",
+    "1048576x1048576x1",
     "8x8",
     "8x8x3x3",
     "axbxc",
@@ -106,6 +111,39 @@ fn model_text() -> impl Strategy<Value = String> {
         })
 }
 
+/// Extents from 1 to the top of `u32`, whose products reach past `u64`.
+const EXTREMES: [u32; 7] = [1, 3, 64, 65_536, 1 << 20, i32::MAX as u32, u32::MAX];
+
+/// Grammatical model text whose layers take extreme extents: every
+/// count of a layer it accepts must fit a `u64` in bits.
+fn extreme_model_text() -> impl Strategy<Value = String> {
+    let extent = || 0..EXTREMES.len();
+    proptest::collection::vec(
+        (
+            0u8..4,
+            (extent(), extent(), extent()),
+            extent(),
+            0u32..2,
+            1u32..=2,
+        ),
+        1..4,
+    )
+    .prop_map(|layers| {
+        let mut text = "model m @224\n".to_string();
+        for (kind, (h, w, c), co, k, s) in layers {
+            let (h, w, c, co) = (EXTREMES[h], EXTREMES[w], EXTREMES[c], EXTREMES[co]);
+            let k = 2 * k + 1;
+            text.push_str(&match kind {
+                0 => format!("conv name=c in={h}x{w}x{c} k={k} s={s} co={co}\n"),
+                1 => format!("pointwise name=p in={h}x{w}x{c} co={co}\n"),
+                2 => format!("depthwise name=d in={h}x{w}x{c} k={k} s={s}\n"),
+                _ => format!("fc name=f ci={c} co={co}\n"),
+            });
+        }
+        text
+    })
+}
+
 /// Arbitrary text over ASCII and the first few Unicode blocks (whitespace,
 /// control characters and multi-byte characters included).
 fn raw_text() -> impl Strategy<Value = String> {
@@ -148,9 +186,34 @@ fn mutated_zoo_text() -> impl Strategy<Value = String> {
         })
 }
 
-/// Whatever `text` parses to renders to text that parses to it again.
+/// Every count of an accepted layer is exact: its `u64` value is the
+/// product of its extents taken in 128 bits (a debug build also panics on
+/// a wrapping product), and so is the partial-sum volume.
+fn check_counts(l: &ConvSpec) -> Result<(), TestCaseError> {
+    let product = |fs: &[u32]| fs.iter().map(|&f| u128::from(f)).product::<u128>();
+    let macs = product(&[l.ho(), l.wo(), l.co(), l.kh(), l.kw(), l.ci_per_group()]);
+    prop_assert_eq!(u128::from(l.macs()), macs);
+    prop_assert!(macs * 24 <= u128::from(u64::MAX), "{}", l);
+    let weights = product(&[l.kh(), l.kw(), l.ci_per_group(), l.co()]);
+    prop_assert_eq!(u128::from(l.weight_bits()), weights * 8);
+    prop_assert_eq!(
+        u128::from(l.input_bits()),
+        product(&[l.hi(), l.wi(), l.ci()]) * 8
+    );
+    prop_assert_eq!(
+        u128::from(l.output_bits()),
+        product(&[l.ho(), l.wo(), l.co()]) * 8
+    );
+    Ok(())
+}
+
+/// Whatever `text` parses to renders to text that parses to it again, and
+/// its layers' counts are exact.
 fn check_parsed(text: &str) -> Result<(), TestCaseError> {
     if let Ok(model) = parse_model(text) {
+        for layer in model.layers() {
+            check_counts(layer)?;
+        }
         let rendered = render_model(&model);
         let back = parse_model(&rendered)
             .map_err(|e| TestCaseError::fail(format!("{e} in {rendered:?}")))?;
@@ -207,6 +270,15 @@ proptest! {
 
     #[test]
     fn parsing_near_grammatical_text_never_panics(text in model_text()) {
+        check_parsed(&text)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn extreme_extents_never_wrap_a_count(text in extreme_model_text()) {
         check_parsed(&text)?;
     }
 }

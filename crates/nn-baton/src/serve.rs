@@ -1545,6 +1545,7 @@ fn select_layers<'m>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn test_state(warm: bool) -> ServerState {
         ServerState {
@@ -2201,6 +2202,112 @@ mod tests {
             MAX_HEAD_LINE_BYTES as u64,
             "reads stop at the cap"
         );
+    }
+
+    /// Hands `data` out in the short pieces `cuts` gives in turn, through
+    /// `BufRead` as through `Read`, the way a socket delivers segments.
+    struct ShortReads {
+        data: Vec<u8>,
+        pos: usize,
+        cuts: Vec<usize>,
+        next: usize,
+    }
+
+    impl Read for ShortReads {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.fill_buf()?.len().min(buf.len());
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for ShortReads {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            let piece = self.cuts.get(self.next % self.cuts.len().max(1));
+            let end = (self.pos + piece.copied().unwrap_or(1)).min(self.data.len());
+            Ok(&self.data[self.pos..end])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.pos += n;
+            self.next += 1;
+        }
+    }
+
+    /// Pieces of a request head: framing headers with good, bad and
+    /// oversized values, line ends, and runs long enough to pass the line
+    /// and header-count caps.
+    const HEAD_PIECES: [&str; 16] = [
+        "Content-Length: ",
+        "content-length:",
+        "Transfer-Encoding: chunked",
+        "Connection: close",
+        "X-H: 1",
+        "0",
+        "5",
+        "1048576",
+        "1048577",
+        "99999999999999999999999",
+        "-1",
+        "\r\n",
+        "\n",
+        ":",
+        " ",
+        "{\"model\":\"alexnet\"}",
+    ];
+
+    /// Near-HTTP request heads and bodies, or arbitrary bytes.
+    fn request_bytes() -> impl Strategy<Value = Vec<u8>> {
+        (
+            0u8..2,
+            proptest::collection::vec((0usize..HEAD_PIECES.len() + 2, 1usize..120), 0..40),
+            proptest::collection::vec(0u8..=255, 0..256),
+        )
+            .prop_map(|(kind, pieces, raw)| {
+                if kind == 0 {
+                    return raw;
+                }
+                let mut out = Vec::new();
+                for (i, times) in pieces {
+                    match HEAD_PIECES.get(i) {
+                        // Runs of padding and of whole header lines.
+                        None if i == HEAD_PIECES.len() => {
+                            out.extend(std::iter::repeat_n(b'a', times * 80))
+                        }
+                        None => out.extend(b"X-H: 1\r\n".repeat(times)),
+                        Some(piece) => out.extend(piece.bytes()),
+                    }
+                }
+                out.extend(raw);
+                out
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_read_as_a_request_or_a_refusal(
+            data in request_bytes(),
+            cuts in proptest::collection::vec(1usize..64, 1..8),
+        ) {
+            let mut reader = ShortReads {
+                data: data.clone(),
+                pos: 0,
+                cuts: cuts.clone(),
+                next: 0,
+            };
+            match read_request(&mut reader, "POST", "/map") {
+                Ok(Ok(_)) => {}
+                Ok(Err(refusal)) => prop_assert!(
+                    [400, 413, 431].contains(&refusal.status),
+                    "refused with {}",
+                    refusal.status
+                ),
+                Err(e) => prop_assert!(false, "I/O error {e}"),
+            }
+        }
     }
 
     #[test]

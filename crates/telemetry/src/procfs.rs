@@ -87,7 +87,9 @@ pub fn parse_stat_cpu(stat: &str) -> Option<Duration> {
     // in stat(5)'s 1-based numbering, i.e. indices 11/12 here.
     let utime: u64 = fields.get(11)?.parse().ok()?;
     let stime: u64 = fields.get(12)?.parse().ok()?;
-    Some(Duration::from_secs_f64((utime + stime) as f64 / USER_HZ))
+    Some(Duration::from_secs_f64(
+        utime.checked_add(stime)? as f64 / USER_HZ,
+    ))
 }
 
 /// Memory and thread figures from `/proc/<pid>/status`.
@@ -104,8 +106,10 @@ pub struct StatusSample {
 }
 
 /// Parses `VmRSS`/`VmHWM`/`VmSize`/`Threads` from `/proc/<pid>/status`
-/// text. Memory lines are `<key>:\t  <n> kB`.
+/// text. Memory lines are `<key>:\t  <n> kB`; `None` if one of them is
+/// missing, malformed or beyond `u64::MAX` bytes.
 pub fn parse_status(status: &str) -> Option<StatusSample> {
+    let kib = |value: &str| value.parse::<u64>().ok()?.checked_mul(1024);
     let mut s = StatusSample::default();
     let mut seen = 0u8;
     for line in status.lines() {
@@ -115,15 +119,15 @@ pub fn parse_status(status: &str) -> Option<StatusSample> {
         let value = rest.trim().trim_end_matches("kB").trim();
         match key {
             "VmRSS" => {
-                s.resident_bytes = value.parse::<u64>().ok()? * 1024;
+                s.resident_bytes = kib(value)?;
                 seen |= 1;
             }
             "VmHWM" => {
-                s.peak_resident_bytes = value.parse::<u64>().ok()? * 1024;
+                s.peak_resident_bytes = kib(value)?;
                 seen |= 2;
             }
             "VmSize" => {
-                s.virtual_bytes = value.parse::<u64>().ok()? * 1024;
+                s.virtual_bytes = kib(value)?;
                 seen |= 4;
             }
             "Threads" => {
@@ -141,17 +145,21 @@ pub fn parse_status(status: &str) -> Option<StatusSample> {
 /// Parses `/proc/<pid>/statm` (`size resident shared ...`, in pages) into
 /// `(virtual_bytes, resident_bytes)` given the page size. `status` kB
 /// values are preferred in [`sample`]; this exists for tooling that has
-/// statm text only.
+/// statm text only. `None` if a size in bytes is beyond `u64::MAX`.
 pub fn parse_statm(statm: &str, page_bytes: u64) -> Option<(u64, u64)> {
     let mut fields = statm.split_whitespace();
     let size: u64 = fields.next()?.parse().ok()?;
     let resident: u64 = fields.next()?.parse().ok()?;
-    Some((size * page_bytes, resident * page_bytes))
+    Some((
+        size.checked_mul(page_bytes)?,
+        resident.checked_mul(page_bytes)?,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn stat_cpu_parses_past_hostile_comm_names() {
@@ -182,6 +190,112 @@ mod tests {
             Some((1024000, 512000))
         );
         assert_eq!(parse_statm("", 4096), None);
+    }
+
+    #[test]
+    fn counts_beyond_u64_are_refused() {
+        let max = u64::MAX;
+        let stat = |u: u64, s: u64| format!("1 (x) S 1 1 1 0 -1 0 0 0 0 0 {u} {s} 0 0");
+        assert_eq!(parse_stat_cpu(&stat(max, 1)), None);
+        assert!(parse_stat_cpu(&stat(max - 1, 1)).is_some());
+        let status =
+            |rss: u64| format!("VmSize:\t1 kB\nVmHWM:\t1 kB\nVmRSS:\t{rss} kB\nThreads:\t1\n");
+        assert_eq!(parse_status(&status(max / 1024 + 1)), None);
+        let fits = parse_status(&status(max / 1024)).unwrap();
+        assert_eq!(fits.resident_bytes, max / 1024 * 1024);
+        assert_eq!(parse_statm("2 1", max), None);
+        assert_eq!(parse_statm("1 2", max), None);
+        assert_eq!(parse_statm("1 1", max), Some((max, max)));
+    }
+
+    /// Pieces of procfs text: numbers up to and past `u64::MAX`, signs,
+    /// units, the keys and the characters the parsers split on.
+    const TOKENS: [&str; 20] = [
+        "0",
+        "1",
+        "250",
+        "18014398509481983",
+        "18014398509481984",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "+5",
+        " kB",
+        ":",
+        ")",
+        "(",
+        " ",
+        "\t",
+        "\n",
+        "VmRSS",
+        "VmHWM",
+        "VmSize",
+        "Threads",
+    ];
+
+    /// Text of procfs pieces and arbitrary characters, in any order.
+    fn texts() -> impl Strategy<Value = String> {
+        proptest::collection::vec((0..TOKENS.len() + 4, 0u32..0x800), 0..64).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(i, c)| match TOKENS.get(i) {
+                    Some(token) => token.to_string(),
+                    None => char::from_u32(c).map(String::from).unwrap_or_default(),
+                })
+                .collect()
+        })
+    }
+
+    /// A status file: the four keys (sometimes one twice or left out) with
+    /// numbers from [`TOKENS`], `kB` or not.
+    fn status_texts() -> impl Strategy<Value = String> {
+        const KEYS: [&str; 5] = ["VmRSS", "VmHWM", "VmSize", "Threads", "Name"];
+        proptest::collection::vec((0..KEYS.len(), 0usize..9, 0u8..2), 0..8).prop_map(|lines| {
+            lines
+                .into_iter()
+                .map(|(k, n, kb)| {
+                    let unit = if kb == 0 { " kB" } else { "" };
+                    format!("{}:\t{}{unit}\n", KEYS[k], TOKENS[n])
+                })
+                .collect()
+        })
+    }
+
+    /// Numeric fields drawn from [`TOKENS`], space-separated.
+    fn numbers() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0usize..9, 0..16).prop_map(|fields| {
+            fields
+                .iter()
+                .map(|&n| TOKENS[n])
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parsers_never_panic_on_arbitrary_text(
+            text in texts(),
+            page in 0usize..3,
+        ) {
+            let _ = parse_stat_cpu(&text);
+            let _ = parse_status(&text);
+            let _ = parse_statm(&text, [1, 4096, u64::MAX][page]);
+        }
+
+        #[test]
+        fn parsers_never_panic_on_near_procfs_text(
+            status in status_texts(),
+            fields in numbers(),
+            page in 0usize..3,
+        ) {
+            let _ = parse_status(&status);
+            // A `comm` with parentheses, then the fields.
+            let _ = parse_stat_cpu(&format!("42 (a) b)) S {fields}"));
+            let _ = parse_statm(&fields, [1, 4096, u64::MAX][page]);
+        }
     }
 
     #[test]

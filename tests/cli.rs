@@ -122,6 +122,37 @@ fn check_rejects_padded_extents_beyond_u32() {
 }
 
 #[test]
+fn check_rejects_layers_whose_volumes_overflow_u64() {
+    // `baton check` used to print a wrapped GMAC count for the first layer
+    // (and a debug build panicked computing it).
+    let dir = std::env::temp_dir().join("baton-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (file, conv, volume) in [
+        (
+            "huge-input.baton",
+            "conv name=c in=4294967295x4294967295x4294967295 k=1 co=4294967295",
+            "input bits",
+        ),
+        (
+            "huge-psums.baton",
+            "conv name=c in=1048576x1048576x1 k=1 co=1048576",
+            "partial-sum bits",
+        ),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, format!("model demo @64\n{conv}\n")).unwrap();
+        let (ok, stdout, stderr) = baton(&["check", path.to_str().unwrap()]);
+        assert!(!ok, "{conv}: {stdout}");
+        assert!(
+            stderr.contains(&format!(
+                "line 2: invalid layer shape: {volume} exceed 18446744073709551615"
+            )),
+            "{conv}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn unknown_inputs_fail_cleanly() {
     // The offending word must be named even when no model argument follows.
     let (ok, _, stderr) = baton(&["frobnicate"]);

@@ -40,7 +40,17 @@ const GEOMETRIES: [(u32, u32, u32, u32); 5] = [
 const A_L1_LADDERS: [&[u64]; 3] = [&[1024, 4 * 1024, 32 * 1024], &[800, 2048], &[8 * 1024]];
 const W_L1_LADDERS: [&[u64]; 2] = [&[18 * 1024], &[4 * 1024, 144 * 1024]];
 const A_L2_LADDERS: [&[u64]; 2] = [&[64 * 1024, 256 * 1024], &[32 * 1024, 128 * 1024]];
-const O_L1_LADDERS: [&[u64]; 2] = [&[144], &[48, 144]];
+/// O-L1 ladders. Rungs share a class (one core-plane side, so one grid
+/// walk) in `[96, 144]` at 8 lanes and `[48, 96, 144]` at 16; the last
+/// ladder is out of order, its class `{144, 96}` at 8 lanes is split by
+/// another rung, and its 12 B rung cannot hold a psum per lane at 8 or 16.
+const O_L1_LADDERS: [&[u64]; 5] = [
+    &[144],
+    &[48, 144],
+    &[96, 144],
+    &[48, 96, 144],
+    &[144, 12, 96, 48],
+];
 
 /// Bounded random conv layers (same envelope as the batch-equivalence
 /// harness): shapes that cross the lane/vector boundaries of the swept
@@ -145,6 +155,65 @@ proptest! {
                 &want_stream,
                 &strip_walls(&audit),
                 "audit streams diverge at threads={}",
+                threads
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+    /// A sweep over several O-L1 rungs reports what one single-rung sweep
+    /// per rung reports, concatenated: the rungs that share a class walk
+    /// its grid once, and each still emits its own points, CSV rows and
+    /// audit records. Only the closing summaries differ, one per sweep.
+    #[test]
+    fn multi_rung_sweep_is_the_concatenation_of_single_rung_sweeps(
+        model in models(),
+        geo in 0usize..GEOMETRIES.len(),
+        a1 in 0usize..A_L1_LADDERS.len(),
+        w1 in 0usize..W_L1_LADDERS.len(),
+        a2 in 0usize..A_L2_LADDERS.len(),
+        o1 in 1usize..O_L1_LADDERS.len(),
+        keep in 1usize..=3,
+    ) {
+        let _guard = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
+        let tech = Technology::paper_16nm();
+        let opts = case_opts(geo, a1, w1, a2, o1, keep);
+        let unit_records = |audit: &SweepAudit| {
+            let mut lines = strip_walls(audit);
+            let summary = lines.pop();
+            prop_assert!(summary.is_some_and(|l| l.contains("\"summary\"")));
+            Ok(lines)
+        };
+
+        let mut want = Vec::new();
+        let mut want_stream = Vec::new();
+        for &o_l1 in &opts.space.memory.o_l1 {
+            let mut single = opts.clone();
+            single.space.memory.o_l1 = vec![o_l1];
+            let audit = SweepAudit::in_memory();
+            want.extend(full_sweep_audited(&model, &tech, &single, &audit));
+            want_stream.extend(unit_records(&audit)?);
+        }
+        let want_csv = design_points_csv(&want, &tech);
+
+        for threads in [1usize, 4] {
+            baton_parallel::configure_threads(Some(threads));
+            let audit = SweepAudit::in_memory();
+            let got = full_sweep_audited(&model, &tech, &opts, &audit);
+            baton_parallel::configure_threads(None);
+            prop_assert_eq!(&want, &got, "points diverge at threads={}", threads);
+            prop_assert_eq!(
+                &want_csv,
+                &design_points_csv(&got, &tech),
+                "CSV bytes diverge at threads={}",
+                threads
+            );
+            prop_assert_eq!(
+                &want_stream,
+                &unit_records(&audit)?,
+                "audit records diverge at threads={}",
                 threads
             );
         }
