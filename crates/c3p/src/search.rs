@@ -25,6 +25,7 @@ use baton_mapping::decompose;
 use baton_mapping::enumerate::{candidates_with, CandidateSpace, EnumOptions};
 use baton_model::ConvSpec;
 use baton_parallel::TopK;
+use baton_telemetry::metrics::Family;
 use baton_telemetry::{count, count_n, span_labeled, stage_span, Counter};
 use serde::{Deserialize, Serialize};
 
@@ -65,8 +66,12 @@ impl Objective {
     }
 }
 
-/// Help text for the per-layer search latency histogram.
-const SEARCH_SECONDS_HELP: &str = "Per-layer mapping search latency by objective.";
+/// The per-layer search latency histogram, observed by the `search_layer`
+/// span.
+const SEARCH_SECONDS: Family = Family::histogram(
+    "baton_search_duration_seconds",
+    "Per-layer mapping search latency by objective.",
+);
 
 /// The search found no feasible mapping for a layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,10 +114,9 @@ pub fn search_layer(
 /// Fills `layer`'s candidate space into the thread's pooled one and scans
 /// its index range in chunks on the search workers, each worker with a
 /// pooled [`BatchScratch`](batch::BatchScratch), into one shared
-/// [`Ranking`]. Then records the prune and completed/failed counters and
-/// one `search_layer` event (when a session is attached), and the duration
-/// in the labelled metrics registry (no-op unless `baton serve` enabled the
-/// layer).
+/// [`Ranking`]. Then records the prune and completed/failed counters; its
+/// `search_layer` span closes into the `search_layer` event and the
+/// labelled latency histogram.
 fn rank(
     layer: &ConvSpec,
     arch: &PackageConfig,
@@ -121,8 +125,8 @@ fn rank(
     opts: EnumOptions,
     k: usize,
 ) -> Result<Pooled<TopK<Evaluation>>, SearchError> {
-    let span = span_labeled("search_layer", || layer.name().to_string());
-    let started = baton_telemetry::metrics::enabled().then(std::time::Instant::now);
+    let mut span = span_labeled("search_layer", || layer.name().to_string())
+        .observe(&SEARCH_SECONDS, ("objective", objective.label()));
     let ranking = Ranking::new(k);
     let (candidates, chunks) = CandidateSpace::pooled(|space| {
         let stats = {
@@ -142,32 +146,23 @@ fn rank(
     let top = ranking.into_top();
     let best_score = top.entries().first().map(|e| e.0);
 
-    if baton_telemetry::enabled() {
-        count_n(Counter::SearchPruned, pruned);
-        count(if best_score.is_some() {
-            Counter::SearchesCompleted
-        } else {
-            Counter::SearchesFailed
-        });
-        let mut ev = baton_telemetry::event("search_layer")
+    count_n(Counter::SearchPruned, pruned);
+    count(if best_score.is_some() {
+        Counter::SearchesCompleted
+    } else {
+        Counter::SearchesFailed
+    });
+    span.event("search_layer", |ev| {
+        let ev = ev
             .str("layer", layer.name())
             .u64("candidates", candidates as u64)
             .u64("feasible", feasible)
-            .u64("pruned", pruned)
-            .u64("dur_us", span.elapsed_us());
-        if let Some(score) = best_score {
-            ev = ev.f64("best_score", score);
+            .u64("pruned", pruned);
+        match best_score {
+            Some(score) => ev.f64("best_score", score),
+            None => ev,
         }
-        ev.emit();
-    }
-    if let Some(t0) = started {
-        baton_telemetry::metrics::observe_duration(
-            "baton_search_duration_seconds",
-            SEARCH_SECONDS_HELP,
-            &[("objective", objective.label())],
-            t0.elapsed(),
-        );
-    }
+    });
     best_score.map(|_| top).ok_or_else(|| SearchError {
         layer: layer.name().to_string(),
         candidates,

@@ -289,3 +289,26 @@ fn alloc_scope_attributes_this_threads_churn() {
     assert!(t.peak_live_bytes >= t.live_bytes);
     assert!(t.outstanding() >= 0, "more frees than allocs?");
 }
+
+#[test]
+fn a_disabled_span_carrying_an_event_and_a_metric_allocates_nothing() {
+    use baton_telemetry::metrics::{self, Family};
+    const FAMILY: Family = Family::histogram("baton_budget_seconds", "Budget test latency.");
+    let _ledger = exclusive_ledger();
+    // No session (every test that attaches one holds the ledger lock), no
+    // metrics and no request tracing in this binary: the span is one
+    // load and a branch, and neither its label nor its fields run.
+    assert!(!baton_telemetry::enabled() && !metrics::enabled());
+    let scope = AllocScope::start();
+    for i in 0..100u64 {
+        let mut span = baton_telemetry::span_labeled("budget", || format!("unit{i}"))
+            .observe(&FAMILY, ("flow", "full"));
+        span.event("budget_unit", |ev| ev.u64("i", i).str("s", &i.to_string()));
+    }
+    let delta = scope.delta();
+    assert_eq!(
+        (delta.allocs, delta.bytes_allocated),
+        (0, 0),
+        "a disabled span allocated"
+    );
+}

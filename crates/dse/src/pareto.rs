@@ -1,5 +1,7 @@
 //! Pareto-front extraction for two-objective design plots.
 
+use baton_telemetry::metrics::Family;
+
 /// Returns the indices of the Pareto-optimal points for two minimized
 /// objectives `(x, y)` (no other point is <= in both and < in one).
 ///
@@ -187,22 +189,11 @@ pub fn pareto_provenance<T>(points: &[T], key: impl Fn(&T) -> (f64, f64)) -> Par
     ParetoProvenance { front, eliminated }
 }
 
-/// Publish the Pareto front size for `flow` on the metrics registry
-/// (`baton_sweep_front_size`). A no-op unless metrics are enabled.
-pub fn record_front_size(flow: &str, size: usize) {
-    baton_telemetry::metrics::gauge_set(
-        FRONT_SIZE,
-        FRONT_SIZE_HELP,
-        &[("flow", flow)],
-        size as f64,
-    );
-}
-
-/// Metric name of the Pareto front-size gauge.
-pub const FRONT_SIZE: &str = "baton_sweep_front_size";
-
-/// Help text for the [`FRONT_SIZE`] gauge.
-pub const FRONT_SIZE_HELP: &str = "Pareto front size of the last completed sweep, by flow.";
+/// The Pareto front-size gauge of the last completed sweep, by `flow`.
+pub const FRONT_SIZE: Family = Family::gauge(
+    "baton_sweep_front_size",
+    "Pareto front size of the last completed sweep, by flow.",
+);
 
 #[cfg(test)]
 mod tests {

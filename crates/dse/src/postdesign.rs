@@ -17,7 +17,8 @@ use baton_c3p::{
 use baton_mapping::decompose;
 use baton_mapping::enumerate::EnumOptions;
 use baton_model::Model;
-use baton_telemetry::{event, span_labeled, Progress};
+use baton_telemetry::metrics::Family;
+use baton_telemetry::{span_labeled, Progress};
 use serde::{Deserialize, Serialize};
 
 /// The per-layer result of the post-design flow.
@@ -139,6 +140,18 @@ pub fn map_model_with(
     map_model_opts(model, arch, tech, objective, EnumOptions::default())
 }
 
+/// Layers mapped by [`map_model_opts`], by model.
+const LAYERS_MAPPED: Family = Family::counter(
+    "baton_layers_mapped_total",
+    "Layers mapped by the post-design flow, by model.",
+);
+
+/// Whole-model [`map_model_opts`] latency, by model.
+const MAP_SECONDS: Family = Family::histogram(
+    "baton_map_duration_seconds",
+    "Whole-model post-design mapping latency by model.",
+);
+
 /// Maps every layer with explicit enumeration options. Hardware sweeps use a
 /// coarser candidate ladder here so the per-geometry search stays tractable.
 ///
@@ -157,27 +170,24 @@ pub fn map_model_opts(
     objective: Objective,
     opts: EnumOptions,
 ) -> Result<ModelReport, SearchError> {
-    let m_t0 = baton_telemetry::metrics::enabled().then(std::time::Instant::now);
+    let timer = MAP_SECONDS.timer();
     let meter = Progress::new("map_model", model.layers().len() as u64);
     let memo = SearchMemo::new();
     let mut layers = Vec::with_capacity(model.layers().len());
     let mut energy = EnergyBreakdown::default();
     let mut cycles = 0u64;
     for layer in model.layers() {
-        let layer_span = span_labeled("map_layer", || layer.name().to_string());
+        let mut layer_span = span_labeled("map_layer", || layer.name().to_string());
         let ev = search_layer_memo(&memo, layer, arch, tech, objective, opts)?;
         let nest = decompose(layer, arch, &ev.mapping)
             .map(|d| d.nest.render())
             .unwrap_or_default();
-        if baton_telemetry::enabled() {
-            event("map_layer")
-                .str("layer", layer.name())
+        layer_span.event("map_layer", |e| {
+            e.str("layer", layer.name())
                 .str("mapping", &ev.mapping.spatial_tag())
                 .f64("energy_pj", ev.energy.total_pj())
                 .u64("cycles", ev.cycles)
-                .u64("dur_us", layer_span.elapsed_us())
-                .emit();
-        }
+        });
         energy += ev.energy;
         cycles += ev.cycles;
         layers.push(LayerReport {
@@ -187,23 +197,11 @@ pub fn map_model_opts(
         });
         meter.tick(1);
     }
-    if let Some(t0) = m_t0 {
-        // Model names come from the fixed zoo (or one user-supplied spec
-        // file per process), so the label stays low-cardinality.
-        let labels = [("model", model.name())];
-        baton_telemetry::metrics::counter_add(
-            "baton_layers_mapped_total",
-            "Layers mapped by the post-design flow, by model.",
-            &labels,
-            layers.len() as u64,
-        );
-        baton_telemetry::metrics::observe_duration(
-            "baton_map_duration_seconds",
-            "Whole-model post-design mapping latency by model.",
-            &labels,
-            t0.elapsed(),
-        );
-    }
+    // Model names come from the fixed zoo (or one user-supplied spec file
+    // per process), so the label stays low-cardinality.
+    let labels = [("model", model.name())];
+    LAYERS_MAPPED.add(&labels, layers.len() as u64);
+    timer.observe(&labels);
     Ok(ModelReport {
         model: model.name().to_string(),
         layers,

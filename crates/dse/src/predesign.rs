@@ -13,7 +13,8 @@ use baton_c3p::{
 use baton_mapping::enumerate::{core_plane_side, visit_candidates, EnumOptions};
 use baton_mapping::{decompose, mapping_geometry, Decomposition};
 use baton_model::{ConvSpec, Model};
-use baton_telemetry::{count, count_n, event, span, span_labeled, Counter, Progress};
+use baton_telemetry::metrics::Family;
+use baton_telemetry::{count, count_n, span, span_labeled, Counter, Progress};
 use serde::{Deserialize, Serialize};
 
 use crate::audit::{AuditRecord, SweepAudit};
@@ -79,9 +80,8 @@ pub fn granularity_sweep_audited(
     area_limit_mm2: Option<f64>,
     audit: &SweepAudit,
 ) -> Vec<GranularityResult> {
-    let _sweep_span = span("granularity_sweep");
+    let _sweep_span = span("granularity_sweep").observe(&SWEEP_SECONDS, ("flow", "granularity"));
     let t0 = std::time::Instant::now();
-    let metered = baton_telemetry::metrics::enabled();
     let space = DesignSpace::default();
     let geometries = space.compute.geometries_for(total_macs);
     let meter = Progress::new("granularity_sweep", geometries.len() as u64);
@@ -108,7 +108,8 @@ pub fn granularity_sweep_audited(
             co_fractions: &[1, 4],
             ..EnumOptions::default()
         };
-        let geo_span = span("granularity_geometry");
+        let mut geo_span =
+            span("granularity_geometry").observe(&SWEEP_UNIT_SECONDS, ("flow", "granularity"));
         let Ok(report) = map_model_opts(model, &arch, tech, Objective::Energy, sweep_opts) else {
             count(Counter::SweepGeometriesSkipped);
             skipped += 1;
@@ -117,21 +118,15 @@ pub fn granularity_sweep_audited(
             }
             continue;
         };
-        if baton_telemetry::enabled() {
-            event("granularity_point")
-                .u64("n_p", u64::from(np))
+        geo_span.event("granularity_point", |ev| {
+            ev.u64("n_p", u64::from(np))
                 .u64("n_c", u64::from(nc))
                 .u64("lanes", u64::from(l))
                 .u64("vector", u64::from(p))
                 .f64("area_mm2", area)
                 .f64("energy_pj", report.energy.total_pj())
                 .u64("cycles", report.cycles)
-                .u64("dur_us", geo_span.elapsed_us())
-                .emit();
-        }
-        if metered {
-            observe_unit("granularity", bar_t0.elapsed());
-        }
+        });
         let result = GranularityResult {
             geometry: (np, nc, l, p),
             chiplet_area_mm2: area,
@@ -161,10 +156,7 @@ pub fn granularity_sweep_audited(
             wall_us: t0.elapsed().as_micros() as u64,
         });
     }
-    if metered {
-        observe_sweep("granularity", t0);
-        publish_sweep_rates("granularity", out.len() as u64, t0.elapsed());
-    }
+    publish_sweep_rate("granularity", out.len() as u64, t0.elapsed());
     out
 }
 
@@ -185,58 +177,31 @@ fn infeasible_geometry(
     }
 }
 
-/// Metric name of the whole-sweep latency histogram.
-pub const SWEEP_SECONDS: &str = "baton_sweep_duration_seconds";
+/// The whole-sweep latency histogram (one family, two `flow` labels),
+/// observed by the `full_sweep` and `granularity_sweep` spans.
+pub const SWEEP_SECONDS: Family = Family::histogram(
+    "baton_sweep_duration_seconds",
+    "Pre-design sweep latency by flow.",
+);
 
-/// Help text for the sweep latency histogram (one family, two `flow`
-/// labels).
-pub const SWEEP_SECONDS_HELP: &str = "Pre-design sweep latency by flow.";
+/// The per-unit latency histogram: one observation per `(geometry, O-L1)`
+/// unit of the full sweep (its `sweep_geometry` span), or per mapped
+/// geometry bar of the granularity sweep (its `granularity_geometry` span).
+pub const SWEEP_UNIT_SECONDS: Family = Family::histogram(
+    "baton_sweep_unit_duration_seconds",
+    "Pre-design sweep per-geometry-unit latency by flow.",
+);
 
-/// Metric name of the per-unit latency histogram.
-pub const SWEEP_UNIT_SECONDS: &str = "baton_sweep_unit_duration_seconds";
-
-/// Help text for the per-unit latency histogram: one observation per
-/// `(geometry, O-L1)` unit of the full sweep, or per geometry bar of the
-/// granularity sweep.
-pub const SWEEP_UNIT_SECONDS_HELP: &str = "Pre-design sweep per-geometry-unit latency by flow.";
-
-/// Metric name of the end-of-sweep throughput gauge.
-pub const SWEEP_POINTS_PER_SECOND: &str = "baton_sweep_points_per_second";
-
-/// Help text for the end-of-sweep throughput gauge.
-pub const SWEEP_POINTS_PER_SECOND_HELP: &str =
-    "Valid design points per second over the last completed sweep, by flow.";
-
-/// Records one sweep duration into the labelled metrics registry (no-op
-/// unless `baton serve` enabled the layer).
-fn observe_sweep(flow: &'static str, t0: std::time::Instant) {
-    baton_telemetry::metrics::observe_duration(
-        SWEEP_SECONDS,
-        SWEEP_SECONDS_HELP,
-        &[("flow", flow)],
-        t0.elapsed(),
-    );
-}
-
-/// Records one sweep-unit duration into the per-unit histogram.
-fn observe_unit(flow: &'static str, dur: std::time::Duration) {
-    baton_telemetry::metrics::observe_duration(
-        SWEEP_UNIT_SECONDS,
-        SWEEP_UNIT_SECONDS_HELP,
-        &[("flow", flow)],
-        dur,
-    );
-}
+/// The end-of-sweep throughput gauge.
+pub const SWEEP_POINTS_PER_SECOND: Family = Family::gauge(
+    "baton_sweep_points_per_second",
+    "Valid design points per second over the last completed sweep, by flow.",
+);
 
 /// Publishes the sweep's points/sec throughput gauge.
-fn publish_sweep_rates(flow: &'static str, points: u64, elapsed: std::time::Duration) {
+fn publish_sweep_rate(flow: &'static str, points: u64, elapsed: std::time::Duration) {
     let secs = elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
-    baton_telemetry::metrics::gauge_set(
-        SWEEP_POINTS_PER_SECOND,
-        SWEEP_POINTS_PER_SECOND_HELP,
-        &[("flow", flow)],
-        points as f64 / secs,
-    );
+    SWEEP_POINTS_PER_SECOND.set(&[("flow", flow)], points as f64 / secs);
 }
 
 /// One valid point of the Figure 15 design-space exploration.
@@ -661,9 +626,8 @@ fn full_sweep_with<E: SweepEngine>(
     opts: &SweepOptions,
     audit: &SweepAudit,
 ) -> Vec<DesignPoint> {
-    let _sweep_span = span("full_sweep");
+    let _sweep_span = span("full_sweep").observe(&SWEEP_SECONDS, ("flow", "full"));
     let t0 = std::time::Instant::now();
-    let metered = baton_telemetry::metrics::enabled();
     let geometries = opts.space.compute.geometries_for(opts.total_macs);
     count_n(Counter::SweepGeometries, geometries.len() as u64);
     let units: Vec<Unit> = geometries
@@ -675,10 +639,12 @@ fn full_sweep_with<E: SweepEngine>(
     let rung = |grid: &mut Option<ClassGrid>, (geometry, o_l1): Unit| {
         // Labelled per unit so a request trace (or `-vv` profile) can tell
         // which geometry a slow chunk was grinding on.
-        let unit_span = span_labeled("sweep_geometry", || {
+        let mut unit_span = span_labeled("sweep_geometry", || {
             let (np, nc, l, p) = geometry;
             format!("{np}x{nc}x{l}x{p}/o_l1={o_l1}")
-        });
+        })
+        .observe(&SWEEP_UNIT_SECONDS, ("flow", "full"));
+        // The audit's per-unit wall time.
         let unit_t0 = std::time::Instant::now();
         let mut local = Vec::new();
         let mut stats = UnitStats::default();
@@ -690,21 +656,15 @@ fn full_sweep_with<E: SweepEngine>(
             count_n(Counter::SweepPointsInfeasible, stats.infeasible);
         }
         stats.wall_us = unit_t0.elapsed().as_micros() as u64;
-        if baton_telemetry::enabled() {
+        unit_span.event("sweep_unit", |ev| {
             let (np, nc, l, p) = geometry;
-            event("sweep_unit")
-                .u64("n_p", u64::from(np))
+            ev.u64("n_p", u64::from(np))
                 .u64("n_c", u64::from(nc))
                 .u64("lanes", u64::from(l))
                 .u64("vector", u64::from(p))
                 .u64("o_l1", o_l1)
                 .u64("points", local.len() as u64)
-                .u64("dur_us", unit_span.elapsed_us())
-                .emit();
-        }
-        if metered {
-            observe_unit("full", unit_t0.elapsed());
-        }
+        });
         meter.tick(1);
         (local, stats)
     };
@@ -771,10 +731,7 @@ fn full_sweep_with<E: SweepEngine>(
             wall_us: t0.elapsed().as_micros() as u64,
         });
     }
-    if metered {
-        observe_sweep("full", t0);
-        publish_sweep_rates("full", points.len() as u64, t0.elapsed());
-    }
+    publish_sweep_rate("full", points.len() as u64, t0.elapsed());
     points
 }
 

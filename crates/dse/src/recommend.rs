@@ -11,7 +11,7 @@ use baton_arch::{CostModel, Technology};
 use baton_model::Model;
 use serde::{Deserialize, Serialize};
 
-use crate::pareto::{pareto_front, record_front_size};
+use crate::pareto::{pareto_front, FRONT_SIZE};
 use crate::predesign::{full_sweep, DesignPoint, SweepOptions};
 
 /// The assembled pre-design recommendation.
@@ -59,7 +59,7 @@ pub fn recommend(
         .min_by(|a, b| a.edp(tech).total_cmp(&b.edp(tech)))
         .map(|p| (*p).clone());
     let front_idx = pareto_front(&points, |p| (p.chiplet_area_mm2, p.edp(tech)));
-    record_front_size("full", front_idx.len());
+    FRONT_SIZE.set(&[("flow", "full")], front_idx.len() as f64);
     let pareto: Vec<DesignPoint> = front_idx.into_iter().map(|i| points[i].clone()).collect();
     let winner_cost_usd = cost.system_cost_usd(
         winner.chiplet_area_mm2 * f64::from(winner.geometry.0),

@@ -41,6 +41,6 @@ pub use datatype::{ACT_BITS, PSUM_BITS, WGT_BITS};
 pub use graph::{GraphError, GraphNode, LayerGraph};
 pub use halo::{max_sharing_degree, planar_redundancy, InputWindow, PlanarGrid, Redundancy};
 pub use layer::{ConvSpec, ConvSpecBuilder, LayerKind, ShapeError, ShapeKey};
-pub use model::Model;
+pub use model::{MacsOverflow, Model};
 pub use parse::{parse_model, render_model, ParseModelError};
 pub use stats::{LayerStats, ModelStats};

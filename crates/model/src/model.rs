@@ -19,14 +19,50 @@ pub struct Model {
     layers: Vec<ConvSpec>,
 }
 
+/// A model whose layers' MAC counts sum past `u64::MAX`: each layer fits,
+/// but [`Model::total_macs`] would wrap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MacsOverflow;
+
+impl fmt::Display for MacsOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "total MACs exceed {}", u64::MAX)
+    }
+}
+
+impl std::error::Error for MacsOverflow {}
+
 impl Model {
     /// Creates a model from a layer list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layers' MAC counts sum past `u64::MAX`; models read
+    /// from outside input go through [`Model::try_new`].
     pub fn new(name: impl Into<String>, input_resolution: u32, layers: Vec<ConvSpec>) -> Self {
-        Self {
+        Self::try_new(name, input_resolution, layers).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a model from a layer list.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MacsOverflow`] if the layers' MAC counts sum past
+    /// `u64::MAX`, so that [`Model::total_macs`] never wraps.
+    pub fn try_new(
+        name: impl Into<String>,
+        input_resolution: u32,
+        layers: Vec<ConvSpec>,
+    ) -> Result<Self, MacsOverflow> {
+        layers
+            .iter()
+            .try_fold(0u64, |sum, l| sum.checked_add(l.macs()))
+            .ok_or(MacsOverflow)?;
+        Ok(Self {
             name: name.into(),
             input_resolution,
             layers,
-        }
+        })
     }
 
     /// Model name, e.g. `"vgg16"`.
@@ -50,7 +86,8 @@ impl Model {
         self.layers.iter().find(|l| l.name() == name)
     }
 
-    /// Total MAC operations over all layers.
+    /// Total MAC operations over all layers (it fits: [`Model::try_new`]
+    /// refuses a model whose sum would not).
     pub fn total_macs(&self) -> u64 {
         self.layers.iter().map(ConvSpec::macs).sum()
     }
@@ -98,6 +135,18 @@ impl fmt::Display for Model {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mac_totals_past_u64_are_refused() {
+        // 2^58 MACs each: 63 layers sum to just under 2^64, 64 wrap to 0.
+        let layer = ConvSpec::new("c", 1 << 20, 1 << 20, 1, 1, 1, 0, 1 << 18).unwrap();
+        assert_eq!(layer.macs(), 1 << 58);
+        let fits = Model::try_new("big", 64, vec![layer.clone(); 63]).unwrap();
+        assert_eq!(fits.total_macs(), 63 << 58);
+        let err = Model::try_new("big", 64, vec![layer; 64]).unwrap_err();
+        assert_eq!(err, MacsOverflow);
+        assert_eq!(err.to_string(), "total MACs exceed 18446744073709551615");
+    }
 
     fn tiny() -> Model {
         Model::new(

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::layer::{ConvSpec, ConvSpecBuilder, ShapeError};
-use crate::model::Model;
+use crate::model::{MacsOverflow, Model};
 
 /// Errors produced while parsing a model description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +46,8 @@ pub enum ParseModelError {
         /// Underlying shape error.
         source: ShapeError,
     },
+    /// Every layer parsed, but their MAC counts sum past `u64::MAX`.
+    TotalMacs(MacsOverflow),
 }
 
 impl fmt::Display for ParseModelError {
@@ -63,6 +65,7 @@ impl fmt::Display for ParseModelError {
             ParseModelError::Shape { line, source } => {
                 write!(f, "line {line}: invalid layer shape: {source}")
             }
+            ParseModelError::TotalMacs(source) => write!(f, "{source}"),
         }
     }
 }
@@ -71,6 +74,7 @@ impl std::error::Error for ParseModelError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ParseModelError::Shape { source, .. } => Some(source),
+            ParseModelError::TotalMacs(source) => Some(source),
             _ => None,
         }
     }
@@ -81,7 +85,8 @@ impl std::error::Error for ParseModelError {
 /// # Errors
 ///
 /// Returns [`ParseModelError`] with a line number for any malformed line or
-/// invalid layer shape.
+/// invalid layer shape, or [`ParseModelError::TotalMacs`] when the layers'
+/// MAC counts sum past `u64::MAX`.
 pub fn parse_model(text: &str) -> Result<Model, ParseModelError> {
     let mut header: Option<(String, u32)> = None;
     let mut layers = Vec::new();
@@ -118,7 +123,7 @@ pub fn parse_model(text: &str) -> Result<Model, ParseModelError> {
     }
 
     let (name, resolution) = header.ok_or(ParseModelError::MissingHeader)?;
-    Ok(Model::new(name, resolution, layers))
+    Model::try_new(name, resolution, layers).map_err(ParseModelError::TotalMacs)
 }
 
 /// Renders a model back into the text description format, such that

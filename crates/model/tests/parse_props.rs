@@ -2,7 +2,9 @@
 //! never panics, whatever text it is given, and rendering a model, parsing
 //! the text and rendering again gives the same text and the same model.
 
-use baton_model::{parse_model, render_model, zoo, ConvSpec, ConvSpecBuilder, Model};
+use baton_model::{
+    parse_model, render_model, zoo, ConvSpec, ConvSpecBuilder, Model, ParseModelError,
+};
 use proptest::prelude::*;
 
 /// Layer keywords, the unknown `pool` and the header keyword among them.
@@ -114,8 +116,13 @@ fn model_text() -> impl Strategy<Value = String> {
 /// Extents from 1 to the top of `u32`, whose products reach past `u64`.
 const EXTREMES: [u32; 7] = [1, 3, 64, 65_536, 1 << 20, i32::MAX as u32, u32::MAX];
 
-/// Grammatical model text whose layers take extreme extents: every
-/// count of a layer it accepts must fit a `u64` in bits.
+/// How often a drawn layer line repeats: enough copies of a large layer
+/// push the model's MAC total past `u64`, though each layer fits.
+const REPEATS: [usize; 4] = [1, 2, 64, 1024];
+
+/// Grammatical model text whose layers take extreme extents, each line
+/// repeated up to 1024 times: every count of a layer it accepts, and the
+/// model's MAC total, must fit a `u64`.
 fn extreme_model_text() -> impl Strategy<Value = String> {
     let extent = || 0..EXTREMES.len();
     proptest::collection::vec(
@@ -123,25 +130,55 @@ fn extreme_model_text() -> impl Strategy<Value = String> {
             0u8..4,
             (extent(), extent(), extent()),
             extent(),
-            0u32..2,
-            1u32..=2,
+            (0u32..2, 1u32..=2),
+            0..REPEATS.len(),
         ),
         1..4,
     )
     .prop_map(|layers| {
         let mut text = "model m @224\n".to_string();
-        for (kind, (h, w, c), co, k, s) in layers {
+        for (kind, (h, w, c), co, (k, s), repeat) in layers {
             let (h, w, c, co) = (EXTREMES[h], EXTREMES[w], EXTREMES[c], EXTREMES[co]);
             let k = 2 * k + 1;
-            text.push_str(&match kind {
+            let line = match kind {
                 0 => format!("conv name=c in={h}x{w}x{c} k={k} s={s} co={co}\n"),
                 1 => format!("pointwise name=p in={h}x{w}x{c} co={co}\n"),
                 2 => format!("depthwise name=d in={h}x{w}x{c} k={k} s={s}\n"),
                 _ => format!("fc name=f ci={c} co={co}\n"),
-            });
+            };
+            text.push_str(&line.repeat(REPEATS[repeat]));
         }
         text
     })
+}
+
+/// [`check_parsed`] for [`extreme_model_text`], which also knows why a
+/// model was refused: a refusal of the MAC total means every layer line
+/// parses alone and their MACs sum past `u64`; otherwise some line fails.
+fn check_extreme(text: &str) -> Result<(), TestCaseError> {
+    check_parsed(text)?;
+    let (header, lines) = text.split_once('\n').unwrap();
+    let mut layers_fit = true;
+    let mut total = 0u128;
+    let mut lines = lines.lines().peekable();
+    while let Some(line) = lines.next() {
+        let mut copies = 1;
+        while lines.next_if_eq(&line).is_some() {
+            copies += 1;
+        }
+        match parse_model(&format!("{header}\n{line}\n")) {
+            Ok(alone) => total += copies * u128::from(alone.total_macs()),
+            Err(_) => layers_fit = false,
+        }
+    }
+    match parse_model(text) {
+        Ok(_) => prop_assert!(layers_fit && total <= u128::from(u64::MAX)),
+        Err(ParseModelError::TotalMacs(_)) => {
+            prop_assert!(layers_fit && total > u128::from(u64::MAX), "{}", total)
+        }
+        Err(_) => prop_assert!(!layers_fit),
+    }
+    Ok(())
 }
 
 /// Arbitrary text over ASCII and the first few Unicode blocks (whitespace,
@@ -214,6 +251,8 @@ fn check_parsed(text: &str) -> Result<(), TestCaseError> {
         for layer in model.layers() {
             check_counts(layer)?;
         }
+        let macs = model.layers().iter().map(|l| u128::from(l.macs()));
+        prop_assert_eq!(u128::from(model.total_macs()), macs.sum::<u128>());
         let rendered = render_model(&model);
         let back = parse_model(&rendered)
             .map_err(|e| TestCaseError::fail(format!("{e} in {rendered:?}")))?;
@@ -279,7 +318,7 @@ proptest! {
 
     #[test]
     fn extreme_extents_never_wrap_a_count(text in extreme_model_text()) {
-        check_parsed(&text)?;
+        check_extreme(&text)?;
     }
 }
 

@@ -698,7 +698,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 let prov = nn_baton::dse::pareto_provenance(&points, |p| {
                     (p.chiplet_area_mm2, p.edp(&tech))
                 });
-                nn_baton::dse::pareto::record_front_size("full", prov.front.len());
+                nn_baton::dse::pareto::FRONT_SIZE.set(&[("flow", "full")], prov.front.len() as f64);
                 let explanation = nn_baton::report::explain_sweep(&points, &prov, &tech, flags.top);
                 print!("{}", explanation.render(flags.format));
             }

@@ -95,14 +95,13 @@ use std::time::{Duration, Instant};
 use baton_arch::{presets, Technology};
 use baton_c3p::Objective;
 use baton_model::{parse_model, zoo, ConvSpec, Model};
-use baton_parallel::queue::{
-    BoundedQueue, Handoff, PushError, QUEUE_DEPTH_GAUGE, QUEUE_DEPTH_HELP,
-};
+use baton_parallel::queue::{BoundedQueue, Handoff, PushError, QUEUE_DEPTH};
 use baton_report::perfetto::PerfettoTrace;
 use baton_report::{explain_layer, Format};
 use baton_telemetry::json::{self, ObjectWriter, Value};
+use baton_telemetry::metrics::{self, Family};
 use baton_telemetry::trace::{CompletedTrace, FlightRecorder, TraceHandle};
-use baton_telemetry::{expo, metrics, span, trace, vlog};
+use baton_telemetry::{expo, span, trace, vlog};
 
 /// Default listen address (host:port) for `baton serve`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:9184";
@@ -137,26 +136,40 @@ const MAX_HEADERS: usize = 100;
 /// Room reserved for the status line and headers of a response.
 const HEAD_CAPACITY: usize = 256;
 
-const REQUESTS_TOTAL: &str = "baton_http_requests_total";
-const REQUESTS_HELP: &str = "HTTP requests served, by canonical path and status code.";
-const REQUEST_SECONDS: &str = "baton_http_request_duration_seconds";
-const REQUEST_SECONDS_HELP: &str = "HTTP request handling latency by canonical path.";
-const WORKERS_BUSY: &str = "baton_http_workers_busy";
-const WORKERS_BUSY_HELP: &str = "HTTP worker threads currently serving a connection.";
+const REQUESTS: Family = Family::counter(
+    "baton_http_requests_total",
+    "HTTP requests served, by canonical path and status code.",
+);
+const REQUEST_SECONDS: Family = Family::histogram(
+    "baton_http_request_duration_seconds",
+    "HTTP request handling latency by canonical path.",
+);
+const WORKERS_BUSY: Family = Family::gauge(
+    "baton_http_workers_busy",
+    "HTTP worker threads currently serving a connection.",
+);
 
-const CACHE_HITS: &str = "baton_response_cache_hits_total";
-const CACHE_HITS_HELP: &str = "Mapping requests answered from the response cache.";
-const CACHE_MISSES: &str = "baton_response_cache_misses_total";
-const CACHE_MISSES_HELP: &str =
-    "Mapping requests that missed the response cache and ran the search.";
-const CACHE_EVICTIONS: &str = "baton_response_cache_evictions_total";
-const CACHE_EVICTIONS_HELP: &str = "Response cache entries evicted to make room (LRU per shard).";
-const CACHE_ENTRIES: &str = "baton_response_cache_entries";
-const CACHE_ENTRIES_HELP: &str = "Entries currently held by the response cache.";
+const CACHE_HITS: Family = Family::counter(
+    "baton_response_cache_hits_total",
+    "Mapping requests answered from the response cache.",
+);
+const CACHE_MISSES: Family = Family::counter(
+    "baton_response_cache_misses_total",
+    "Mapping requests that missed the response cache and ran the search.",
+);
+const CACHE_EVICTIONS: Family = Family::counter(
+    "baton_response_cache_evictions_total",
+    "Response cache entries evicted to make room (LRU per shard).",
+);
+const CACHE_ENTRIES: Family = Family::gauge(
+    "baton_response_cache_entries",
+    "Entries currently held by the response cache.",
+);
 
-const CONNECTIONS_CLOSED: &str = "baton_http_connections_closed_total";
-const CONNECTIONS_CLOSED_HELP: &str =
-    "Keep-alive connections closed by the server, by cause (limit, deadline, framing, drain).";
+const CONNECTIONS_CLOSED: Family = Family::counter(
+    "baton_http_connections_closed_total",
+    "Keep-alive connections closed by the server, by cause (limit, deadline, framing, drain).",
+);
 
 /// Completed request traces retained by the flight recorder.
 const FLIGHT_RECORDER_CAPACITY: usize = 128;
@@ -318,9 +331,9 @@ impl ResponseCache {
         });
         drop(shard);
         if found.is_some() {
-            metrics::counter_add(CACHE_HITS, CACHE_HITS_HELP, &[], 1);
+            CACHE_HITS.add(&[], 1);
         } else {
-            metrics::counter_add(CACHE_MISSES, CACHE_MISSES_HELP, &[], 1);
+            CACHE_MISSES.add(&[], 1);
         }
         found
     }
@@ -349,18 +362,13 @@ impl ResponseCache {
         let added = shard.map.insert(key, (stamp, body)).is_none();
         drop(shard);
         if evicted {
-            metrics::counter_add(CACHE_EVICTIONS, CACHE_EVICTIONS_HELP, &[], 1);
+            CACHE_EVICTIONS.add(&[], 1);
             self.entries.fetch_sub(1, Ordering::Relaxed);
         }
         if added {
             self.entries.fetch_add(1, Ordering::Relaxed);
         }
-        metrics::gauge_set(
-            CACHE_ENTRIES,
-            CACHE_ENTRIES_HELP,
-            &[],
-            self.entries.load(Ordering::Relaxed) as f64,
-        );
+        CACHE_ENTRIES.set(&[], self.entries.load(Ordering::Relaxed) as f64);
     }
 
     /// Entries currently held (approximate under concurrency).
@@ -672,60 +680,26 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
     trace::enable();
     // Request/cache/queue families render their HELP/TYPE from the very
     // first scrape, before any request has been served.
-    let reg = metrics::registry();
-    reg.describe(REQUESTS_TOTAL, REQUESTS_HELP, metrics::MetricKind::Counter);
-    reg.describe(
+    for family in [
+        REQUESTS,
         CONNECTIONS_CLOSED,
-        CONNECTIONS_CLOSED_HELP,
-        metrics::MetricKind::Counter,
-    );
-    reg.describe(
         REQUEST_SECONDS,
-        REQUEST_SECONDS_HELP,
-        metrics::MetricKind::Histogram,
-    );
-    reg.describe(CACHE_HITS, CACHE_HITS_HELP, metrics::MetricKind::Counter);
-    reg.describe(
+        CACHE_HITS,
         CACHE_MISSES,
-        CACHE_MISSES_HELP,
-        metrics::MetricKind::Counter,
-    );
-    reg.describe(
         CACHE_EVICTIONS,
-        CACHE_EVICTIONS_HELP,
-        metrics::MetricKind::Counter,
-    );
-    // Sweep observability families (populated by the dse sweeps when one
-    // runs in-process) — described up front so scrapes see HELP/TYPE even
-    // on a server that has never swept.
-    reg.describe(
+        // Sweep observability families (populated by the dse sweeps when
+        // one runs in-process) — described up front so scrapes see
+        // HELP/TYPE even on a server that has never swept.
         baton_dse::predesign::SWEEP_SECONDS,
-        baton_dse::predesign::SWEEP_SECONDS_HELP,
-        metrics::MetricKind::Histogram,
-    );
-    reg.describe(
         baton_dse::predesign::SWEEP_UNIT_SECONDS,
-        baton_dse::predesign::SWEEP_UNIT_SECONDS_HELP,
-        metrics::MetricKind::Histogram,
-    );
-    reg.describe(
         baton_dse::predesign::SWEEP_POINTS_PER_SECOND,
-        baton_dse::predesign::SWEEP_POINTS_PER_SECOND_HELP,
-        metrics::MetricKind::Gauge,
-    );
-    reg.describe(
         baton_dse::pareto::FRONT_SIZE,
-        baton_dse::pareto::FRONT_SIZE_HELP,
-        metrics::MetricKind::Gauge,
-    );
-    metrics::gauge_set(CACHE_ENTRIES, CACHE_ENTRIES_HELP, &[], 0.0);
-    metrics::gauge_set(WORKERS_BUSY, WORKERS_BUSY_HELP, &[], 0.0);
-    metrics::gauge_set(
-        QUEUE_DEPTH_GAUGE,
-        QUEUE_DEPTH_HELP,
-        &[("queue", "http")],
-        0.0,
-    );
+    ] {
+        family.describe();
+    }
+    CACHE_ENTRIES.set(&[], 0.0);
+    WORKERS_BUSY.set(&[], 0.0);
+    QUEUE_DEPTH.set(&[("queue", "http")], 0.0);
 
     let listener =
         TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
@@ -839,7 +813,7 @@ fn reject_saturated(stream: TcpStream) {
 fn worker_loop(queue: &BoundedQueue<Handoff<TcpStream>>, state: &ServerState) {
     while let Some(handoff) = queue.pop() {
         let (stream, _acceptor_trace, enqueued) = handoff.into_parts();
-        metrics::gauge_add(WORKERS_BUSY, WORKERS_BUSY_HELP, &[], 1.0);
+        WORKERS_BUSY.shift(&[], 1.0);
         if let Err(e) = handle_connection(stream, state, enqueued) {
             // A deadline (read/write timeout) surfaces as WouldBlock or
             // TimedOut depending on the platform; both mean the server
@@ -849,7 +823,7 @@ fn worker_loop(queue: &BoundedQueue<Handoff<TcpStream>>, state: &ServerState) {
             }
             vlog!(2, "serve: connection error: {e}");
         }
-        metrics::gauge_add(WORKERS_BUSY, WORKERS_BUSY_HELP, &[], -1.0);
+        WORKERS_BUSY.shift(&[], -1.0);
     }
 }
 
@@ -858,12 +832,7 @@ fn worker_loop(queue: &BoundedQueue<Handoff<TcpStream>>, state: &ServerState) {
 /// Client-requested closes (`Connection: close`) are not counted — the
 /// family exists to explain closes the *server* decided on.
 fn close_cause(cause: &'static str) {
-    metrics::counter_add(
-        CONNECTIONS_CLOSED,
-        CONNECTIONS_CLOSED_HELP,
-        &[("cause", cause)],
-        1,
-    );
+    CONNECTIONS_CLOSED.add(&[("cause", cause)], 1);
 }
 
 /// Serves one connection: up to `keep_alive_requests` requests back to
@@ -1183,18 +1152,8 @@ fn warmup() {
 
 fn record_request(canonical: &'static str, status: u16, elapsed: Duration) {
     let code = status.to_string();
-    metrics::counter_add(
-        REQUESTS_TOTAL,
-        REQUESTS_HELP,
-        &[("code", code.as_str()), ("path", canonical)],
-        1,
-    );
-    metrics::observe_duration(
-        REQUEST_SECONDS,
-        REQUEST_SECONDS_HELP,
-        &[("path", canonical)],
-        elapsed,
-    );
+    REQUESTS.add(&[("code", code.as_str()), ("path", canonical)], 1);
+    REQUEST_SECONDS.observe(&[("path", canonical)], elapsed);
 }
 
 /// Prints the end-of-drain summary (stdout, one line a supervisor can log)
@@ -1204,17 +1163,17 @@ fn final_snapshot(state: &ServerState) {
     let snapshot = metrics::registry().snapshot();
     let total: u64 = snapshot
         .iter()
-        .filter(|f| f.name == REQUESTS_TOTAL)
+        .filter(|f| f.name == REQUESTS.name)
         .flat_map(|f| &f.series)
         .map(|(_, v)| match v {
             metrics::SeriesValue::Counter(c) => *c,
             _ => 0,
         })
         .sum();
-    let counter = |name: &str| -> u64 {
+    let counter = |family: Family| -> u64 {
         snapshot
             .iter()
-            .find(|f| f.name == name)
+            .find(|f| f.name == family.name)
             .and_then(|f| f.series.first())
             .map(|(_, v)| match v {
                 metrics::SeriesValue::Counter(c) => *c,

@@ -31,18 +31,20 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use baton_telemetry::metrics;
+use baton_telemetry::metrics::{self, Family};
 use baton_telemetry::span_labeled;
 use baton_telemetry::trace;
 
-use queue::{QUEUE_DEPTH_GAUGE, QUEUE_DEPTH_HELP};
+use queue::QUEUE_DEPTH;
 
 /// Gauge of workers currently inside a [`map_chunks`] scope, summed over
 /// concurrent fan-outs.
-const WORKERS_GAUGE: &str = "baton_parallel_workers";
-const WORKERS_HELP: &str = "Worker threads currently executing a parallel fan-out.";
+const WORKERS: Family = Family::gauge(
+    "baton_parallel_workers",
+    "Worker threads currently executing a parallel fan-out.",
+);
 
-/// The fan-out's series in the shared [`QUEUE_DEPTH_GAUGE`] family: chunks
+/// The fan-out's series in the shared [`QUEUE_DEPTH`] family: chunks
 /// not yet claimed by any worker (of the most recently progressed fan-out;
 /// gauges are last-write-wins by design).
 const FAN_OUT_QUEUE: &[(&str, &str)] = &[("queue", "fanout")];
@@ -137,17 +139,13 @@ where
             .collect();
     }
 
-    // Serving-mode occupancy gauges. Chunk-grained, and behind the metrics
-    // enable flag, so one-shot CLI runs pay one relaxed load per fan-out.
+    // Serving-mode occupancy gauges, chunk-grained. The layer's state is
+    // read once so the workers gauge's rise and fall always pair, even if
+    // the layer is switched on mid-fan-out.
     let observe = metrics::enabled();
     if observe {
-        metrics::gauge_add(WORKERS_GAUGE, WORKERS_HELP, &[], workers as f64);
-        metrics::gauge_set(
-            QUEUE_DEPTH_GAUGE,
-            QUEUE_DEPTH_HELP,
-            FAN_OUT_QUEUE,
-            n_chunks as f64,
-        );
+        WORKERS.shift(&[], workers as f64);
+        QUEUE_DEPTH.set(FAN_OUT_QUEUE, n_chunks as f64);
     }
 
     // One slot per chunk, written exactly once by whichever worker claimed
@@ -173,12 +171,7 @@ where
                         break;
                     }
                     if observe {
-                        metrics::gauge_set(
-                            QUEUE_DEPTH_GAUGE,
-                            QUEUE_DEPTH_HELP,
-                            FAN_OUT_QUEUE,
-                            n_chunks.saturating_sub(c + 1) as f64,
-                        );
+                        QUEUE_DEPTH.set(FAN_OUT_QUEUE, n_chunks.saturating_sub(c + 1) as f64);
                     }
                     let start = c * chunk;
                     let end = (start + chunk).min(n);
@@ -191,8 +184,8 @@ where
         }
     });
     if observe {
-        metrics::gauge_add(WORKERS_GAUGE, WORKERS_HELP, &[], -(workers as f64));
-        metrics::gauge_set(QUEUE_DEPTH_GAUGE, QUEUE_DEPTH_HELP, FAN_OUT_QUEUE, 0.0);
+        WORKERS.shift(&[], -(workers as f64));
+        QUEUE_DEPTH.set(FAN_OUT_QUEUE, 0.0);
     }
     slots
         .into_iter()
@@ -450,7 +443,7 @@ pub(crate) mod tests {
         };
         let fanout_depth = snap
             .iter()
-            .find(|f| f.name == QUEUE_DEPTH_GAUGE)
+            .find(|f| f.name == QUEUE_DEPTH.name)
             .and_then(|f| {
                 f.series
                     .iter()
@@ -458,7 +451,7 @@ pub(crate) mod tests {
                     .map(|(_, v)| v.clone())
             });
         // Workers went up and came back down; the queue drained.
-        assert_eq!(value(WORKERS_GAUGE), Some(SeriesValue::Gauge(0.0)));
+        assert_eq!(value(WORKERS.name), Some(SeriesValue::Gauge(0.0)));
         assert_eq!(fanout_depth, Some(SeriesValue::Gauge(0.0)));
         baton_telemetry::metrics::reset();
     }

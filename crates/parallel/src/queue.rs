@@ -14,15 +14,15 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use baton_telemetry::metrics;
+use baton_telemetry::metrics::Family;
 use baton_telemetry::trace;
 
 /// Gauge family shared with [`map_chunks`](crate::map_chunks)'s fan-out
 /// depth series; each queue instance owns one `queue="<name>"` series.
-pub const QUEUE_DEPTH_GAUGE: &str = "baton_parallel_queue_depth";
-/// Help text for [`QUEUE_DEPTH_GAUGE`].
-pub const QUEUE_DEPTH_HELP: &str =
-    "Unclaimed items in a bounded parallel work queue, by queue name.";
+pub const QUEUE_DEPTH: Family = Family::gauge(
+    "baton_parallel_queue_depth",
+    "Unclaimed items in a bounded parallel work queue, by queue name.",
+);
 
 /// A queue item bundled with its hand-off context: the producer's trace
 /// propagation (so request-scoped spans recorded by the consumer attach to
@@ -87,7 +87,7 @@ struct Inner<T> {
 /// * [`pop`](Self::pop) blocks until an item arrives or the queue is
 ///   [`close`](Self::close)d *and* drained — consumers exit cleanly on
 ///   `None` without a sentinel item.
-/// * Depth is mirrored into [`QUEUE_DEPTH_GAUGE`] under this queue's name
+/// * Depth is mirrored into [`QUEUE_DEPTH`] under this queue's name
 ///   whenever the metrics layer is enabled.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
@@ -117,12 +117,7 @@ impl<T> BoundedQueue<T> {
     }
 
     fn gauge(&self, depth: usize) {
-        metrics::gauge_set(
-            QUEUE_DEPTH_GAUGE,
-            QUEUE_DEPTH_HELP,
-            &[("queue", self.name)],
-            depth as f64,
-        );
+        QUEUE_DEPTH.set(&[("queue", self.name)], depth as f64);
     }
 
     /// The configured capacity.
@@ -330,7 +325,7 @@ mod tests {
 
     #[test]
     fn depth_gauge_tracks_push_and_pop() {
-        use baton_telemetry::metrics::SeriesValue;
+        use baton_telemetry::metrics::{self, SeriesValue};
         // Serialized with the other metrics-touching test via the fan-out
         // lock in lib.rs? Queue tests use a distinct gauge label, so the
         // only cross-talk is enable/reset; hold the same lock to be safe.
@@ -343,7 +338,7 @@ mod tests {
             metrics::registry()
                 .snapshot()
                 .iter()
-                .find(|f| f.name == QUEUE_DEPTH_GAUGE)
+                .find(|f| f.name == QUEUE_DEPTH.name)
                 .and_then(|f| {
                     f.series
                         .iter()

@@ -319,6 +319,7 @@ fn fmt_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Family;
     use crate::test_lock;
     use std::time::Duration;
 
@@ -336,19 +337,10 @@ mod tests {
         let _guard = test_lock::hold();
         metrics::reset();
         metrics::enable();
-        metrics::counter_add(
-            "baton_zz_total",
-            "last family",
-            &[("model", "a\"b\\c\nd")],
-            2,
-        );
-        metrics::gauge_set("baton_aa", "first family", &[], 1.5);
-        metrics::observe_duration(
-            "baton_mid_seconds",
-            "a histogram",
-            &[("path", "/map")],
-            Duration::from_micros(100),
-        );
+        Family::counter("baton_zz_total", "last family").add(&[("model", "a\"b\\c\nd")], 2);
+        Family::gauge("baton_aa", "first family").set(&[], 1.5);
+        Family::histogram("baton_mid_seconds", "a histogram")
+            .observe(&[("path", "/map")], Duration::from_micros(100));
         // The pure renderer with pinned samples must be byte-stable; the
         // live `render` resamples procfs per scrape so it is only required
         // to be *shaped* the same.
@@ -458,12 +450,8 @@ mod tests {
         metrics::reset();
         metrics::enable();
         for us in [1u64, 2, 10, 200, 5_000, 2_000_000] {
-            metrics::observe_duration(
-                "baton_lat_seconds",
-                "latency",
-                &[],
-                Duration::from_micros(us),
-            );
+            Family::histogram("baton_lat_seconds", "latency")
+                .observe(&[], Duration::from_micros(us));
         }
         let text = render("0");
         let mut last = 0u64;

@@ -8,24 +8,27 @@
 //! # Architecture
 //!
 //! The instrumented crates (`baton-mapping`, `baton-c3p`, `baton-dse`,
-//! `baton-sim`) call three kinds of hooks:
+//! `baton-sim`, `baton-parallel`, `nn-baton`) call seven kinds of hooks:
 //!
 //! * **Counters** ([`counters`]): a fixed registry of atomic `u64`s keyed by
 //!   the [`Counter`] enum — candidate generation, rejection reasons,
 //!   evaluations, C³P penalty activations, sweep progress.
-//! * **Spans** ([`span`](mod@span)): RAII wall-clock timers aggregated per phase into
-//!   [`Histogram`]s, and mirrored to the trace sink as `span` events.
+//! * **Spans** ([`span`](mod@span)): RAII wall-clock timers, the one
+//!   observation of a timed site. A closing span reads its clock once and
+//!   feeds its phase [`Histogram`], a `span` trace line, the request-trace
+//!   node, and — when the site attached them — its named trace event and a
+//!   labelled latency histogram.
 //! * **Events** ([`sink`]): structured records encoded as JSON lines into an
 //!   attached [`Sink`] (a file via `--trace-json`, or memory in tests).
-//! * **Labelled metrics** ([`metrics`]): a registry of labelled counters,
-//!   gauges, and latency histograms for long-lived serving processes,
-//!   rendered in Prometheus text format by [`expo::render`]. Gated by its
-//!   own enable flag ([`metrics::enable`]) so one-shot CLI runs never pay
-//!   for it.
+//! * **Labelled metrics** ([`metrics`]): counters, gauges, and latency
+//!   histograms for long-lived serving processes, each family one typed
+//!   [`metrics::Family`] constant, rendered in Prometheus text format by
+//!   [`expo::render`]. Off until [`metrics::enable`], so one-shot CLI runs
+//!   never pay for it.
 //! * **Request traces** ([`trace`]): per-request span trees carried via a
 //!   thread-local and explicitly propagated across worker boundaries,
 //!   plus a fixed-capacity [`trace::FlightRecorder`] of completed
-//!   requests. Gated by [`trace::enable`], same discipline as metrics.
+//!   requests. Off until [`trace::enable`].
 //! * **Allocation counters** ([`alloc`]): a counting global allocator
 //!   binaries opt into with `#[global_allocator]`; spans then attribute
 //!   net allocations and bytes per phase and per trace node, and the
@@ -34,11 +37,12 @@
 //!   sampler behind the standard `process_*` Prometheus series, sampled
 //!   on scrape and omitted (never zeroed) where procfs is unavailable.
 //!
-//! All hooks are routed through one process-global session. When no session
-//! is attached — the default — every hook is a single relaxed atomic load
-//! and a predictable branch, so instrumented hot paths run at full speed.
-//! Attaching a [`Session`] (see [`attach`]) turns the layer on; dropping it
-//! flushes and turns it off.
+//! Every hook first reads one process-global gate, a relaxed atomic with
+//! one bit per observer: an attached session, its sink, request tracing
+//! and labelled metrics. With all of them off — the default — a hook is
+//! that one load and a predictable branch, so instrumented hot paths run
+//! at full speed. Attaching a [`Session`] (see [`attach`]) turns the
+//! session on; dropping it flushes and turns it off.
 //!
 //! ```
 //! use baton_telemetry as tel;
@@ -81,13 +85,35 @@ pub use report::render_summary;
 pub use sink::{event, JsonLinesSink, MemorySink, Sink};
 pub use span::{span, span_labeled, stage_span};
 
-/// Global on/off switch for the whole layer. Relaxed is sufficient: the
-/// flag only gates best-effort metrics, never synchronizes data.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// The observers currently on, one bit each. Relaxed is sufficient: the
+/// gate only switches best-effort observation, never synchronizes data.
+static GATE: AtomicU8 = AtomicU8::new(0);
 
-/// Whether the attached session has a sink. Events go nowhere else, so
-/// without one [`event`] builds nothing (no buffer, no lock).
-static SINK_ATTACHED: AtomicBool = AtomicBool::new(false);
+/// An attached [`Session`]: counters, phase histograms, `span` lines.
+pub(crate) const SESSION: u8 = 1;
+/// The session has a sink. Events go nowhere else, so without one
+/// [`event`] builds nothing (no buffer, no lock).
+pub(crate) const SINK: u8 = 2;
+/// Request tracing ([`trace::enable`]).
+pub(crate) const TRACE: u8 = 4;
+/// Labelled metrics ([`metrics::enable`]).
+pub(crate) const METRICS: u8 = 8;
+
+/// The gate's current bits.
+#[inline]
+pub(crate) fn gate() -> u8 {
+    GATE.load(Ordering::Relaxed)
+}
+
+/// Turns the observers in `bits` on.
+pub(crate) fn open_gate(bits: u8) {
+    GATE.fetch_or(bits, Ordering::Relaxed);
+}
+
+/// Turns the observers in `bits` off.
+pub(crate) fn close_gate(bits: u8) {
+    GATE.fetch_and(!bits, Ordering::Relaxed);
+}
 
 /// Stderr log verbosity (0 = silent, 1 = `-v`, 2 = `-vv`).
 static VERBOSITY: AtomicU8 = AtomicU8::new(0);
@@ -107,7 +133,7 @@ struct ActiveSession {
 /// fast path in instrumented crates compiles to one load and one branch.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    gate() & SESSION != 0
 }
 
 /// Current stderr verbosity tier.
@@ -119,7 +145,7 @@ pub fn verbosity() -> u8 {
 /// True when an attached session writes events to a sink.
 #[inline]
 pub(crate) fn sink_attached() -> bool {
-    SINK_ATTACHED.load(Ordering::Relaxed)
+    gate() & (SESSION | SINK) == SESSION | SINK
 }
 
 /// True when progress meters should render.
@@ -183,14 +209,19 @@ pub fn attach_with_sink(config: &TelemetryConfig, sink: Option<Box<dyn Sink>>) -
     let mut slot = active();
     counters::reset();
     span::reset();
-    SINK_ATTACHED.store(sink.is_some(), Ordering::Relaxed);
+    close_gate(SINK);
+    let bits = if sink.is_some() {
+        SESSION | SINK
+    } else {
+        SESSION
+    };
     *slot = Some(ActiveSession {
         epoch: Instant::now(),
         sink,
     });
     VERBOSITY.store(config.verbosity, Ordering::Relaxed);
     PROGRESS.store(config.progress, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::Relaxed);
+    open_gate(bits);
     drop(slot);
     event("session_start").emit();
     Session { _private: () }
@@ -203,8 +234,7 @@ impl Drop for Session {
             end = end.u64(name, value);
         }
         end.emit();
-        ENABLED.store(false, Ordering::Relaxed);
-        SINK_ATTACHED.store(false, Ordering::Relaxed);
+        close_gate(SESSION | SINK);
         VERBOSITY.store(0, Ordering::Relaxed);
         PROGRESS.store(false, Ordering::Relaxed);
         let mut slot = active();

@@ -8,6 +8,23 @@
 //! [`registry()`] of counter, gauge, and histogram families keyed by
 //! `(&'static str name, sorted label pairs)`.
 //!
+//! Each family is one typed constant, a [`Family`] carrying its name, help
+//! text and kind; the constant's methods are the only way to update it:
+//!
+//! ```
+//! use baton_telemetry::metrics::{self, Family};
+//!
+//! const REQUESTS: Family = Family::counter("baton_demo_total", "Demo requests.");
+//! metrics::enable();
+//! REQUESTS.add(&[("path", "/map")], 1);
+//! assert_eq!(metrics::registry().snapshot()[0].name, "baton_demo_total");
+//! # metrics::reset();
+//! ```
+//!
+//! A timed site with a span attaches its latency family to the span
+//! instead ([`SpanGuard::observe`](crate::span::SpanGuard::observe)), so
+//! the span's one clock reading feeds the histogram.
+//!
 //! # Cost model
 //!
 //! The layer is **off by default** and every hook starts with one relaxed
@@ -29,9 +46,8 @@
 //!   sums to base-unit seconds.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::histogram::Histogram;
 
@@ -84,22 +100,162 @@ pub struct FamilySnapshot {
     pub series: Vec<(Vec<(&'static str, String)>, SeriesValue)>,
 }
 
+/// A label set: `(label name, label value)` pairs in any order.
+pub type Labels<'a> = &'a [(&'static str, &'a str)];
+
+/// One metric family, declared once as a constant and updated through its
+/// methods. Each method is a no-op unless the layer is [`enable`]d, and one
+/// whose kind does not match the family's (a counter's [`set`](Self::set))
+/// is ignored, as is a family whose name the registry already holds with
+/// another kind — metrics are best-effort by design.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Family {
+    /// Family name (e.g. `baton_http_requests_total`).
+    pub name: &'static str,
+    /// The `# HELP` line content.
+    pub help: &'static str,
+    /// Counter, gauge, or histogram.
+    pub kind: MetricKind,
+}
+
+impl Family {
+    /// A counter family.
+    pub const fn counter(name: &'static str, help: &'static str) -> Self {
+        Self {
+            name,
+            help,
+            kind: MetricKind::Counter,
+        }
+    }
+
+    /// A gauge family.
+    pub const fn gauge(name: &'static str, help: &'static str) -> Self {
+        Self {
+            name,
+            help,
+            kind: MetricKind::Gauge,
+        }
+    }
+
+    /// A latency histogram family (microsecond samples, exposed in seconds).
+    pub const fn histogram(name: &'static str, help: &'static str) -> Self {
+        Self {
+            name,
+            help,
+            kind: MetricKind::Histogram,
+        }
+    }
+
+    /// Registers the family with no series, so the exposition shows its
+    /// `# HELP`/`# TYPE` lines from the first scrape onward.
+    pub fn describe(&self) {
+        if enabled() {
+            self.entry(&mut registry().lock());
+        }
+    }
+
+    /// Adds `n` to the counter series `labels`.
+    pub fn add(&self, labels: Labels<'_>, n: u64) {
+        self.update(MetricKind::Counter, labels, |v| {
+            if let SeriesValue::Counter(c) = v {
+                *c += n;
+            }
+        });
+    }
+
+    /// Sets the gauge series `labels` to `v`.
+    pub fn set(&self, labels: Labels<'_>, v: f64) {
+        self.update(MetricKind::Gauge, labels, |g| *g = SeriesValue::Gauge(v));
+    }
+
+    /// Adds `delta` (which may be negative) to the gauge series `labels`,
+    /// treating an absent series as 0.
+    pub fn shift(&self, labels: Labels<'_>, delta: f64) {
+        self.update(MetricKind::Gauge, labels, |v| {
+            if let SeriesValue::Gauge(g) = v {
+                *g += delta;
+            }
+        });
+    }
+
+    /// Records one duration into the histogram series `labels`.
+    pub fn observe(&self, labels: Labels<'_>, d: Duration) {
+        let us = d.as_micros().min(u64::MAX as u128) as u64;
+        self.update(MetricKind::Histogram, labels, |v| {
+            if let SeriesValue::Histogram(h) = v {
+                h.record(us);
+            }
+        });
+    }
+
+    /// Starts timing one observation of this histogram, for a site with no
+    /// span of its own; [`Timer::observe`] records it. Reads no clock
+    /// unless the layer is enabled.
+    pub fn timer(&'static self) -> Timer {
+        Timer(enabled().then(|| (self, Instant::now())))
+    }
+
+    /// This family's registry entry, created on first use; `None` when the
+    /// name is registered with another kind.
+    fn entry<'a>(&self, map: &'a mut BTreeMap<&'static str, Entry>) -> Option<&'a mut Entry> {
+        let entry = map.entry(self.name).or_insert_with(|| Entry {
+            help: self.help,
+            kind: self.kind,
+            series: BTreeMap::new(),
+        });
+        (entry.kind == self.kind).then_some(entry)
+    }
+
+    /// Applies `f` to the series `labels` (zero until first written) when
+    /// the layer is on and the family is of the method's `kind`.
+    fn update(&self, kind: MetricKind, labels: Labels<'_>, f: impl FnOnce(&mut SeriesValue)) {
+        if !enabled() || self.kind != kind {
+            return;
+        }
+        let mut map = registry().lock();
+        let Some(entry) = self.entry(&mut map) else {
+            return;
+        };
+        f(entry
+            .series
+            .entry(label_key(labels))
+            .or_insert_with(|| match kind {
+                MetricKind::Counter => SeriesValue::Counter(0),
+                MetricKind::Gauge => SeriesValue::Gauge(0.0),
+                MetricKind::Histogram => SeriesValue::Histogram(Box::default()),
+            }));
+    }
+}
+
+/// One pending observation of a histogram [`Family`]; see
+/// [`Family::timer`]. Dropping it unobserved records nothing.
 #[derive(Debug)]
-struct Family {
+#[must_use = "a timer records nothing until .observe() is called"]
+pub struct Timer(Option<(&'static Family, Instant)>);
+
+impl Timer {
+    /// Records the time since the timer started into the series `labels`.
+    pub fn observe(self, labels: Labels<'_>) {
+        if let Some((family, t0)) = self.0 {
+            family.observe(labels, t0.elapsed());
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Entry {
     help: &'static str,
     kind: MetricKind,
     series: BTreeMap<Vec<(&'static str, String)>, SeriesValue>,
 }
 
-/// The process-global labelled metrics registry. Obtain it with
-/// [`registry()`]; all mutation goes through the typed methods so a family
-/// can never mix kinds.
+/// The process-global labelled metrics registry: every family a [`Family`]
+/// constant has written, read back with [`Registry::snapshot`].
 #[derive(Debug)]
 pub struct Registry {
-    families: Mutex<BTreeMap<&'static str, Family>>,
+    families: Mutex<BTreeMap<&'static str, Entry>>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static REGISTRY: Registry = Registry {
     families: Mutex::new(BTreeMap::new()),
 };
@@ -108,18 +264,18 @@ static REGISTRY: Registry = Registry {
 /// disabled fast path in instrumented crates is one load and one branch.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    crate::gate() & crate::METRICS != 0
 }
 
 /// Turns the labelled-metrics layer on (done once by `baton serve`).
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    crate::open_gate(crate::METRICS);
 }
 
 /// Turns the layer off again and clears every family. Test-oriented; a
 /// serving process never calls this.
 pub fn reset() {
-    ENABLED.store(false, Ordering::Relaxed);
+    crate::close_gate(crate::METRICS);
     registry().lock().clear();
 }
 
@@ -130,7 +286,7 @@ pub fn registry() -> &'static Registry {
 
 /// Canonicalizes a label set: sorted by label name so `[("b",..),("a",..)]`
 /// and `[("a",..),("b",..)]` address the same series.
-fn label_key(labels: &[(&'static str, &str)]) -> Vec<(&'static str, String)> {
+fn label_key(labels: Labels<'_>) -> Vec<(&'static str, String)> {
     let mut key: Vec<(&'static str, String)> =
         labels.iter().map(|(k, v)| (*k, (*v).to_string())).collect();
     key.sort_by(|a, b| a.0.cmp(b.0));
@@ -138,145 +294,10 @@ fn label_key(labels: &[(&'static str, &str)]) -> Vec<(&'static str, String)> {
 }
 
 impl Registry {
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<&'static str, Family>> {
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<&'static str, Entry>> {
         // Metrics must never take the process down; a poisoned map only
         // loses observations.
         self.families.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Ensures `name` exists with this kind (so `# HELP`/`# TYPE` render
-    /// even before the first observation) and returns whether the kind
-    /// matches. A name reused with a different kind is ignored rather than
-    /// panicking — metrics are best-effort by design.
-    fn family<'a>(
-        map: &'a mut BTreeMap<&'static str, Family>,
-        name: &'static str,
-        help: &'static str,
-        kind: MetricKind,
-    ) -> Option<&'a mut Family> {
-        let f = map.entry(name).or_insert_with(|| Family {
-            help,
-            kind,
-            series: BTreeMap::new(),
-        });
-        (f.kind == kind).then_some(f)
-    }
-
-    /// Registers an (initially series-less) family so the exposition shows
-    /// its `# HELP`/`# TYPE` lines from the first scrape onward.
-    pub fn describe(&self, name: &'static str, help: &'static str, kind: MetricKind) {
-        if !enabled() {
-            return;
-        }
-        Self::family(&mut self.lock(), name, help, kind);
-    }
-
-    /// Adds `n` to the counter series `name{labels}`.
-    pub fn counter_add(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &str)],
-        n: u64,
-    ) {
-        if !enabled() {
-            return;
-        }
-        let mut map = self.lock();
-        let Some(f) = Self::family(&mut map, name, help, MetricKind::Counter) else {
-            return;
-        };
-        if let SeriesValue::Counter(c) = f
-            .series
-            .entry(label_key(labels))
-            .or_insert(SeriesValue::Counter(0))
-        {
-            *c += n;
-        }
-    }
-
-    /// Sets the gauge series `name{labels}` to `v`.
-    pub fn gauge_set(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &str)],
-        v: f64,
-    ) {
-        if !enabled() {
-            return;
-        }
-        let mut map = self.lock();
-        let Some(f) = Self::family(&mut map, name, help, MetricKind::Gauge) else {
-            return;
-        };
-        f.series.insert(label_key(labels), SeriesValue::Gauge(v));
-    }
-
-    /// Adds `delta` (which may be negative) to the gauge series
-    /// `name{labels}`, treating an absent series as 0.
-    pub fn gauge_add(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &str)],
-        delta: f64,
-    ) {
-        if !enabled() {
-            return;
-        }
-        let mut map = self.lock();
-        let Some(f) = Self::family(&mut map, name, help, MetricKind::Gauge) else {
-            return;
-        };
-        if let SeriesValue::Gauge(g) = f
-            .series
-            .entry(label_key(labels))
-            .or_insert(SeriesValue::Gauge(0.0))
-        {
-            *g += delta;
-        }
-    }
-
-    /// Records one microsecond sample into the histogram series
-    /// `name{labels}`.
-    pub fn observe_us(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &str)],
-        us: u64,
-    ) {
-        if !enabled() {
-            return;
-        }
-        let mut map = self.lock();
-        let Some(f) = Self::family(&mut map, name, help, MetricKind::Histogram) else {
-            return;
-        };
-        if let SeriesValue::Histogram(h) = f
-            .series
-            .entry(label_key(labels))
-            .or_insert_with(|| SeriesValue::Histogram(Box::default()))
-        {
-            h.record(us);
-        }
-    }
-
-    /// Records a [`Duration`] into the histogram series `name{labels}`.
-    pub fn observe_duration(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &str)],
-        d: Duration,
-    ) {
-        self.observe_us(
-            name,
-            help,
-            labels,
-            d.as_micros().min(u64::MAX as u128) as u64,
-        );
     }
 
     /// A point-in-time copy of every family, sorted by name (and each
@@ -298,53 +319,6 @@ impl Registry {
     }
 }
 
-/// Shorthand for `registry().counter_add(..)`.
-#[inline]
-pub fn counter_add(
-    name: &'static str,
-    help: &'static str,
-    labels: &[(&'static str, &str)],
-    n: u64,
-) {
-    if enabled() {
-        registry().counter_add(name, help, labels, n);
-    }
-}
-
-/// Shorthand for `registry().gauge_set(..)`.
-#[inline]
-pub fn gauge_set(name: &'static str, help: &'static str, labels: &[(&'static str, &str)], v: f64) {
-    if enabled() {
-        registry().gauge_set(name, help, labels, v);
-    }
-}
-
-/// Shorthand for `registry().gauge_add(..)`.
-#[inline]
-pub fn gauge_add(
-    name: &'static str,
-    help: &'static str,
-    labels: &[(&'static str, &str)],
-    delta: f64,
-) {
-    if enabled() {
-        registry().gauge_add(name, help, labels, delta);
-    }
-}
-
-/// Shorthand for `registry().observe_duration(..)`.
-#[inline]
-pub fn observe_duration(
-    name: &'static str,
-    help: &'static str,
-    labels: &[(&'static str, &str)],
-    d: Duration,
-) {
-    if enabled() {
-        registry().observe_duration(name, help, labels, d);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,9 +328,10 @@ mod tests {
     fn disabled_layer_records_nothing() {
         let _guard = test_lock::hold();
         reset();
-        counter_add("baton_test_total", "h", &[], 5);
-        gauge_set("baton_test_gauge", "h", &[], 1.0);
-        observe_duration("baton_test_seconds", "h", &[], Duration::from_millis(1));
+        Family::counter("baton_test_total", "h").add(&[], 5);
+        Family::gauge("baton_test_gauge", "h").set(&[], 1.0);
+        Family::histogram("baton_test_seconds", "h").observe(&[], Duration::from_millis(1));
+        Family::counter("baton_test_described", "h").describe();
         assert!(registry().snapshot().is_empty());
     }
 
@@ -365,12 +340,13 @@ mod tests {
         let _guard = test_lock::hold();
         reset();
         enable();
-        counter_add("baton_t_total", "help", &[("path", "/a")], 1);
-        counter_add("baton_t_total", "help", &[("path", "/a")], 2);
-        counter_add("baton_t_total", "help", &[("path", "/b")], 7);
+        let family = Family::counter("baton_t_total", "help");
+        family.add(&[("path", "/a")], 1);
+        family.add(&[("path", "/a")], 2);
+        family.add(&[("path", "/b")], 7);
         // Label order never splits a series.
-        counter_add("baton_t_total", "help", &[("z", "1"), ("a", "2")], 1);
-        counter_add("baton_t_total", "help", &[("a", "2"), ("z", "1")], 1);
+        family.add(&[("z", "1"), ("a", "2")], 1);
+        family.add(&[("a", "2"), ("z", "1")], 1);
         let snap = registry().snapshot();
         assert_eq!(snap.len(), 1);
         let fam = &snap[0];
@@ -398,19 +374,22 @@ mod tests {
         let _guard = test_lock::hold();
         reset();
         enable();
-        gauge_set("baton_g", "help", &[], 4.0);
-        gauge_add("baton_g", "help", &[], -1.5);
-        gauge_add("baton_g2", "help", &[], 2.0); // absent starts at 0
-        observe_duration("baton_h_seconds", "help", &[], Duration::from_micros(100));
-        observe_duration("baton_h_seconds", "help", &[], Duration::from_micros(900));
+        static LATENCY: Family = Family::histogram("baton_h_seconds", "help");
+        let gauge = Family::gauge("baton_g", "help");
+        gauge.set(&[], 4.0);
+        gauge.shift(&[], -1.5);
+        Family::gauge("baton_g2", "help").shift(&[], 2.0); // absent starts at 0
+        LATENCY.observe(&[], Duration::from_micros(100));
+        LATENCY.observe(&[], Duration::from_micros(900));
+        LATENCY.timer().observe(&[]);
         let snap = registry().snapshot();
         let by_name = |n: &str| snap.iter().find(|f| f.name == n).unwrap();
         assert_eq!(by_name("baton_g").series[0].1, SeriesValue::Gauge(2.5));
         assert_eq!(by_name("baton_g2").series[0].1, SeriesValue::Gauge(2.0));
         match &by_name("baton_h_seconds").series[0].1 {
             SeriesValue::Histogram(h) => {
-                assert_eq!(h.count(), 2);
-                assert_eq!(h.sum(), 1000);
+                assert_eq!(h.count(), 3);
+                assert!(h.sum() >= 1000);
             }
             other => panic!("expected histogram, got {other:?}"),
         }
@@ -422,8 +401,10 @@ mod tests {
         let _guard = test_lock::hold();
         reset();
         enable();
-        counter_add("baton_kind", "help", &[], 1);
-        gauge_set("baton_kind", "help", &[], 9.0); // wrong kind: dropped
+        let counter = Family::counter("baton_kind", "help");
+        counter.add(&[], 1);
+        counter.set(&[], 5.0); // the wrong method for the family's kind
+        Family::gauge("baton_kind", "help").set(&[], 9.0); // the name's kind differs
         let snap = registry().snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].series[0].1, SeriesValue::Counter(1));
@@ -435,7 +416,7 @@ mod tests {
         let _guard = test_lock::hold();
         reset();
         enable();
-        registry().describe("baton_empty_seconds", "help", MetricKind::Histogram);
+        Family::histogram("baton_empty_seconds", "help").describe();
         let snap = registry().snapshot();
         assert_eq!(snap.len(), 1);
         assert!(snap[0].series.is_empty());

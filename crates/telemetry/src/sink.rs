@@ -8,7 +8,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::sync::{Arc, Mutex};
 
-use crate::json;
+use crate::json::ObjectWriter;
 
 /// Receives encoded JSON lines from the session.
 pub trait Sink: Send {
@@ -86,89 +86,79 @@ impl Sink for MemorySink {
 /// Starts a structured event of the given kind. Returns an inert builder
 /// when no session is attached or the session has no sink (the event would
 /// go nowhere), so callers need no `enabled()` check of
-/// their own (field values passed by argument are still evaluated — use
-/// [`crate::enabled`] to guard expensive ones).
+/// their own (field values passed by argument are still evaluated — a
+/// timed site passes its fields to [`SpanGuard::event`](crate::span::SpanGuard::event)
+/// instead, whose closure runs only when the event is written).
 pub fn event(kind: &str) -> EventBuilder {
-    if !crate::enabled() || !crate::sink_attached() {
-        return EventBuilder { buf: None };
+    if !crate::sink_attached() {
+        return EventBuilder::default();
     }
-    let mut buf = String::with_capacity(96);
-    buf.push_str("{\"event\":");
-    json::push_str_escaped(&mut buf, kind);
+    let mut buf = ObjectWriter::new();
+    buf.str("event", kind);
     EventBuilder { buf: Some(buf) }
 }
 
-/// Accumulates an event's fields; see [`event`].
-#[derive(Debug)]
+/// Accumulates an event's fields on a flat [`ObjectWriter`]; see [`event`].
+#[derive(Debug, Default)]
 #[must_use = "an event does nothing until .emit() is called"]
 pub struct EventBuilder {
-    buf: Option<String>,
+    buf: Option<ObjectWriter>,
 }
 
 impl EventBuilder {
-    fn push_key(&mut self, key: &str) {
+    /// Whether the event will be written (a sink is attached).
+    pub(crate) fn is_live(&self) -> bool {
+        self.buf.is_some()
+    }
+
+    fn field(mut self, add: impl FnOnce(&mut ObjectWriter)) -> Self {
         if let Some(buf) = self.buf.as_mut() {
-            buf.push(',');
-            json::push_str_escaped(buf, key);
-            buf.push(':');
+            add(buf);
         }
+        self
     }
 
     /// Adds a string field.
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.push_key(key);
-        if let Some(buf) = self.buf.as_mut() {
-            json::push_str_escaped(buf, value);
-        }
-        self
+    pub fn str(self, key: &str, value: &str) -> Self {
+        self.field(|w| {
+            w.str(key, value);
+        })
     }
 
     /// Adds an unsigned integer field.
-    pub fn u64(mut self, key: &str, value: u64) -> Self {
-        self.push_key(key);
-        if let Some(buf) = self.buf.as_mut() {
-            use std::fmt::Write as _;
-            let _ = write!(buf, "{value}");
-        }
-        self
+    pub fn u64(self, key: &str, value: u64) -> Self {
+        self.field(|w| {
+            w.u64(key, value);
+        })
     }
 
     /// Adds a signed integer field.
-    pub fn i64(mut self, key: &str, value: i64) -> Self {
-        self.push_key(key);
-        if let Some(buf) = self.buf.as_mut() {
-            use std::fmt::Write as _;
-            let _ = write!(buf, "{value}");
-        }
-        self
+    pub fn i64(self, key: &str, value: i64) -> Self {
+        self.field(|w| {
+            w.i64(key, value);
+        })
     }
 
     /// Adds a float field (`null` when non-finite).
-    pub fn f64(mut self, key: &str, value: f64) -> Self {
-        self.push_key(key);
-        if let Some(buf) = self.buf.as_mut() {
-            json::push_f64(buf, value);
-        }
-        self
+    pub fn f64(self, key: &str, value: f64) -> Self {
+        self.field(|w| {
+            w.f64(key, value);
+        })
     }
 
     /// Adds a boolean field.
-    pub fn bool(mut self, key: &str, value: bool) -> Self {
-        self.push_key(key);
-        if let Some(buf) = self.buf.as_mut() {
-            buf.push_str(if value { "true" } else { "false" });
-        }
-        self
+    pub fn bool(self, key: &str, value: bool) -> Self {
+        self.field(|w| {
+            w.bool(key, value);
+        })
     }
 
     /// Stamps `ts_us` and hands the line to the sink (if one is attached).
     pub fn emit(self) {
         let Some(mut buf) = self.buf else { return };
         crate::with_active(|session| {
-            use std::fmt::Write as _;
-            let _ = write!(buf, ",\"ts_us\":{}", session.ts_us());
-            buf.push('}');
-            session.write_line(&buf);
+            buf.u64("ts_us", session.ts_us());
+            session.write_line(&buf.finish());
         });
     }
 }
@@ -204,13 +194,13 @@ mod tests {
         let lines = lines.lock().unwrap();
         // session_start + our event.
         assert_eq!(lines.len(), 2);
-        let obj = json::parse_flat_object(&lines[1]).unwrap();
+        let obj = crate::json::parse_flat_object(&lines[1]).unwrap();
         assert_eq!(obj["event"].as_str(), Some("kind\"with\nquotes"));
         assert_eq!(obj["s"].as_str(), Some("va\\lue"));
         assert_eq!(obj["u"].as_f64(), Some(42.0));
         assert_eq!(obj["f"].as_f64(), Some(2.5));
-        assert_eq!(obj["nan"], json::Value::Null);
-        assert_eq!(obj["b"], json::Value::Bool(true));
+        assert_eq!(obj["nan"], crate::json::Value::Null);
+        assert_eq!(obj["b"], crate::json::Value::Bool(true));
         assert!(obj.contains_key("ts_us"));
     }
 

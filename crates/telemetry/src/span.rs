@@ -1,23 +1,32 @@
-//! RAII span timers aggregated per phase.
+//! RAII span timers: the one observation of a timed site.
 //!
 //! A span measures the wall time — and, when a counting allocator is
 //! installed (see [`crate::alloc`]), the calling thread's allocation
-//! activity — of one scope. On drop it records the duration into the
-//! phase's [`Histogram`], folds the allocation delta into the phase's
-//! [`PhaseAlloc`] tally, and mirrors a `span` event to the trace sink. If
-//! the calling thread has a request trace installed (see [`crate::trace`]),
-//! the span is additionally recorded there as a node in that request's
-//! span tree, carrying its net-alloc/net-byte deltas. When no session is
-//! attached and no trace is installed, creating a span reads no clock and
-//! allocates nothing.
+//! activity — of one scope. On drop it reads its clock once, and that one
+//! reading feeds every observer that is on:
+//!
+//! * the phase's [`Histogram`] and [`PhaseAlloc`] tally, and a `span` line
+//!   to the trace sink (an attached session);
+//! * a node in the calling thread's request trace, carrying its
+//!   net-alloc/net-byte deltas (see [`crate::trace`]);
+//! * the site's named event, written with its fields and `dur_us` before
+//!   the `span` line ([`SpanGuard::event`]; a session with a sink);
+//! * a labelled latency histogram ([`SpanGuard::observe`]; labelled
+//!   metrics on).
+//!
+//! So an instrumented site makes one call and never asks which observers
+//! are on. With none of them on, creating a span is one atomic load and a
+//! branch: it reads no clock, allocates nothing, and runs neither its
+//! label nor its event closure.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::alloc::AllocScope;
 use crate::histogram::Histogram;
-use crate::sink::event;
+use crate::metrics::Family;
+use crate::sink::{event, EventBuilder};
 
 /// Per-phase allocation tallies, summed over every span of the phase.
 /// All-zero unless the binary installed [`crate::alloc::CountingAlloc`].
@@ -62,17 +71,7 @@ fn phases() -> MutexGuard<'static, BTreeMap<&'static str, PhaseEntry>> {
 /// Starts timing `phase`. Inert (no clock read) when neither a session
 /// nor a request trace is active.
 pub fn span(phase: &'static str) -> SpanGuard {
-    let session = crate::enabled();
-    let trace = crate::trace::open();
-    let live = session || trace.is_some();
-    SpanGuard {
-        phase,
-        label: None,
-        start: live.then(Instant::now),
-        alloc: live.then(AllocScope::start),
-        session,
-        trace,
-    }
+    open(phase, true, || None)
 }
 
 /// Starts timing `phase` for the session's phase histograms only: unlike
@@ -80,69 +79,96 @@ pub fn span(phase: &'static str) -> SpanGuard {
 /// inside one traced operation (a search's chunks), whose per-request
 /// detail would crowd the span tree. Inert when no session is attached.
 pub fn stage_span(phase: &'static str) -> SpanGuard {
-    let session = crate::enabled();
-    SpanGuard {
-        phase,
-        label: None,
-        start: session.then(Instant::now),
-        alloc: session.then(AllocScope::start),
-        session,
-        trace: None,
-    }
+    open(phase, false, || None)
 }
 
 /// Starts timing `phase` with a label (e.g. a layer name). The label
 /// closure only runs when a session or a request trace will observe it.
 pub fn span_labeled(phase: &'static str, label: impl FnOnce() -> String) -> SpanGuard {
-    let session = crate::enabled();
-    let trace = crate::trace::open();
-    if !session && trace.is_none() {
-        return SpanGuard {
-            phase,
-            label: None,
-            start: None,
-            alloc: None,
-            session,
-            trace: None,
-        };
-    }
-    SpanGuard {
+    open(phase, true, || Some(label()))
+}
+
+fn open(phase: &'static str, traced: bool, label: impl FnOnce() -> Option<String>) -> SpanGuard {
+    let gate = crate::gate();
+    let mut guard = SpanGuard {
         phase,
+        gate,
+        label: None,
+        start: None,
+        alloc: None,
+        trace: None,
+        event: EventBuilder::default(),
+        metric: None,
+    };
+    if gate == 0 {
+        return guard;
+    }
+    guard.trace = if traced {
+        crate::trace::open(gate)
+    } else {
+        None
+    };
+    if guard.session() || guard.trace.is_some() {
         // The scope starts before the label allocates, so the label's own
         // String is part of the span's delta — observability observing
         // itself, which is the honest accounting.
-        alloc: Some(AllocScope::start()),
-        label: Some(label()),
-        start: Some(Instant::now()),
-        session,
-        trace,
+        guard.alloc = Some(AllocScope::start());
+        guard.label = label();
+        guard.start = Some(Instant::now());
     }
+    guard
 }
 
 /// Live span; records on drop. See [`span`].
 #[derive(Debug)]
 pub struct SpanGuard {
     phase: &'static str,
+    /// The crate gate as read at creation: which observers were on.
+    gate: u8,
     label: Option<String>,
     start: Option<Instant>,
     /// The calling thread's allocation ledger at span start, captured
-    /// whenever the span is live (deltas read zero without an installed
-    /// counting allocator).
+    /// whenever a session or trace observes the span (deltas read zero
+    /// without an installed counting allocator).
     alloc: Option<AllocScope>,
-    /// Whether a session was attached at creation (phase histograms +
-    /// sink event on drop).
-    session: bool,
     /// The open node in the calling thread's request trace, if one was
     /// installed at creation.
     trace: Option<crate::trace::OpenSpan>,
+    /// The site's named event, written on drop (inert unless a sink is).
+    event: EventBuilder,
+    /// The labelled latency histogram observed on drop.
+    metric: Option<(&'static Family, (&'static str, &'static str))>,
 }
 
 impl SpanGuard {
-    /// Elapsed time in microseconds, or 0 when the span is inert.
-    pub fn elapsed_us(&self) -> u64 {
-        self.start
-            .map(|s| s.elapsed().as_micros() as u64)
-            .unwrap_or(0)
+    /// Whether a session was attached at creation (phase histograms, the
+    /// `span` line and the named event on drop).
+    fn session(&self) -> bool {
+        self.gate & crate::SESSION != 0
+    }
+
+    /// Observes the span's duration into the histogram `family` under the
+    /// one label pair `label` when it closes. A no-op unless labelled
+    /// metrics were on when the span opened; it then starts the clock if
+    /// no session or trace already had.
+    pub fn observe(mut self, family: &'static Family, label: (&'static str, &'static str)) -> Self {
+        if self.gate & crate::METRICS != 0 {
+            self.start.get_or_insert_with(Instant::now);
+            self.metric = Some((family, label));
+        }
+        self
+    }
+
+    /// Writes the event `kind` with `fields` and the span's `dur_us` when
+    /// the span closes. `fields` runs now, and only when a session with a
+    /// sink was attached at creation; a later call replaces the event.
+    pub fn event(&mut self, kind: &str, fields: impl FnOnce(EventBuilder) -> EventBuilder) {
+        if self.session() {
+            let ev = event(kind);
+            if ev.is_live() {
+                self.event = fields(ev);
+            }
+        }
     }
 }
 
@@ -158,7 +184,10 @@ impl Drop for SpanGuard {
         if let Some(open) = self.trace.take() {
             crate::trace::close(open, self.phase, self.label.as_deref(), dur_us, &delta);
         }
-        if !self.session {
+        if let Some((family, label)) = self.metric {
+            family.observe(&[label], Duration::from_micros(dur_us));
+        }
+        if !self.session() {
             return;
         }
         {
@@ -170,6 +199,7 @@ impl Drop for SpanGuard {
             entry.alloc.bytes_allocated += delta.bytes_allocated;
             entry.alloc.bytes_freed += delta.bytes_freed;
         }
+        std::mem::take(&mut self.event).u64("dur_us", dur_us).emit();
         let mut ev = event("span").str("phase", self.phase).u64("dur_us", dur_us);
         if let Some(label) = &self.label {
             ev = ev.str("label", label);
@@ -233,10 +263,85 @@ mod tests {
     #[test]
     fn disabled_spans_are_inert() {
         let _guard = test_lock::hold();
-        // No session: the guard must not read clocks or touch the registry.
-        let g = span("inert");
-        assert_eq!(g.elapsed_us(), 0);
+        // No session and no metrics (tracing may be on, but this thread has
+        // no trace installed): the guard reads no clock, touches no
+        // registry and runs neither closure.
+        const FAMILY: Family = Family::histogram("baton_inert_seconds", "h");
+        let mut g = span_labeled("inert", || unreachable!("label evaluated"))
+            .observe(&FAMILY, ("flow", "x"));
+        g.event("inert", |_| unreachable!("fields evaluated"));
+        assert!(g.start.is_none() && g.label.is_none() && g.metric.is_none());
+        assert!(!g.event.is_live());
         drop(g);
+        assert!(!phase_stats().iter().any(|(p, _)| *p == "inert"));
+    }
+
+    #[test]
+    fn a_closing_span_writes_its_event_and_observes_its_metric() {
+        use crate::metrics::{self, SeriesValue};
+        use crate::sink::MemorySink;
+        let _guard = test_lock::hold();
+        const FAMILY: Family = Family::histogram("baton_span_seconds", "Span latency.");
+        metrics::reset();
+        metrics::enable();
+        let (sink, lines) = MemorySink::new();
+        let session = attach_with_sink(&TelemetryConfig::default(), Some(Box::new(sink)));
+        {
+            let mut g = span_labeled("unit", || "u0".into()).observe(&FAMILY, ("flow", "full"));
+            g.event("unit_done", |ev| ev.u64("points", 3));
+        }
+        drop(session);
+        let snap = metrics::registry().snapshot();
+        metrics::reset();
+        let lines = lines.lock().unwrap();
+        let kinds: Vec<_> = lines
+            .iter()
+            .map(|l| crate::json::parse_flat_object(l).unwrap())
+            .collect();
+        let unit = kinds
+            .iter()
+            .position(|o| o["event"].as_str() == Some("unit_done"))
+            .expect("the named event");
+        // The named event precedes its span line and carries the same
+        // duration, from the one clock reading.
+        let span_line = &kinds[unit + 1];
+        assert_eq!(span_line["event"].as_str(), Some("span"));
+        assert_eq!(span_line["phase"].as_str(), Some("unit"));
+        assert_eq!(kinds[unit]["dur_us"], span_line["dur_us"]);
+        assert_eq!(kinds[unit]["points"].as_f64(), Some(3.0));
+        let family = snap.iter().find(|f| f.name == FAMILY.name).unwrap();
+        assert_eq!(family.series[0].0, vec![("flow", "full".to_string())]);
+        match &family.series[0].1 {
+            SeriesValue::Histogram(h) => {
+                assert_eq!(h.count(), 1);
+                assert_eq!(
+                    h.sum() as f64,
+                    kinds[unit]["dur_us"].as_f64().unwrap(),
+                    "the metric sample is the span's duration"
+                );
+            }
+            other => panic!("expected a histogram, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn metrics_alone_time_a_span_without_a_session() {
+        use crate::metrics::{self, SeriesValue};
+        let _guard = test_lock::hold();
+        const FAMILY: Family = Family::histogram("baton_lone_seconds", "Span latency.");
+        metrics::reset();
+        metrics::enable();
+        {
+            let mut g = span("lone").observe(&FAMILY, ("flow", "full"));
+            g.event("lone", |_| unreachable!("no sink, no event"));
+        }
+        let snap = metrics::registry().snapshot();
+        metrics::reset();
+        assert!(!phase_stats().iter().any(|(p, _)| *p == "lone"));
+        match &snap[0].series[0].1 {
+            SeriesValue::Histogram(h) => assert_eq!(h.count(), 1),
+            other => panic!("expected a histogram, got {other:?}"),
+        }
     }
 
     #[test]

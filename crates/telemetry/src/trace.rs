@@ -27,7 +27,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -36,22 +36,19 @@ use std::time::Instant;
 /// chunks) while keeping every phase a normal request records.
 pub const MAX_SPANS_PER_TRACE: usize = 512;
 
-/// Global on/off switch, mirroring [`crate::metrics::enable`]. One-shot
-/// CLI runs never flip it, so their spans skip all thread-local work.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
 /// Process-global trace-ID sequence; hashed through splitmix64 per trace.
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
 
-/// Turns request tracing on for the rest of the process lifetime.
+/// Turns request tracing on for the rest of the process lifetime. One-shot
+/// CLI runs never call it, so their spans skip all thread-local work.
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    crate::open_gate(crate::TRACE);
 }
 
 /// True when [`enable`] has been called.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    crate::gate() & crate::TRACE != 0
 }
 
 /// splitmix64: the full-period mixer from Vigna's `SplitMix64`. Spreads a
@@ -308,10 +305,10 @@ pub(crate) struct OpenSpan {
 
 /// Opens a span under the thread's current trace context, if any: the new
 /// span becomes the parent for spans opened later on this thread. Returns
-/// `None` (one atomic load) when tracing is disabled or no trace is
-/// installed.
-pub(crate) fn open() -> Option<OpenSpan> {
-    if !enabled() {
+/// `None` when `gate` (the caller's read of the crate gate) has tracing
+/// off, or no trace is installed.
+pub(crate) fn open(gate: u8) -> Option<OpenSpan> {
+    if gate & crate::TRACE == 0 {
         return None;
     }
     CURRENT.with(|c| {
@@ -560,7 +557,7 @@ mod tests {
         let none = Propagation::none();
         assert!(!none.is_active());
         let _g = none.install();
-        assert!(open().is_none());
+        assert!(open(crate::gate()).is_none());
     }
 
     #[test]
@@ -620,7 +617,7 @@ mod tests {
     fn disabled_tracing_captures_nothing() {
         // No test lock needed: this must hold regardless of the flag,
         // because no context is installed on this thread either way.
-        assert!(open().is_none() || enabled());
+        assert!(open(crate::gate()).is_none() || enabled());
         let prop = Propagation::none();
         assert!(!prop.is_active());
     }

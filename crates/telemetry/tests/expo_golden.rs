@@ -12,7 +12,8 @@
 
 use std::time::Duration;
 
-use baton_telemetry::{expo, metrics};
+use baton_telemetry::expo;
+use baton_telemetry::metrics::{self, Family};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/exposition.txt");
 
@@ -23,30 +24,18 @@ fn exposition_matches_the_golden_file() {
 
     // A counter family with two series, one carrying every escapable
     // character in its label value: backslash, double quote, newline.
-    metrics::counter_add(
-        "baton_demo_requests_total",
-        "Demo requests by path.",
-        &[("path", "/map")],
-        3,
-    );
-    metrics::counter_add(
-        "baton_demo_requests_total",
-        "Demo requests by path.",
-        &[("path", "esc \\ \" \n done")],
-        1,
-    );
+    const REQUESTS: Family = Family::counter("baton_demo_requests_total", "Demo requests by path.");
+    REQUESTS.add(&[("path", "/map")], 3);
+    REQUESTS.add(&[("path", "esc \\ \" \n done")], 1);
     // A gauge, set then adjusted.
-    metrics::gauge_set("baton_demo_workers", "Demo worker occupancy.", &[], 4.0);
-    metrics::gauge_add("baton_demo_workers", "Demo worker occupancy.", &[], -1.5);
+    const WORKERS: Family = Family::gauge("baton_demo_workers", "Demo worker occupancy.");
+    WORKERS.set(&[], 4.0);
+    WORKERS.shift(&[], -1.5);
     // A histogram spanning several ladder buckets, including one past the
     // last finite bound (only +Inf covers ~20 minutes).
+    const LATENCY: Family = Family::histogram("baton_demo_seconds", "Demo latency.");
     for us in [1u64, 2, 10, 200, 5_000, 2_000_000, 1_300_000_000] {
-        metrics::observe_duration(
-            "baton_demo_seconds",
-            "Demo latency.",
-            &[("objective", "energy")],
-            Duration::from_micros(us),
-        );
+        LATENCY.observe(&[("objective", "energy")], Duration::from_micros(us));
     }
 
     // The serving-layer families exactly as `baton serve` and
@@ -54,84 +43,69 @@ fn exposition_matches_the_golden_file() {
     // queue-depth gauge (one series per queue name). Pinned here so the
     // scrape surface for cache hit-rate and back-pressure dashboards is
     // byte-stable.
-    metrics::counter_add(
+    Family::counter(
         "baton_response_cache_hits_total",
         "Mapping requests answered from the response cache.",
-        &[],
-        5,
-    );
-    metrics::counter_add(
+    )
+    .add(&[], 5);
+    Family::counter(
         "baton_response_cache_misses_total",
         "Mapping requests that missed the response cache and ran the search.",
-        &[],
-        2,
-    );
-    metrics::counter_add(
+    )
+    .add(&[], 2);
+    Family::counter(
         "baton_response_cache_evictions_total",
         "Response cache entries evicted to make room (LRU per shard).",
-        &[],
-        1,
-    );
-    metrics::gauge_set(
+    )
+    .add(&[], 1);
+    Family::gauge(
         "baton_response_cache_entries",
         "Entries currently held by the response cache.",
-        &[],
-        2.0,
-    );
-    metrics::gauge_set(
+    )
+    .set(&[], 2.0);
+    const QUEUE_DEPTH: Family = Family::gauge(
         "baton_parallel_queue_depth",
         "Unclaimed items in a bounded parallel work queue, by queue name.",
-        &[("queue", "http")],
-        3.0,
     );
-    metrics::gauge_set(
-        "baton_parallel_queue_depth",
-        "Unclaimed items in a bounded parallel work queue, by queue name.",
-        &[("queue", "fanout")],
-        0.0,
-    );
+    QUEUE_DEPTH.set(&[("queue", "http")], 3.0);
+    QUEUE_DEPTH.set(&[("queue", "fanout")], 0.0);
     // The sweep-observability families exactly as `baton-dse` emits them
     // (names and help pinned by string literal: this crate sits below
     // baton-dse in the dependency graph, so it cannot import the consts).
     // One sweep of 3 units, plus the end-of-sweep throughput and front-size
     // gauges, all labelled by flow.
-    metrics::observe_duration(
+    Family::histogram(
         "baton_sweep_duration_seconds",
         "Pre-design sweep latency by flow.",
-        &[("flow", "full")],
-        Duration::from_millis(750),
+    )
+    .observe(&[("flow", "full")], Duration::from_millis(750));
+    const SWEEP_UNIT: Family = Family::histogram(
+        "baton_sweep_unit_duration_seconds",
+        "Pre-design sweep per-geometry-unit latency by flow.",
     );
     for us in [4_000u64, 9_000, 60_000] {
-        metrics::observe_duration(
-            "baton_sweep_unit_duration_seconds",
-            "Pre-design sweep per-geometry-unit latency by flow.",
-            &[("flow", "full")],
-            Duration::from_micros(us),
-        );
+        SWEEP_UNIT.observe(&[("flow", "full")], Duration::from_micros(us));
     }
-    metrics::gauge_set(
+    Family::gauge(
         "baton_sweep_points_per_second",
         "Valid design points per second over the last completed sweep, by flow.",
-        &[("flow", "full")],
-        35_776.0,
-    );
-    metrics::gauge_set(
+    )
+    .set(&[("flow", "full")], 35_776.0);
+    Family::gauge(
         "baton_sweep_front_size",
         "Pareto front size of the last completed sweep, by flow.",
-        &[("flow", "full")],
-        20.0,
-    );
+    )
+    .set(&[("flow", "full")], 20.0);
 
     // Server-side connection closes, labelled by cause — the closed set
     // `baton serve` emits (client-initiated closes are not counted).
+    const CLOSED: Family = Family::counter(
+        "baton_http_connections_closed_total",
+        "Keep-alive connections closed by the server, by cause \
+         (limit, deadline, framing, drain).",
+    );
     for (cause, n) in [("deadline", 2), ("drain", 1), ("framing", 4), ("limit", 3)] {
-        metrics::counter_add(
-            "baton_http_connections_closed_total",
-            "Keep-alive connections closed by the server, by cause \
-             (limit, deadline, framing, drain).",
-            &[("cause", cause)],
-            n,
-        );
+        CLOSED.add(&[("cause", cause)], n);
     }
 
     // The runtime samples (allocator ledger, procfs) are pinned to fixed

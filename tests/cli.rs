@@ -153,6 +153,38 @@ fn check_rejects_layers_whose_volumes_overflow_u64() {
 }
 
 #[test]
+fn check_rejects_models_whose_mac_total_overflows_u64() {
+    // Each layer has 2^58 MACs and fits; 64 of them used to wrap the
+    // model's total to 0 (`0.00 GMAC`), 63 still fit.
+    let dir = std::env::temp_dir().join("baton-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = |layers: usize| {
+        let mut text = "model big @64\n".to_string();
+        for i in 0..layers {
+            text.push_str(&format!(
+                "conv name=c{i} in=1048576x1048576x1 k=1 co=262144\n"
+            ));
+        }
+        text
+    };
+    let path = dir.join("mac-total.baton");
+    std::fs::write(&path, model(64)).unwrap();
+    let (ok, stdout, stderr) = baton(&["check", path.to_str().unwrap()]);
+    assert!(!ok, "{stdout}");
+    assert!(
+        stderr.contains("total MACs exceed 18446744073709551615"),
+        "{stderr}"
+    );
+    std::fs::write(&path, model(63)).unwrap();
+    let (ok, stdout, stderr) = baton(&["check", path.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("(63 layers, 18158513697.56 GMAC)"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn unknown_inputs_fail_cleanly() {
     // The offending word must be named even when no model argument follows.
     let (ok, _, stderr) = baton(&["frobnicate"]);
@@ -294,6 +326,116 @@ fn sweep_audit_reconciles_with_csv_and_telemetry_counters() {
         .expect("session_end event");
     let obj = nn_baton::telemetry::json::parse_flat_object(end).unwrap();
     assert_eq!(obj["sweep_points"].as_f64(), Some(points as f64));
+}
+
+/// Every flat-JSON line of `path` whose `key` field equals `value`, as the
+/// sorted key set of each and the parsed objects.
+fn records_where(
+    path: &std::path::Path,
+    key: &str,
+    value: &str,
+) -> Vec<std::collections::BTreeMap<String, nn_baton::telemetry::json::Value>> {
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .map(|l| nn_baton::telemetry::json::parse_flat_object(l).unwrap())
+        .filter(|obj| obj.get(key).and_then(|v| v.as_str()) == Some(value))
+        .collect()
+}
+
+fn key_set(obj: &std::collections::BTreeMap<String, nn_baton::telemetry::json::Value>) -> String {
+    obj.keys().cloned().collect::<Vec<_>>().join(" ")
+}
+
+#[test]
+fn sweep_trace_carries_one_sweep_unit_event_per_unit() {
+    let dir = std::env::temp_dir().join("baton-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = tiny_model_file("sweep-events.baton");
+    let audit = dir.join("sweep-events-audit.jsonl");
+    let trace = dir.join("sweep-events-trace.jsonl");
+    let (ok, _, stderr) = baton(&[
+        "sweep",
+        model.to_str().unwrap(),
+        "--macs",
+        "512",
+        "--audit",
+        audit.to_str().unwrap(),
+        "--trace-json",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    let units = records_where(&audit, "record", "unit");
+    let events = records_where(&trace, "event", "sweep_unit");
+    assert!(!units.is_empty());
+    assert_eq!(events.len(), units.len(), "one sweep_unit event per unit");
+    for ev in &events {
+        assert_eq!(
+            key_set(ev),
+            "dur_us event lanes n_c n_p o_l1 points ts_us vector"
+        );
+    }
+    // Each (geometry, O-L1) unit appears once, with the audit's point count.
+    let unit_key = |obj: &std::collections::BTreeMap<String, nn_baton::telemetry::json::Value>| {
+        let n = |k: &str| obj[k].as_f64().unwrap() as u64;
+        (n("n_p"), n("n_c"), n("lanes"), n("vector"), n("o_l1"))
+    };
+    let mut from_events: Vec<_> = events
+        .iter()
+        .map(|e| (unit_key(e), e["points"].as_f64().unwrap() as u64))
+        .collect();
+    let mut from_audit: Vec<_> = units
+        .iter()
+        .map(|u| {
+            let n = |k: &str| u[k].as_f64().unwrap() as u64;
+            (
+                (
+                    n("chiplets"),
+                    n("cores"),
+                    n("lanes"),
+                    n("vector"),
+                    n("o_l1_b"),
+                ),
+                n("points"),
+            )
+        })
+        .collect();
+    from_events.sort_unstable();
+    from_audit.sort_unstable();
+    assert_eq!(from_events, from_audit);
+}
+
+#[test]
+fn explore_trace_carries_one_granularity_point_event_per_mapped_bar() {
+    let dir = std::env::temp_dir().join("baton-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = tiny_model_file("explore-events.baton");
+    let audit = dir.join("explore-events-audit.jsonl");
+    let trace = dir.join("explore-events-trace.jsonl");
+    let (ok, _, stderr) = baton(&[
+        "explore",
+        model.to_str().unwrap(),
+        "--macs",
+        "512",
+        "--audit",
+        audit.to_str().unwrap(),
+        "--trace-json",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    let feasible = records_where(&audit, "record", "geometry")
+        .into_iter()
+        .filter(|g| g["feasible"] == nn_baton::telemetry::json::Value::Bool(true))
+        .count();
+    let events = records_where(&trace, "event", "granularity_point");
+    assert!(feasible > 0);
+    assert_eq!(events.len(), feasible, "one event per mapped geometry");
+    for ev in &events {
+        assert_eq!(
+            key_set(ev),
+            "area_mm2 cycles dur_us energy_pj event lanes n_c n_p ts_us vector"
+        );
+    }
 }
 
 #[test]
