@@ -25,7 +25,7 @@ use baton_mapping::decompose;
 use baton_mapping::enumerate::{candidates_with, CandidateSpace, EnumOptions};
 use baton_model::ConvSpec;
 use baton_parallel::TopK;
-use baton_telemetry::metrics::Family;
+use baton_telemetry::metrics::{kind, Family};
 use baton_telemetry::{count, count_n, span_labeled, stage_span, Counter};
 use serde::{Deserialize, Serialize};
 
@@ -68,7 +68,7 @@ impl Objective {
 
 /// The per-layer search latency histogram, observed by the `search_layer`
 /// span.
-const SEARCH_SECONDS: Family = Family::histogram(
+const SEARCH_SECONDS: Family<kind::Histogram> = Family::histogram(
     "baton_search_duration_seconds",
     "Per-layer mapping search latency by objective.",
 );

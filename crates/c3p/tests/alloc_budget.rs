@@ -292,8 +292,9 @@ fn alloc_scope_attributes_this_threads_churn() {
 
 #[test]
 fn a_disabled_span_carrying_an_event_and_a_metric_allocates_nothing() {
-    use baton_telemetry::metrics::{self, Family};
-    const FAMILY: Family = Family::histogram("baton_budget_seconds", "Budget test latency.");
+    use baton_telemetry::metrics::{self, kind, Family};
+    const FAMILY: Family<kind::Histogram> =
+        Family::histogram("baton_budget_seconds", "Budget test latency.");
     let _ledger = exclusive_ledger();
     // No session (every test that attaches one holds the ledger lock), no
     // metrics and no request tracing in this binary: the span is one

@@ -1,6 +1,6 @@
 //! Pareto-front extraction for two-objective design plots.
 
-use baton_telemetry::metrics::Family;
+use baton_telemetry::metrics::{kind, Family};
 
 /// Returns the indices of the Pareto-optimal points for two minimized
 /// objectives `(x, y)` (no other point is <= in both and < in one).
@@ -190,7 +190,7 @@ pub fn pareto_provenance<T>(points: &[T], key: impl Fn(&T) -> (f64, f64)) -> Par
 }
 
 /// The Pareto front-size gauge of the last completed sweep, by `flow`.
-pub const FRONT_SIZE: Family = Family::gauge(
+pub const FRONT_SIZE: Family<kind::Gauge> = Family::gauge(
     "baton_sweep_front_size",
     "Pareto front size of the last completed sweep, by flow.",
 );

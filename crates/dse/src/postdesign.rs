@@ -17,7 +17,7 @@ use baton_c3p::{
 use baton_mapping::decompose;
 use baton_mapping::enumerate::EnumOptions;
 use baton_model::Model;
-use baton_telemetry::metrics::Family;
+use baton_telemetry::metrics::{kind, Family};
 use baton_telemetry::{span_labeled, Progress};
 use serde::{Deserialize, Serialize};
 
@@ -141,13 +141,13 @@ pub fn map_model_with(
 }
 
 /// Layers mapped by [`map_model_opts`], by model.
-const LAYERS_MAPPED: Family = Family::counter(
+const LAYERS_MAPPED: Family<kind::Counter> = Family::counter(
     "baton_layers_mapped_total",
     "Layers mapped by the post-design flow, by model.",
 );
 
 /// Whole-model [`map_model_opts`] latency, by model.
-const MAP_SECONDS: Family = Family::histogram(
+const MAP_SECONDS: Family<kind::Histogram> = Family::histogram(
     "baton_map_duration_seconds",
     "Whole-model post-design mapping latency by model.",
 );

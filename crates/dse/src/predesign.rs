@@ -13,7 +13,7 @@ use baton_c3p::{
 use baton_mapping::enumerate::{core_plane_side, visit_candidates, EnumOptions};
 use baton_mapping::{decompose, mapping_geometry, Decomposition};
 use baton_model::{ConvSpec, Model};
-use baton_telemetry::metrics::Family;
+use baton_telemetry::metrics::{kind, Family};
 use baton_telemetry::{count, count_n, span, span_labeled, Counter, Progress};
 use serde::{Deserialize, Serialize};
 
@@ -127,6 +127,8 @@ pub fn granularity_sweep_audited(
                 .f64("energy_pj", report.energy.total_pj())
                 .u64("cycles", report.cycles)
         });
+        // The bar's sample and its `dur_us` cover the mapping only.
+        drop(geo_span);
         let result = GranularityResult {
             geometry: (np, nc, l, p),
             chiplet_area_mm2: area,
@@ -179,7 +181,7 @@ fn infeasible_geometry(
 
 /// The whole-sweep latency histogram (one family, two `flow` labels),
 /// observed by the `full_sweep` and `granularity_sweep` spans.
-pub const SWEEP_SECONDS: Family = Family::histogram(
+pub const SWEEP_SECONDS: Family<kind::Histogram> = Family::histogram(
     "baton_sweep_duration_seconds",
     "Pre-design sweep latency by flow.",
 );
@@ -187,13 +189,13 @@ pub const SWEEP_SECONDS: Family = Family::histogram(
 /// The per-unit latency histogram: one observation per `(geometry, O-L1)`
 /// unit of the full sweep (its `sweep_geometry` span), or per mapped
 /// geometry bar of the granularity sweep (its `granularity_geometry` span).
-pub const SWEEP_UNIT_SECONDS: Family = Family::histogram(
+pub const SWEEP_UNIT_SECONDS: Family<kind::Histogram> = Family::histogram(
     "baton_sweep_unit_duration_seconds",
     "Pre-design sweep per-geometry-unit latency by flow.",
 );
 
 /// The end-of-sweep throughput gauge.
-pub const SWEEP_POINTS_PER_SECOND: Family = Family::gauge(
+pub const SWEEP_POINTS_PER_SECOND: Family<kind::Gauge> = Family::gauge(
     "baton_sweep_points_per_second",
     "Valid design points per second over the last completed sweep, by flow.",
 );

@@ -99,7 +99,7 @@ use baton_parallel::queue::{BoundedQueue, Handoff, PushError, QUEUE_DEPTH};
 use baton_report::perfetto::PerfettoTrace;
 use baton_report::{explain_layer, Format};
 use baton_telemetry::json::{self, ObjectWriter, Value};
-use baton_telemetry::metrics::{self, Family};
+use baton_telemetry::metrics::{self, kind, Family};
 use baton_telemetry::trace::{CompletedTrace, FlightRecorder, TraceHandle};
 use baton_telemetry::{expo, span, trace, vlog};
 
@@ -136,37 +136,37 @@ const MAX_HEADERS: usize = 100;
 /// Room reserved for the status line and headers of a response.
 const HEAD_CAPACITY: usize = 256;
 
-const REQUESTS: Family = Family::counter(
+const REQUESTS: Family<kind::Counter> = Family::counter(
     "baton_http_requests_total",
     "HTTP requests served, by canonical path and status code.",
 );
-const REQUEST_SECONDS: Family = Family::histogram(
+const REQUEST_SECONDS: Family<kind::Histogram> = Family::histogram(
     "baton_http_request_duration_seconds",
     "HTTP request handling latency by canonical path.",
 );
-const WORKERS_BUSY: Family = Family::gauge(
+const WORKERS_BUSY: Family<kind::Gauge> = Family::gauge(
     "baton_http_workers_busy",
     "HTTP worker threads currently serving a connection.",
 );
 
-const CACHE_HITS: Family = Family::counter(
+const CACHE_HITS: Family<kind::Counter> = Family::counter(
     "baton_response_cache_hits_total",
     "Mapping requests answered from the response cache.",
 );
-const CACHE_MISSES: Family = Family::counter(
+const CACHE_MISSES: Family<kind::Counter> = Family::counter(
     "baton_response_cache_misses_total",
     "Mapping requests that missed the response cache and ran the search.",
 );
-const CACHE_EVICTIONS: Family = Family::counter(
+const CACHE_EVICTIONS: Family<kind::Counter> = Family::counter(
     "baton_response_cache_evictions_total",
     "Response cache entries evicted to make room (LRU per shard).",
 );
-const CACHE_ENTRIES: Family = Family::gauge(
+const CACHE_ENTRIES: Family<kind::Gauge> = Family::gauge(
     "baton_response_cache_entries",
     "Entries currently held by the response cache.",
 );
 
-const CONNECTIONS_CLOSED: Family = Family::counter(
+const CONNECTIONS_CLOSED: Family<kind::Counter> = Family::counter(
     "baton_http_connections_closed_total",
     "Keep-alive connections closed by the server, by cause (limit, deadline, framing, drain).",
 );
@@ -680,23 +680,19 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
     trace::enable();
     // Request/cache/queue families render their HELP/TYPE from the very
     // first scrape, before any request has been served.
-    for family in [
-        REQUESTS,
-        CONNECTIONS_CLOSED,
-        REQUEST_SECONDS,
-        CACHE_HITS,
-        CACHE_MISSES,
-        CACHE_EVICTIONS,
-        // Sweep observability families (populated by the dse sweeps when
-        // one runs in-process) — described up front so scrapes see
-        // HELP/TYPE even on a server that has never swept.
-        baton_dse::predesign::SWEEP_SECONDS,
-        baton_dse::predesign::SWEEP_UNIT_SECONDS,
-        baton_dse::predesign::SWEEP_POINTS_PER_SECOND,
-        baton_dse::pareto::FRONT_SIZE,
-    ] {
-        family.describe();
-    }
+    REQUESTS.describe();
+    CONNECTIONS_CLOSED.describe();
+    REQUEST_SECONDS.describe();
+    CACHE_HITS.describe();
+    CACHE_MISSES.describe();
+    CACHE_EVICTIONS.describe();
+    // Sweep observability families (populated by the dse sweeps when one
+    // runs in-process) — described up front so scrapes see HELP/TYPE even
+    // on a server that has never swept.
+    baton_dse::predesign::SWEEP_SECONDS.describe();
+    baton_dse::predesign::SWEEP_UNIT_SECONDS.describe();
+    baton_dse::predesign::SWEEP_POINTS_PER_SECOND.describe();
+    baton_dse::pareto::FRONT_SIZE.describe();
     CACHE_ENTRIES.set(&[], 0.0);
     WORKERS_BUSY.set(&[], 0.0);
     QUEUE_DEPTH.set(&[("queue", "http")], 0.0);
@@ -1170,7 +1166,7 @@ fn final_snapshot(state: &ServerState) {
             _ => 0,
         })
         .sum();
-    let counter = |family: Family| -> u64 {
+    let counter = |family: Family<kind::Counter>| -> u64 {
         snapshot
             .iter()
             .find(|f| f.name == family.name)

@@ -31,7 +31,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use baton_telemetry::metrics::{self, Family};
+use baton_telemetry::metrics::{self, kind, Family};
 use baton_telemetry::span_labeled;
 use baton_telemetry::trace;
 
@@ -39,7 +39,7 @@ use queue::QUEUE_DEPTH;
 
 /// Gauge of workers currently inside a [`map_chunks`] scope, summed over
 /// concurrent fan-outs.
-const WORKERS: Family = Family::gauge(
+const WORKERS: Family<kind::Gauge> = Family::gauge(
     "baton_parallel_workers",
     "Worker threads currently executing a parallel fan-out.",
 );

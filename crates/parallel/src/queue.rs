@@ -14,12 +14,12 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use baton_telemetry::metrics::Family;
+use baton_telemetry::metrics::{kind, Family};
 use baton_telemetry::trace;
 
 /// Gauge family shared with [`map_chunks`](crate::map_chunks)'s fan-out
 /// depth series; each queue instance owns one `queue="<name>"` series.
-pub const QUEUE_DEPTH: Family = Family::gauge(
+pub const QUEUE_DEPTH: Family<kind::Gauge> = Family::gauge(
     "baton_parallel_queue_depth",
     "Unclaimed items in a bounded parallel work queue, by queue name.",
 );

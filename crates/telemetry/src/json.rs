@@ -116,8 +116,17 @@ impl Default for ObjectWriter {
 impl ObjectWriter {
     /// Starts a compact single-line object.
     pub fn new() -> Self {
+        Self::with_capacity(1)
+    }
+
+    /// Starts a compact single-line object with room for `bytes` bytes of
+    /// output, so a writer of a known typical size grows without
+    /// reallocating.
+    pub fn with_capacity(bytes: usize) -> Self {
+        let mut buf = String::with_capacity(bytes);
+        buf.push('{');
         Self {
-            buf: String::from("{"),
+            buf,
             pretty: false,
             empty: true,
         }

@@ -8,13 +8,13 @@
 //! [`registry()`] of counter, gauge, and histogram families keyed by
 //! `(&'static str name, sorted label pairs)`.
 //!
-//! Each family is one typed constant, a [`Family`] carrying its name, help
-//! text and kind; the constant's methods are the only way to update it:
+//! Each family is one constant, a [`Family`] carrying its name and help text
+//! and typed by its [`kind`]; the constant's kind-specific methods are the only way to update it:
 //!
 //! ```
-//! use baton_telemetry::metrics::{self, Family};
+//! use baton_telemetry::metrics::{self, kind, Family};
 //!
-//! const REQUESTS: Family = Family::counter("baton_demo_total", "Demo requests.");
+//! const REQUESTS: Family<kind::Counter> = Family::counter("baton_demo_total", "Demo requests.");
 //! metrics::enable();
 //! REQUESTS.add(&[("path", "/map")], 1);
 //! assert_eq!(metrics::registry().snapshot()[0].name, "baton_demo_total");
@@ -46,6 +46,7 @@
 //!   sums to base-unit seconds.
 
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -103,85 +104,103 @@ pub struct FamilySnapshot {
 /// A label set: `(label name, label value)` pairs in any order.
 pub type Labels<'a> = &'a [(&'static str, &'a str)];
 
+/// The kind markers a [`Family`] is typed by, so each family has only its
+/// own kind's methods (a counter has no `set`).
+pub mod kind {
+    use super::MetricKind;
+
+    /// A kind marker: the Prometheus type its families render as.
+    pub trait Kind {
+        /// The family's `# TYPE`.
+        const KIND: MetricKind;
+    }
+
+    /// Marks a counter [`Family`](super::Family).
+    #[derive(Debug)]
+    pub enum Counter {}
+
+    /// Marks a gauge [`Family`](super::Family).
+    #[derive(Debug)]
+    pub enum Gauge {}
+
+    /// Marks a latency histogram [`Family`](super::Family).
+    #[derive(Debug)]
+    pub enum Histogram {}
+
+    impl Kind for Counter {
+        const KIND: MetricKind = MetricKind::Counter;
+    }
+
+    impl Kind for Gauge {
+        const KIND: MetricKind = MetricKind::Gauge;
+    }
+
+    impl Kind for Histogram {
+        const KIND: MetricKind = MetricKind::Histogram;
+    }
+}
+
 /// One metric family, declared once as a constant and updated through its
-/// methods. Each method is a no-op unless the layer is [`enable`]d, and one
-/// whose kind does not match the family's (a counter's [`set`](Self::set))
-/// is ignored, as is a family whose name the registry already holds with
-/// another kind — metrics are best-effort by design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Family {
+/// kind's methods. Each method is a no-op unless the layer is [`enable`]d,
+/// and a family whose name the registry already holds with another kind is
+/// ignored — metrics are best-effort by design.
+#[derive(Debug)]
+pub struct Family<K> {
     /// Family name (e.g. `baton_http_requests_total`).
     pub name: &'static str,
     /// The `# HELP` line content.
     pub help: &'static str,
-    /// Counter, gauge, or histogram.
-    pub kind: MetricKind,
+    kind: PhantomData<K>,
 }
 
-impl Family {
+impl Family<kind::Counter> {
     /// A counter family.
     pub const fn counter(name: &'static str, help: &'static str) -> Self {
-        Self {
-            name,
-            help,
-            kind: MetricKind::Counter,
-        }
-    }
-
-    /// A gauge family.
-    pub const fn gauge(name: &'static str, help: &'static str) -> Self {
-        Self {
-            name,
-            help,
-            kind: MetricKind::Gauge,
-        }
-    }
-
-    /// A latency histogram family (microsecond samples, exposed in seconds).
-    pub const fn histogram(name: &'static str, help: &'static str) -> Self {
-        Self {
-            name,
-            help,
-            kind: MetricKind::Histogram,
-        }
-    }
-
-    /// Registers the family with no series, so the exposition shows its
-    /// `# HELP`/`# TYPE` lines from the first scrape onward.
-    pub fn describe(&self) {
-        if enabled() {
-            self.entry(&mut registry().lock());
-        }
+        Self::new(name, help)
     }
 
     /// Adds `n` to the counter series `labels`.
     pub fn add(&self, labels: Labels<'_>, n: u64) {
-        self.update(MetricKind::Counter, labels, |v| {
+        self.update(labels, |v| {
             if let SeriesValue::Counter(c) = v {
                 *c += n;
             }
         });
     }
+}
+
+impl Family<kind::Gauge> {
+    /// A gauge family.
+    pub const fn gauge(name: &'static str, help: &'static str) -> Self {
+        Self::new(name, help)
+    }
 
     /// Sets the gauge series `labels` to `v`.
     pub fn set(&self, labels: Labels<'_>, v: f64) {
-        self.update(MetricKind::Gauge, labels, |g| *g = SeriesValue::Gauge(v));
+        self.update(labels, |g| *g = SeriesValue::Gauge(v));
     }
 
     /// Adds `delta` (which may be negative) to the gauge series `labels`,
     /// treating an absent series as 0.
     pub fn shift(&self, labels: Labels<'_>, delta: f64) {
-        self.update(MetricKind::Gauge, labels, |v| {
+        self.update(labels, |v| {
             if let SeriesValue::Gauge(g) = v {
                 *g += delta;
             }
         });
     }
+}
+
+impl Family<kind::Histogram> {
+    /// A latency histogram family (microsecond samples, exposed in seconds).
+    pub const fn histogram(name: &'static str, help: &'static str) -> Self {
+        Self::new(name, help)
+    }
 
     /// Records one duration into the histogram series `labels`.
     pub fn observe(&self, labels: Labels<'_>, d: Duration) {
         let us = d.as_micros().min(u64::MAX as u128) as u64;
-        self.update(MetricKind::Histogram, labels, |v| {
+        self.update(labels, |v| {
             if let SeriesValue::Histogram(h) = v {
                 h.record(us);
             }
@@ -194,36 +213,53 @@ impl Family {
     pub fn timer(&'static self) -> Timer {
         Timer(enabled().then(|| (self, Instant::now())))
     }
+}
+
+impl<K: kind::Kind> Family<K> {
+    const fn new(name: &'static str, help: &'static str) -> Self {
+        Self {
+            name,
+            help,
+            kind: PhantomData,
+        }
+    }
+
+    /// Registers the family with no series, so the exposition shows its
+    /// `# HELP`/`# TYPE` lines from the first scrape onward.
+    pub fn describe(&self) {
+        if enabled() {
+            self.entry(&mut registry().lock());
+        }
+    }
 
     /// This family's registry entry, created on first use; `None` when the
     /// name is registered with another kind.
     fn entry<'a>(&self, map: &'a mut BTreeMap<&'static str, Entry>) -> Option<&'a mut Entry> {
         let entry = map.entry(self.name).or_insert_with(|| Entry {
             help: self.help,
-            kind: self.kind,
+            kind: K::KIND,
             series: BTreeMap::new(),
         });
-        (entry.kind == self.kind).then_some(entry)
+        (entry.kind == K::KIND).then_some(entry)
     }
 
     /// Applies `f` to the series `labels` (zero until first written) when
-    /// the layer is on and the family is of the method's `kind`.
-    fn update(&self, kind: MetricKind, labels: Labels<'_>, f: impl FnOnce(&mut SeriesValue)) {
-        if !enabled() || self.kind != kind {
+    /// the layer is on.
+    fn update(&self, labels: Labels<'_>, f: impl FnOnce(&mut SeriesValue)) {
+        if !enabled() {
             return;
         }
         let mut map = registry().lock();
-        let Some(entry) = self.entry(&mut map) else {
-            return;
-        };
-        f(entry
-            .series
-            .entry(label_key(labels))
-            .or_insert_with(|| match kind {
-                MetricKind::Counter => SeriesValue::Counter(0),
-                MetricKind::Gauge => SeriesValue::Gauge(0.0),
-                MetricKind::Histogram => SeriesValue::Histogram(Box::default()),
-            }));
+        if let Some(entry) = self.entry(&mut map) {
+            f(entry
+                .series
+                .entry(label_key(labels))
+                .or_insert_with(|| match K::KIND {
+                    MetricKind::Counter => SeriesValue::Counter(0),
+                    MetricKind::Gauge => SeriesValue::Gauge(0.0),
+                    MetricKind::Histogram => SeriesValue::Histogram(Box::default()),
+                }));
+        }
     }
 }
 
@@ -231,7 +267,7 @@ impl Family {
 /// [`Family::timer`]. Dropping it unobserved records nothing.
 #[derive(Debug)]
 #[must_use = "a timer records nothing until .observe() is called"]
-pub struct Timer(Option<(&'static Family, Instant)>);
+pub struct Timer(Option<(&'static Family<kind::Histogram>, Instant)>);
 
 impl Timer {
     /// Records the time since the timer started into the series `labels`.
@@ -374,23 +410,28 @@ mod tests {
         let _guard = test_lock::hold();
         reset();
         enable();
-        static LATENCY: Family = Family::histogram("baton_h_seconds", "help");
+        static LATENCY: Family<kind::Histogram> = Family::histogram("baton_h_seconds", "help");
+        static TIMER: Family<kind::Histogram> = Family::histogram("baton_timer_seconds", "help");
         let gauge = Family::gauge("baton_g", "help");
         gauge.set(&[], 4.0);
         gauge.shift(&[], -1.5);
         Family::gauge("baton_g2", "help").shift(&[], 2.0); // absent starts at 0
         LATENCY.observe(&[], Duration::from_micros(100));
         LATENCY.observe(&[], Duration::from_micros(900));
-        LATENCY.timer().observe(&[]);
+        TIMER.timer().observe(&[]);
         let snap = registry().snapshot();
         let by_name = |n: &str| snap.iter().find(|f| f.name == n).unwrap();
         assert_eq!(by_name("baton_g").series[0].1, SeriesValue::Gauge(2.5));
         assert_eq!(by_name("baton_g2").series[0].1, SeriesValue::Gauge(2.0));
         match &by_name("baton_h_seconds").series[0].1 {
             SeriesValue::Histogram(h) => {
-                assert_eq!(h.count(), 3);
-                assert!(h.sum() >= 1000);
+                assert_eq!(h.count(), 2);
+                assert_eq!(h.sum(), 1000);
             }
+            other => panic!("expected histogram, got {other:?}"),
+        }
+        match &by_name("baton_timer_seconds").series[0].1 {
+            SeriesValue::Histogram(h) => assert_eq!(h.count(), 1),
             other => panic!("expected histogram, got {other:?}"),
         }
         reset();
@@ -401,9 +442,7 @@ mod tests {
         let _guard = test_lock::hold();
         reset();
         enable();
-        let counter = Family::counter("baton_kind", "help");
-        counter.add(&[], 1);
-        counter.set(&[], 5.0); // the wrong method for the family's kind
+        Family::counter("baton_kind", "help").add(&[], 1);
         Family::gauge("baton_kind", "help").set(&[], 9.0); // the name's kind differs
         let snap = registry().snapshot();
         assert_eq!(snap.len(), 1);

@@ -93,7 +93,8 @@ pub fn event(kind: &str) -> EventBuilder {
     if !crate::sink_attached() {
         return EventBuilder::default();
     }
-    let mut buf = ObjectWriter::new();
+    // Room for a typical event line, so its fields rarely reallocate.
+    let mut buf = ObjectWriter::with_capacity(96);
     buf.str("event", kind);
     EventBuilder { buf: Some(buf) }
 }

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use crate::alloc::AllocScope;
 use crate::histogram::Histogram;
-use crate::metrics::Family;
+use crate::metrics::{kind, Family};
 use crate::sink::{event, EventBuilder};
 
 /// Per-phase allocation tallies, summed over every span of the phase.
@@ -137,7 +137,10 @@ pub struct SpanGuard {
     /// The site's named event, written on drop (inert unless a sink is).
     event: EventBuilder,
     /// The labelled latency histogram observed on drop.
-    metric: Option<(&'static Family, (&'static str, &'static str))>,
+    metric: Option<(
+        &'static Family<kind::Histogram>,
+        (&'static str, &'static str),
+    )>,
 }
 
 impl SpanGuard {
@@ -151,7 +154,11 @@ impl SpanGuard {
     /// one label pair `label` when it closes. A no-op unless labelled
     /// metrics were on when the span opened; it then starts the clock if
     /// no session or trace already had.
-    pub fn observe(mut self, family: &'static Family, label: (&'static str, &'static str)) -> Self {
+    pub fn observe(
+        mut self,
+        family: &'static Family<kind::Histogram>,
+        label: (&'static str, &'static str),
+    ) -> Self {
         if self.gate & crate::METRICS != 0 {
             self.start.get_or_insert_with(Instant::now);
             self.metric = Some((family, label));
@@ -266,7 +273,7 @@ mod tests {
         // No session and no metrics (tracing may be on, but this thread has
         // no trace installed): the guard reads no clock, touches no
         // registry and runs neither closure.
-        const FAMILY: Family = Family::histogram("baton_inert_seconds", "h");
+        const FAMILY: Family<kind::Histogram> = Family::histogram("baton_inert_seconds", "h");
         let mut g = span_labeled("inert", || unreachable!("label evaluated"))
             .observe(&FAMILY, ("flow", "x"));
         g.event("inert", |_| unreachable!("fields evaluated"));
@@ -281,7 +288,8 @@ mod tests {
         use crate::metrics::{self, SeriesValue};
         use crate::sink::MemorySink;
         let _guard = test_lock::hold();
-        const FAMILY: Family = Family::histogram("baton_span_seconds", "Span latency.");
+        const FAMILY: Family<kind::Histogram> =
+            Family::histogram("baton_span_seconds", "Span latency.");
         metrics::reset();
         metrics::enable();
         let (sink, lines) = MemorySink::new();
@@ -328,7 +336,8 @@ mod tests {
     fn metrics_alone_time_a_span_without_a_session() {
         use crate::metrics::{self, SeriesValue};
         let _guard = test_lock::hold();
-        const FAMILY: Family = Family::histogram("baton_lone_seconds", "Span latency.");
+        const FAMILY: Family<kind::Histogram> =
+            Family::histogram("baton_lone_seconds", "Span latency.");
         metrics::reset();
         metrics::enable();
         {

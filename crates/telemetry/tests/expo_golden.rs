@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use baton_telemetry::expo;
-use baton_telemetry::metrics::{self, Family};
+use baton_telemetry::metrics::{self, kind, Family};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/exposition.txt");
 
@@ -24,16 +24,19 @@ fn exposition_matches_the_golden_file() {
 
     // A counter family with two series, one carrying every escapable
     // character in its label value: backslash, double quote, newline.
-    const REQUESTS: Family = Family::counter("baton_demo_requests_total", "Demo requests by path.");
+    const REQUESTS: Family<kind::Counter> =
+        Family::counter("baton_demo_requests_total", "Demo requests by path.");
     REQUESTS.add(&[("path", "/map")], 3);
     REQUESTS.add(&[("path", "esc \\ \" \n done")], 1);
     // A gauge, set then adjusted.
-    const WORKERS: Family = Family::gauge("baton_demo_workers", "Demo worker occupancy.");
+    const WORKERS: Family<kind::Gauge> =
+        Family::gauge("baton_demo_workers", "Demo worker occupancy.");
     WORKERS.set(&[], 4.0);
     WORKERS.shift(&[], -1.5);
     // A histogram spanning several ladder buckets, including one past the
     // last finite bound (only +Inf covers ~20 minutes).
-    const LATENCY: Family = Family::histogram("baton_demo_seconds", "Demo latency.");
+    const LATENCY: Family<kind::Histogram> =
+        Family::histogram("baton_demo_seconds", "Demo latency.");
     for us in [1u64, 2, 10, 200, 5_000, 2_000_000, 1_300_000_000] {
         LATENCY.observe(&[("objective", "energy")], Duration::from_micros(us));
     }
@@ -63,7 +66,7 @@ fn exposition_matches_the_golden_file() {
         "Entries currently held by the response cache.",
     )
     .set(&[], 2.0);
-    const QUEUE_DEPTH: Family = Family::gauge(
+    const QUEUE_DEPTH: Family<kind::Gauge> = Family::gauge(
         "baton_parallel_queue_depth",
         "Unclaimed items in a bounded parallel work queue, by queue name.",
     );
@@ -79,7 +82,7 @@ fn exposition_matches_the_golden_file() {
         "Pre-design sweep latency by flow.",
     )
     .observe(&[("flow", "full")], Duration::from_millis(750));
-    const SWEEP_UNIT: Family = Family::histogram(
+    const SWEEP_UNIT: Family<kind::Histogram> = Family::histogram(
         "baton_sweep_unit_duration_seconds",
         "Pre-design sweep per-geometry-unit latency by flow.",
     );
@@ -99,7 +102,7 @@ fn exposition_matches_the_golden_file() {
 
     // Server-side connection closes, labelled by cause — the closed set
     // `baton serve` emits (client-initiated closes are not counted).
-    const CLOSED: Family = Family::counter(
+    const CLOSED: Family<kind::Counter> = Family::counter(
         "baton_http_connections_closed_total",
         "Keep-alive connections closed by the server, by cause \
          (limit, deadline, framing, drain).",
