@@ -254,7 +254,7 @@ impl PairFloor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::HashMap;
 
@@ -272,7 +272,7 @@ mod tests {
 
     /// `arch` with its A-L1, A-L2 and W-L1 starved (320 B, 2 KiB, 2 KiB),
     /// so that capacity penalties fire on most candidates.
-    fn starved(mut arch: PackageConfig) -> PackageConfig {
+    pub(crate) fn starved(mut arch: PackageConfig) -> PackageConfig {
         arch.chiplet.core.a_l1_bytes = 320;
         arch.chiplet.a_l2_bytes = 2 * 1024;
         arch.chiplet.core.w_l1_bytes = 2 * 1024;

@@ -30,9 +30,9 @@ use std::thread::LocalKey;
 use baton_arch::PackageConfig;
 use baton_mapping::enumerate::Slot;
 use baton_mapping::{
-    mapping_geometry_with, ChannelKey, ChannelTerms, Decomposition, Dim, Footprints, Loop,
-    LoopLevel, Mapping, MappingError, MappingGeometry, NestLevel, NestScratch, PlaneAxis, PlaneKey,
-    PlaneTerms, TermMemo, Volumes,
+    check_geometry, mapping_geometry_with, ChannelKey, ChannelTerms, CheckedGeometry,
+    Decomposition, Dim, Footprints, Loop, LoopLevel, Mapping, MappingError, MappingGeometry,
+    NestLevel, NestScratch, PlaneAxis, PlaneKey, PlaneTerms, TermMemo, Volumes,
 };
 use baton_model::ConvSpec;
 use baton_telemetry::{count, Counter};
@@ -428,6 +428,21 @@ impl TermMemo for AxisTerms {
     }
 }
 
+/// What a [`GeomMemo`] knows of one geometry id, in 8 bytes: the
+/// geometries and errors themselves sit in dense side tables, so marking a
+/// geometry touches one small slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Entry {
+    /// Passed its checks, products never computed: its ladder's prefix
+    /// floor already exceeded the search's `k`-th score, and each of its
+    /// pairs' floor lanes holds that floor.
+    Bounded,
+    /// Failed a check: the index of its error in `rejects`.
+    Rejected(u32),
+    /// Passed its checks: the index of its geometry in `geoms`.
+    Resolved(u32),
+}
+
 /// Geometry memo indexed by the enumerator's dense `geom_id`: one entry
 /// serves all order/rotation siblings of a distinct geometry, and two dense
 /// lanes beside the entries keep the search's branch-and-bound floors per
@@ -438,9 +453,17 @@ impl TermMemo for AxisTerms {
 /// share far fewer distinct H, W and CO tilings. All of it is valid for one
 /// `(layer, arch)` only; [`Self::reset`] clears it. The tables grow on
 /// demand, because a streaming caller does not know the id count up front.
+///
+/// The search fills it a channel ladder at a time ([`Self::check`], then
+/// [`Self::resolve_checked`] or [`Self::bound`] per rung); the sweep and
+/// the tests a geometry at a time ([`Self::resolve`]).
 #[derive(Debug, Default)]
 pub(crate) struct GeomMemo {
-    entries: Vec<Option<Result<MappingGeometry, MappingError>>>,
+    entries: Vec<Option<Entry>>,
+    /// Resolved geometries, in resolve order.
+    geoms: Vec<MappingGeometry>,
+    /// Rejected geometries' errors, in check order.
+    rejects: Vec<MappingError>,
     /// Penalty-free floors by pair id: two per geometry id.
     floors: Vec<f64>,
     /// Order-free penalty floors by pair id, beside `floors`.
@@ -455,6 +478,8 @@ impl GeomMemo {
     pub(crate) fn reset(&mut self, ids: usize) {
         self.entries.clear();
         self.entries.reserve(ids);
+        self.geoms.clear();
+        self.rejects.clear();
         self.floors.clear();
         self.penalty_floors.clear();
         self.terms.rows.clear();
@@ -462,8 +487,34 @@ impl GeomMemo {
         self.terms.channels.clear();
     }
 
+    /// Records `geom_id`'s entry, growing the table to hold it.
+    #[inline]
+    fn set(&mut self, geom_id: u32, entry: Entry) {
+        let idx = geom_id as usize;
+        if idx >= self.entries.len() {
+            self.entries.resize(idx + 1, None);
+        }
+        self.entries[idx] = Some(entry);
+    }
+
+    /// Records the outcome of `geom_id`'s checks and products.
+    #[inline]
+    fn record(&mut self, geom_id: u32, outcome: Result<MappingGeometry, MappingError>) {
+        let entry = match outcome {
+            Ok(geom) => {
+                self.geoms.push(geom);
+                Entry::Resolved(self.geoms.len() as u32 - 1)
+            }
+            Err(e) => {
+                self.rejects.push(e);
+                Entry::Rejected(self.rejects.len() as u32 - 1)
+            }
+        };
+        self.set(geom_id, entry);
+    }
+
     /// `geom_id`'s entry, decomposing `mapping()` (any candidate of that
-    /// geometry) on a miss. Counts nothing.
+    /// geometry) unless it is resolved or rejected already. Counts nothing.
     #[inline]
     pub(crate) fn resolve(
         &mut self,
@@ -472,15 +523,70 @@ impl GeomMemo {
         geom_id: u32,
         mapping: impl FnOnce() -> Mapping,
     ) -> Result<&MappingGeometry, MappingError> {
-        let idx = geom_id as usize;
-        if idx >= self.entries.len() {
-            self.entries.resize(idx + 1, None);
+        let entry = self.entries.get(geom_id as usize).copied().flatten();
+        let entry = match entry {
+            Some(e @ (Entry::Resolved(_) | Entry::Rejected(_))) => e,
+            _ => {
+                let outcome = mapping_geometry_with(layer, arch, &mapping(), &mut self.terms);
+                self.record(geom_id, outcome);
+                self.entries[geom_id as usize].expect("just recorded")
+            }
+        };
+        match entry {
+            Entry::Resolved(i) => Ok(&self.geoms[i as usize]),
+            Entry::Rejected(i) => Err(self.rejects[i as usize]),
+            Entry::Bounded => unreachable!("a resolve replaces a bound"),
         }
-        let terms = &mut self.terms;
-        self.entries[idx]
-            .get_or_insert_with(|| mapping_geometry_with(layer, arch, &mapping(), terms))
-            .as_ref()
-            .map_err(|e| *e)
+    }
+
+    /// Whether `geom_id` has an entry: for the first rung of a ladder,
+    /// whether the search walked that ladder already.
+    #[inline]
+    pub(crate) fn seen(&self, geom_id: u32) -> bool {
+        matches!(self.entries.get(geom_id as usize), Some(Some(_)))
+    }
+
+    /// Runs `mapping`'s checks as `geom_id`'s, recording a failure as its
+    /// entry. Counts nothing.
+    #[inline]
+    pub(crate) fn check(
+        &mut self,
+        layer: &ConvSpec,
+        arch: &PackageConfig,
+        geom_id: u32,
+        mapping: &Mapping,
+    ) -> Option<CheckedGeometry> {
+        check_geometry(layer, arch, mapping)
+            .map_err(|e| self.record(geom_id, Err(e)))
+            .ok()
+    }
+
+    /// Records checked `geom_id` as bounded: its products are not needed.
+    #[inline]
+    pub(crate) fn bound(&mut self, geom_id: u32) {
+        self.set(geom_id, Entry::Bounded);
+    }
+
+    /// Computes and records the products of checked `geom_id`, whose
+    /// `mapping` passed the checks as `checked`.
+    #[inline]
+    pub(crate) fn resolve_checked(
+        &mut self,
+        layer: &ConvSpec,
+        arch: &PackageConfig,
+        geom_id: u32,
+        mapping: &Mapping,
+        checked: CheckedGeometry,
+    ) {
+        let geom = checked.resolve(layer, arch, mapping, &mut self.terms);
+        self.record(geom_id, Ok(geom));
+    }
+
+    /// The per-axis term caches, for the ladder bounds of the search's
+    /// walk.
+    #[inline]
+    pub(crate) fn terms(&mut self) -> &mut impl TermMemo {
+        &mut self.terms
     }
 
     /// Memo lookup with per-candidate counter replay: bumps
@@ -504,21 +610,26 @@ impl GeomMemo {
         res
     }
 
+    /// Writes `floor` into `pair`'s penalty-free floor lane.
+    #[inline]
+    pub(crate) fn set_floor(&mut self, pair: usize, floor: f64) {
+        let (ids, room) = (self.entries.len(), self.entries.capacity());
+        *Self::lane_slot(&mut self.floors, pair, ids, room) = floor;
+    }
+
     /// The floor of `slot`'s `(geometry, rotation)` pair: `floor` computes
-    /// it on first use, and later siblings read it back. `None` if the
-    /// geometry was rejected or not resolved yet.
+    /// it on first use, and later siblings read it back. `None` unless the
+    /// geometry is resolved.
     #[inline]
     pub(crate) fn floor(
         &mut self,
         slot: Slot,
         floor: impl FnOnce(&MappingGeometry) -> f64,
     ) -> Option<f64> {
-        let geom = self
-            .entries
-            .get(slot.geom as usize)?
-            .as_ref()?
-            .as_ref()
-            .ok()?;
+        let Some(Some(Entry::Resolved(i))) = self.entries.get(slot.geom as usize) else {
+            return None;
+        };
+        let geom = &self.geoms[*i as usize];
         let (ids, room) = (self.entries.len(), self.entries.capacity());
         let lane = Self::lane_slot(&mut self.floors, slot.pair(), ids, room);
         if lane.is_nan() {
@@ -542,7 +653,8 @@ impl GeomMemo {
     }
 
     /// The floor of `pair` as the lane holds it: NaN unless [`Self::floor`]
-    /// computed it, so always NaN for a rejected geometry.
+    /// or [`Self::set_floor`] wrote it, so always NaN for a rejected
+    /// geometry.
     #[inline]
     pub(crate) fn lane(&self, pair: usize) -> f64 {
         self.floors.get(pair).copied().unwrap_or(f64::NAN)
@@ -550,23 +662,28 @@ impl GeomMemo {
 
     /// The geometry resolved for `geom_id`, for one candidate of it: a
     /// rejected geometry bumps its reject counter, as that candidate's
-    /// decompose would, and gives `None`, as does one not resolved yet.
+    /// decompose would, and gives `None`, as does one not resolved yet. A
+    /// bounded geometry gives `None` too, but a search never asks for one:
+    /// its floor lanes prune each of its candidates first.
     #[inline]
     pub(crate) fn replayed(&self, geom_id: u32) -> Option<&MappingGeometry> {
-        Self::replay(&self.entries, geom_id)
+        Self::replay(&self.entries, &self.geoms, &self.rejects, geom_id)
     }
 
     #[inline]
-    fn replay(
-        entries: &[Option<Result<MappingGeometry, MappingError>>],
+    fn replay<'m>(
+        entries: &[Option<Entry>],
+        geoms: &'m [MappingGeometry],
+        rejects: &[MappingError],
         geom_id: u32,
-    ) -> Option<&MappingGeometry> {
-        match entries.get(geom_id as usize)?.as_ref()? {
-            Ok(geom) => Some(geom),
-            Err(e) => {
-                count(e.counter());
+    ) -> Option<&'m MappingGeometry> {
+        match (*entries.get(geom_id as usize)?)? {
+            Entry::Resolved(i) => Some(&geoms[i as usize]),
+            Entry::Rejected(i) => {
+                count(rejects[i as usize].counter());
                 None
             }
+            Entry::Bounded => None,
         }
     }
 
@@ -579,7 +696,7 @@ impl GeomMemo {
         slot: Slot,
         floor: impl FnOnce(&MappingGeometry) -> f64,
     ) -> Option<(&MappingGeometry, f64)> {
-        let geom = Self::replay(&self.entries, slot.geom)?;
+        let geom = Self::replay(&self.entries, &self.geoms, &self.rejects, slot.geom)?;
         let (ids, room) = (self.entries.len(), self.entries.capacity());
         let lane = Self::lane_slot(&mut self.penalty_floors, slot.pair(), ids, room);
         if lane.is_nan() {

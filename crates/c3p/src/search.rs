@@ -142,7 +142,13 @@ fn rank(
         });
         (stats.emitted, chunks)
     });
-    let (feasible, pruned) = chunks.iter().fold((0, 0), |(f, p), c| (f + c.0, p + c.1));
+    let batch::Tally {
+        feasible,
+        pruned,
+        resolved,
+    } = chunks
+        .into_iter()
+        .fold(batch::Tally::default(), |t, c| t + c);
     let top = ranking.into_top();
     let best_score = top.entries().first().map(|e| e.0);
 
@@ -157,7 +163,8 @@ fn rank(
             .str("layer", layer.name())
             .u64("candidates", candidates as u64)
             .u64("feasible", feasible)
-            .u64("pruned", pruned);
+            .u64("pruned", pruned)
+            .u64("resolved", resolved);
         match best_score {
             Some(score) => ev.f64("best_score", score),
             None => ev,

@@ -651,6 +651,62 @@ impl ChannelTerms {
     }
 }
 
+/// The least channel-axis factors over a channel ladder: the chiplet-tile
+/// depths one `(package, chiplet)` partition pair tries on one tile plane.
+/// Each field of the [`ChannelTerms`], and the stream count, is its own
+/// minimum over the depths, so it is at most that factor at every depth.
+/// [`CheckedGeometry::ladder_bound`] prices a plane with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChannelFloor {
+    streams: u32,
+    terms: ChannelTerms,
+}
+
+impl ChannelFloor {
+    /// The floor of `mapping`'s package and chiplet partitions over the
+    /// chiplet-tile `depths`, each depth's terms drawn through `memo` under
+    /// the key its geometry would use.
+    ///
+    /// # Panics
+    ///
+    /// If `depths` is empty: a ladder has at least one rung.
+    pub fn of(
+        layer: &ConvSpec,
+        arch: &PackageConfig,
+        mapping: &Mapping,
+        depths: impl IntoIterator<Item = u32>,
+        memo: &mut impl TermMemo,
+    ) -> Self {
+        let (co, n_p, lanes) = (layer.co(), arch.chiplets, arch.chiplet.core.lanes);
+        let package_planar = matches!(mapping.package, PackagePartition::Planar(_));
+        let ways = mapping.chiplet.weight_streams(arch.chiplet.cores);
+        let rung = |depth: u32| {
+            // As `check_geometry` clamps the streams to the tile depth.
+            let streams = ways.min(depth.max(1));
+            let key = ChannelKey {
+                package_planar,
+                streams,
+                tile: depth,
+            };
+            let terms = memo.channel(key, || ChannelTerms::of(co, n_p, lanes, key));
+            Self { streams, terms }
+        };
+        depths
+            .into_iter()
+            .map(rung)
+            .reduce(|a, b| Self {
+                streams: a.streams.min(b.streams),
+                terms: ChannelTerms {
+                    steps_total: a.terms.steps_total.min(b.terms.steps_total),
+                    cycles: a.terms.cycles.min(b.terms.cycles),
+                    chiplet_steps: a.terms.chiplet_steps.min(b.terms.chiplet_steps),
+                    core_steps: a.terms.core_steps.min(b.terms.core_steps),
+                },
+            })
+            .expect("a ladder has at least one rung")
+    }
+}
+
 /// Which plane axis a [`PlaneKey`] belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlaneAxis {
@@ -720,10 +776,11 @@ pub fn mapping_geometry(
 }
 
 /// [`mapping_geometry`] with the per-axis tiling terms drawn through
-/// `memo`: the structural and buffer-feasibility checks run every time,
-/// then the H, W and CO terms ([`PlaneTerms`], [`ChannelTerms`]) come from
-/// `memo`, and the geometry is their products. The result is the same for
-/// any `memo` that keeps the [`TermMemo`] contract.
+/// `memo`: the structural and buffer-feasibility checks
+/// ([`check_geometry`]) run every time, then the H, W and CO terms
+/// ([`PlaneTerms`], [`ChannelTerms`]) come from `memo`, and the geometry is
+/// their products ([`CheckedGeometry::resolve`]). The result is the same
+/// for any `memo` that keeps the [`TermMemo`] contract.
 ///
 /// # Errors
 ///
@@ -734,15 +791,39 @@ pub fn mapping_geometry_with(
     mapping: &Mapping,
     memo: &mut impl TermMemo,
 ) -> Result<MappingGeometry, MappingError> {
+    Ok(check_geometry(layer, arch, mapping)?.resolve(layer, arch, mapping, memo))
+}
+
+/// A mapping that passed [`check_geometry`], with what the checks derived
+/// on the way. Its geometry's products are [`Self::resolve`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckedGeometry {
+    /// Weight streams per chiplet (clamped to the tile depth).
+    streams: u32,
+    /// Cores sharing one weight stream.
+    plane_ways: u32,
+    /// Effective W-L1 capacity per stream in bits (pool share).
+    effective_w_l1_bits: u64,
+}
+
+/// The structural and buffer-feasibility checks of
+/// [`mapping_geometry_with`], alone and in its order: the package and
+/// chiplet partitions against the machine and the tile, then the O-L1,
+/// O-L2, A-L1 and W-L1 floors. They compute no tiling term.
+///
+/// # Errors
+///
+/// As [`mapping_geometry`]: the first check the mapping fails.
+pub fn check_geometry(
+    layer: &ConvSpec,
+    arch: &PackageConfig,
+    mapping: &Mapping,
+) -> Result<CheckedGeometry, MappingError> {
     let n_p = arch.chiplets;
     let n_c = arch.chiplet.cores;
     let lanes = arch.chiplet.core.lanes;
     let vector = arch.chiplet.core.vector;
-    let (ho, wo, co) = (layer.ho(), layer.wo(), layer.co());
-    let ci_g = layer.ci_per_group();
-    let (kh, kw) = (layer.kh(), layer.kw());
-    let (sh, sw) = (layer.stride_h(), layer.stride_w());
-    let depthwise = layer.groups() > 1;
+    let (ho, wo) = (layer.ho(), layer.wo());
 
     // --- Structural validation -------------------------------------------
     match &mapping.package {
@@ -836,136 +917,204 @@ pub fn mapping_geometry_with(
             available: effective_w_l1_bits / 8,
         });
     }
-
-    let package_planar = matches!(mapping.package, PackagePartition::Planar(_));
-
-    // --- Per-axis tiling terms ------------------------------------------------
-    let (package_rows, package_cols) = match &mapping.package {
-        PackagePartition::Channel => (0, 0),
-        PackagePartition::Planar(g) => (g.rows(), g.cols()),
-    };
-    let (grid_rows, grid_cols) = match &mapping.chiplet {
-        ChipletPartition::Channel => (1, 1),
-        ChipletPartition::Planar(g) => (g.rows(), g.cols()),
-        ChipletPartition::Hybrid { grid, .. } => (grid.rows(), grid.cols()),
-    };
-    let key_h = PlaneKey {
-        package_parts: package_rows,
-        grid: grid_rows,
-        tile: tile.ho,
-        core: ho_c,
-    };
-    let key_w = PlaneKey {
-        package_parts: package_cols,
-        grid: grid_cols,
-        tile: tile.wo,
-        core: wo_c,
-    };
-    let key_co = ChannelKey {
-        package_planar,
-        streams,
-        tile: tile.co,
-    };
-    let h = memo.plane(PlaneAxis::Rows, key_h, || PlaneTerms::of(ho, sh, kh, key_h));
-    let w = memo.plane(PlaneAxis::Cols, key_w, || PlaneTerms::of(wo, sw, kw, key_w));
-    let c = memo.channel(key_co, || ChannelTerms::of(co, n_p, lanes, key_co));
-    let ci_chunks = u64::from(ceil_div(ci_g, vector));
-
-    // --- Input volumes ------------------------------------------------------
-    let act = ACT_BITS;
-    // Window sums over chiplet tiles, per plane pass (no CO revisits).
-    let tile_winsum = h.tile_winsum * w.tile_winsum;
-    // Input channels consumed by one chiplet for one plane tile pass.
-    let ci_consumed_per_chiplet: u64 = if depthwise {
-        // Each chiplet touches only the input channels of its CO part.
-        match &mapping.package {
-            PackagePartition::Channel => u64::from(co) / u64::from(n_p).max(1),
-            PackagePartition::Planar(_) => u64::from(layer.ci()),
-        }
-    } else {
-        u64::from(layer.ci())
-    };
-    // Chiplet-count factor for C-type (all chiplets share one plane tiling).
-    let chiplet_plane_factor: u64 = match &mapping.package {
-        PackagePartition::Channel => u64::from(n_p),
-        PackagePartition::Planar(_) => 1, // parts already enumerate chiplets
-    };
-    let consumed_input = tile_winsum * ci_consumed_per_chiplet * act * chiplet_plane_factor;
-
-    // A-L2 -> bus reads: once per core-tile plane position per chiplet tile
-    // pass, multicast across channel groups.
-    let core_winsum = h.core_winsum * w.core_winsum;
-    let a_l2_read_base = core_winsum * ci_consumed_per_chiplet * act * chiplet_plane_factor;
-
-    // PE-side A-L1 reads: one P-vector per (pixel, kh, kw, ci-chunk) per
-    // channel step, broadcast to all lanes. The CO steps aggregate over all
-    // chiplet CO parts, and the plane-axis sums aggregate over all plane
-    // parts, so no chiplet factor appears here.
-    let pixels: u64 = h.part_sum * w.part_sum;
-    let kernel_pts = u64::from(kh) * u64::from(kw);
-    let a_l1_read = pixels * c.steps_total * kernel_pts * ci_chunks * u64::from(vector) * act;
-
-    // --- Weight volumes -----------------------------------------------------
-    // (The DRAM/D2D split is rotation-dependent and lives in
-    // [`MappingGeometry::volumes_for`].)
-    let wbits = layer.weight_elems() * WGT_BITS;
-
-    // W-L1 -> PE reads: one L x P block per (core-tile plane position,
-    // channel step, kh, kw, ci chunk), broadcast across a stream's cores.
-    // As with `a_l1_read`, plane-axis counts and the CO steps aggregate
-    // over parts in complementary directions, so their product is the
-    // package-wide total.
-    let core_plane_positions = h.core_tiles * w.core_tiles;
-    let w_l1_read = core_plane_positions
-        * c.steps_total
-        * kernel_pts
-        * ci_chunks
-        * u64::from(vector)
-        * u64::from(lanes)
-        * WGT_BITS;
-
-    // --- Output volumes -----------------------------------------------------
-    let out_bits = layer.output_elems() * act;
-    let o_l1_rmw = layer.output_elems() * kernel_pts * ci_chunks * PSUM_BITS;
-
-    // --- Compute time -------------------------------------------------------
-    // Critical path: the worst chiplet part, each tile paced by its slowest
-    // core (largest balanced sub-extent, ceil-divided lane steps).
-    let mac_ops = layer.macs();
-    let compute_cycles = (h.cycles * w.cycles * c.cycles * kernel_pts * ci_chunks).max(1);
-    let total_units = u64::from(n_p) * u64::from(n_c) * u64::from(lanes) * u64::from(vector);
-    let utilization = mac_ops as f64 / (compute_cycles as f64 * total_units as f64);
-
-    Ok(MappingGeometry {
-        consumed_input,
-        a_l2_read_base,
-        a_l1_read,
-        wbits,
-        w_l1_read,
-        out_bits,
-        o_l1_rmw,
-        mac_ops,
+    Ok(CheckedGeometry {
         streams,
         plane_ways,
-        n_p,
-        n_c,
-        lanes,
-        vector,
         effective_w_l1_bits,
-        compute_cycles,
-        utilization,
-        package_planar,
-        depthwise,
-        t_co: c.chiplet_steps,
-        t_h: h.chiplet_steps,
-        t_w: w.chiplet_steps,
-        c_co: c.core_steps,
-        c_h: h.core_steps,
-        c_w: w.core_steps,
-        grid_rows,
-        grid_cols,
-        ci_needed: ci_consumed_per_chiplet,
     })
+}
+
+impl CheckedGeometry {
+    /// The geometry of the checked `mapping`: its CO terms under its own
+    /// tile depth and stream count, and its H and W terms, all drawn
+    /// through `memo`, then their products.
+    pub fn resolve(
+        &self,
+        layer: &ConvSpec,
+        arch: &PackageConfig,
+        mapping: &Mapping,
+        memo: &mut impl TermMemo,
+    ) -> MappingGeometry {
+        let key = ChannelKey {
+            package_planar: matches!(mapping.package, PackagePartition::Planar(_)),
+            streams: self.streams,
+            tile: mapping.chiplet_tile.co,
+        };
+        let (co, n_p, lanes) = (layer.co(), arch.chiplets, arch.chiplet.core.lanes);
+        let c = memo.channel(key, || ChannelTerms::of(co, n_p, lanes, key));
+        self.products(layer, arch, mapping, self.streams, c, memo)
+    }
+
+    /// A lower bound on the geometry of every rung of a channel ladder:
+    /// the checked `mapping`'s H and W terms, with each channel-dependent
+    /// factor (the stream count, the total and critical-path lane steps)
+    /// at its least over the ladder ([`ChannelFloor`]). Every volume and
+    /// the compute cycles are products of non-negative factors, so each is
+    /// at most the same field of any rung's [`Self::resolve`]; the other
+    /// fields are not meaningful. `mapping` is any checked rung of the
+    /// ladder: the rungs differ only in tile depth.
+    pub fn ladder_bound(
+        &self,
+        layer: &ConvSpec,
+        arch: &PackageConfig,
+        mapping: &Mapping,
+        ladder: &ChannelFloor,
+        memo: &mut impl TermMemo,
+    ) -> MappingGeometry {
+        self.products(layer, arch, mapping, ladder.streams, ladder.terms, memo)
+    }
+
+    /// The geometry's products of the H and W terms (through `memo`) and
+    /// the given CO terms `c` under `streams` weight streams.
+    fn products(
+        &self,
+        layer: &ConvSpec,
+        arch: &PackageConfig,
+        mapping: &Mapping,
+        streams: u32,
+        c: ChannelTerms,
+        memo: &mut impl TermMemo,
+    ) -> MappingGeometry {
+        let Self {
+            plane_ways,
+            effective_w_l1_bits,
+            ..
+        } = *self;
+        let n_p = arch.chiplets;
+        let n_c = arch.chiplet.cores;
+        let lanes = arch.chiplet.core.lanes;
+        let vector = arch.chiplet.core.vector;
+        let (ho, wo, co) = (layer.ho(), layer.wo(), layer.co());
+        let ci_g = layer.ci_per_group();
+        let (kh, kw) = (layer.kh(), layer.kw());
+        let (sh, sw) = (layer.stride_h(), layer.stride_w());
+        let depthwise = layer.groups() > 1;
+        let tile = mapping.chiplet_tile;
+        let (ho_c, wo_c) = mapping.core_plane;
+        let package_planar = matches!(mapping.package, PackagePartition::Planar(_));
+
+        // --- Per-axis tiling terms --------------------------------------------
+        let (package_rows, package_cols) = match &mapping.package {
+            PackagePartition::Channel => (0, 0),
+            PackagePartition::Planar(g) => (g.rows(), g.cols()),
+        };
+        let (grid_rows, grid_cols) = match &mapping.chiplet {
+            ChipletPartition::Channel => (1, 1),
+            ChipletPartition::Planar(g) => (g.rows(), g.cols()),
+            ChipletPartition::Hybrid { grid, .. } => (grid.rows(), grid.cols()),
+        };
+        let key_h = PlaneKey {
+            package_parts: package_rows,
+            grid: grid_rows,
+            tile: tile.ho,
+            core: ho_c,
+        };
+        let key_w = PlaneKey {
+            package_parts: package_cols,
+            grid: grid_cols,
+            tile: tile.wo,
+            core: wo_c,
+        };
+        let h = memo.plane(PlaneAxis::Rows, key_h, || PlaneTerms::of(ho, sh, kh, key_h));
+        let w = memo.plane(PlaneAxis::Cols, key_w, || PlaneTerms::of(wo, sw, kw, key_w));
+        let ci_chunks = u64::from(ceil_div(ci_g, vector));
+
+        // --- Input volumes ------------------------------------------------------
+        let act = ACT_BITS;
+        // Window sums over chiplet tiles, per plane pass (no CO revisits).
+        let tile_winsum = h.tile_winsum * w.tile_winsum;
+        // Input channels consumed by one chiplet for one plane tile pass.
+        let ci_consumed_per_chiplet: u64 = if depthwise {
+            // Each chiplet touches only the input channels of its CO part.
+            match &mapping.package {
+                PackagePartition::Channel => u64::from(co) / u64::from(n_p).max(1),
+                PackagePartition::Planar(_) => u64::from(layer.ci()),
+            }
+        } else {
+            u64::from(layer.ci())
+        };
+        // Chiplet-count factor for C-type (all chiplets share one plane tiling).
+        let chiplet_plane_factor: u64 = match &mapping.package {
+            PackagePartition::Channel => u64::from(n_p),
+            PackagePartition::Planar(_) => 1, // parts already enumerate chiplets
+        };
+        let consumed_input = tile_winsum * ci_consumed_per_chiplet * act * chiplet_plane_factor;
+
+        // A-L2 -> bus reads: once per core-tile plane position per chiplet tile
+        // pass, multicast across channel groups.
+        let core_winsum = h.core_winsum * w.core_winsum;
+        let a_l2_read_base = core_winsum * ci_consumed_per_chiplet * act * chiplet_plane_factor;
+
+        // PE-side A-L1 reads: one P-vector per (pixel, kh, kw, ci-chunk) per
+        // channel step, broadcast to all lanes. The CO steps aggregate over all
+        // chiplet CO parts, and the plane-axis sums aggregate over all plane
+        // parts, so no chiplet factor appears here.
+        let pixels: u64 = h.part_sum * w.part_sum;
+        let kernel_pts = u64::from(kh) * u64::from(kw);
+        let a_l1_read = pixels * c.steps_total * kernel_pts * ci_chunks * u64::from(vector) * act;
+
+        // --- Weight volumes -----------------------------------------------------
+        // (The DRAM/D2D split is rotation-dependent and lives in
+        // [`MappingGeometry::volumes_for`].)
+        let wbits = layer.weight_elems() * WGT_BITS;
+
+        // W-L1 -> PE reads: one L x P block per (core-tile plane position,
+        // channel step, kh, kw, ci chunk), broadcast across a stream's cores.
+        // As with `a_l1_read`, plane-axis counts and the CO steps aggregate
+        // over parts in complementary directions, so their product is the
+        // package-wide total.
+        let core_plane_positions = h.core_tiles * w.core_tiles;
+        let w_l1_read = core_plane_positions
+            * c.steps_total
+            * kernel_pts
+            * ci_chunks
+            * u64::from(vector)
+            * u64::from(lanes)
+            * WGT_BITS;
+
+        // --- Output volumes -----------------------------------------------------
+        let out_bits = layer.output_elems() * act;
+        let o_l1_rmw = layer.output_elems() * kernel_pts * ci_chunks * PSUM_BITS;
+
+        // --- Compute time -------------------------------------------------------
+        // Critical path: the worst chiplet part, each tile paced by its slowest
+        // core (largest balanced sub-extent, ceil-divided lane steps).
+        let mac_ops = layer.macs();
+        let compute_cycles = (h.cycles * w.cycles * c.cycles * kernel_pts * ci_chunks).max(1);
+        let total_units = u64::from(n_p) * u64::from(n_c) * u64::from(lanes) * u64::from(vector);
+        let utilization = mac_ops as f64 / (compute_cycles as f64 * total_units as f64);
+
+        MappingGeometry {
+            consumed_input,
+            a_l2_read_base,
+            a_l1_read,
+            wbits,
+            w_l1_read,
+            out_bits,
+            o_l1_rmw,
+            mac_ops,
+            streams,
+            plane_ways,
+            n_p,
+            n_c,
+            lanes,
+            vector,
+            effective_w_l1_bits,
+            compute_cycles,
+            utilization,
+            package_planar,
+            depthwise,
+            t_co: c.chiplet_steps,
+            t_h: h.chiplet_steps,
+            t_w: w.chiplet_steps,
+            c_co: c.core_steps,
+            c_h: h.core_steps,
+            c_w: w.core_steps,
+            grid_rows,
+            grid_cols,
+            ci_needed: ci_consumed_per_chiplet,
+        }
+    }
 }
 
 /// Number of chiplet-tile steps along an axis (max over parts).

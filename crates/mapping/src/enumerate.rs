@@ -14,8 +14,11 @@
 //! rotation)` by arithmetic, so a search can key its work on the *geometry
 //! id* (a dense index over the distinct `(package, chiplet, tile)` triples,
 //! shared by the 4 temporal-order combos x rotation variants) and build a
-//! [`Mapping`] only for the candidates it prices. [`visit_candidates`],
-//! [`enumerate_into`] and [`candidates_with`] are expansions of the space.
+//! [`Mapping`] only for the candidates it prices. Within a group, the
+//! geometries of one tile plane form a [`Ladder`] of channel rungs with
+//! consecutive ids, which a search walks before it touches a candidate.
+//! [`visit_candidates`], [`enumerate_into`] and [`candidates_with`] are
+//! expansions of the space.
 
 use std::cell::Cell;
 use std::iter::StepBy;
@@ -111,6 +114,8 @@ struct Group {
     geom_base: u32,
     /// Distinct tiles (at least one).
     tiles: u32,
+    /// Channel rungs per tile plane: its tiles are `tiles / rungs` ladders.
+    rungs: u32,
     /// Canonical index of the group's first candidate.
     cand_base: usize,
     /// Rotations enumerated per tile (at least one).
@@ -217,6 +222,59 @@ impl Run {
     }
 }
 
+/// One tile plane's channel ladder in a [`CandidateSpace`]: the geometries
+/// of one `(package, chiplet)` group that share the chiplet tile's rows
+/// and columns, and so its core plane, one per channel rung in ascending
+/// tile depth. Their ids are consecutive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ladder {
+    first: u32,
+    rungs: u32,
+    group: u32,
+    rotations: &'static [RotationMode],
+}
+
+impl Ladder {
+    /// The rungs' geometry ids, shallowest first.
+    #[inline]
+    pub fn geoms(&self) -> Range<u32> {
+        self.first..self.first + self.rungs
+    }
+
+    /// The index of the ladder's `(package, chiplet)` group in its space:
+    /// ladders of one group share their channel rungs.
+    #[inline]
+    pub fn group(&self) -> u32 {
+        self.group
+    }
+
+    /// The rotations the group enumerates, in key order.
+    #[inline]
+    pub fn rotations(&self) -> &'static [RotationMode] {
+        self.rotations
+    }
+
+    /// Rung `geom`'s candidate in the group's first rotation and
+    /// temporal-order combo: its mapping carries the rung's geometry.
+    #[inline]
+    pub fn rung(&self, geom: u32) -> Slot {
+        self.slot(geom, self.rotations[0])
+    }
+
+    /// The candidate of rung `geom` under `rotation` in the group's first
+    /// temporal-order combo: its mapping differs from its siblings' only in
+    /// the loop orders.
+    #[inline]
+    pub fn slot(&self, geom: u32, rotation: RotationMode) -> Slot {
+        Slot {
+            geom,
+            rotation,
+            group: self.group,
+            combo: 0,
+        }
+    }
+}
+
 /// The canonical candidate set of one `(layer, arch, options)`, held as its
 /// structure rather than as mappings.
 ///
@@ -312,7 +370,8 @@ impl CandidateSpace {
                         }
                     }
                 }
-                self.push_group(package, chiplet, geom_base, rotations);
+                let rungs = self.chans.len() as u32;
+                self.push_group(package, chiplet, geom_base, rungs, rotations);
             }
         }
         if self.len == 0 {
@@ -327,7 +386,7 @@ impl CandidateSpace {
             self.geoms
                 .push((tile, core_plane_for(layer, arch, &chiplet, tile)));
             let rotations = rotation_set(ring, dram_only);
-            self.push_group(PackagePartition::Channel, chiplet, 0, rotations);
+            self.push_group(PackagePartition::Channel, chiplet, 0, 1, rotations);
         }
         count_n(Counter::CandidatesGenerated, self.len as u64);
         count_n(Counter::CandidatesDeduped, deduped);
@@ -339,12 +398,14 @@ impl CandidateSpace {
     }
 
     /// Appends the group whose tiles are the geometries from `geom_base`
-    /// on; a group without candidates is not kept (its geometry ids are).
+    /// on, `rungs` channel rungs per tile plane; a group without candidates
+    /// is not kept (its geometry ids are).
     fn push_group(
         &mut self,
         package: PackagePartition,
         chiplet: ChipletPartition,
         geom_base: u32,
+        rungs: u32,
         rotations: &'static [RotationMode],
     ) {
         let group = Group {
@@ -352,6 +413,7 @@ impl CandidateSpace {
             chiplet,
             geom_base,
             tiles: self.geoms.len() as u32 - geom_base,
+            rungs,
             cand_base: self.len,
             rotations,
         };
@@ -407,6 +469,43 @@ impl CandidateSpace {
                 let start = range.start.max(g.cand_base);
                 let end = range.end.min(g.end()).min(start + g.per_combo());
                 self.slots(start..end)
+            })
+    }
+
+    /// Each channel ladder the candidates of `range` use, once, in
+    /// geometry order: the ladders of the `(tile, rotation)` positions of
+    /// [`Self::touched`], found by arithmetic.
+    pub fn ladders(&self, range: Range<usize>) -> impl Iterator<Item = Ladder> + '_ {
+        let first = self.groups.partition_point(|g| g.end() <= range.start);
+        self.groups[first..]
+            .iter()
+            .zip(first..)
+            .take_while(move |(g, _)| g.cand_base < range.end)
+            .flat_map(move |(g, group)| {
+                let (per_combo, rots) = (g.per_combo(), g.rotations.len());
+                let start = range.start.max(g.cand_base);
+                let len = range.end.min(g.end()).min(start + per_combo) - start;
+                // The touched positions run from `at` for `len`, wrapping
+                // past the combo's end into the next combo's first ones.
+                let at = (start - g.cand_base) % per_combo;
+                let ladder = |pos: usize| pos / rots / g.rungs as usize;
+                let ladders = (g.tiles / g.rungs) as usize;
+                let (head, tail) = if at + len <= per_combo {
+                    (0..0, ladder(at)..ladder(at + len - 1) + 1)
+                } else {
+                    let head = 0..ladder(at + len - per_combo - 1) + 1;
+                    if head.end >= ladder(at) {
+                        (0..0, 0..ladders)
+                    } else {
+                        (head, ladder(at)..ladders)
+                    }
+                };
+                head.chain(tail).map(move |i| Ladder {
+                    first: g.geom_base + i as u32 * g.rungs,
+                    rungs: g.rungs,
+                    group: group as u32,
+                    rotations: g.rotations,
+                })
             })
     }
 

@@ -8,14 +8,16 @@
 //! equal the visitor's stream, and so do the enumeration totals and the
 //! three enumeration counters. Both are held to a build-then-dedup
 //! reference written from the canonical order's definition. Its own
-//! binary, with one test: the counters are process-global.
+//! binary, with one test: the counters are process-global. The space's
+//! channel ladders, which the search walks instead of its candidates, are
+//! held to the touched pairs and to the tile planes of the stream.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use baton_arch::{ChipletConfig, CoreConfig, PackageConfig};
 use baton_mapping::enumerate::{
     chiplet_options, core_plane_for, package_options, visit_candidates, CandidateSpace,
-    EnumOptions, Slot,
+    EnumOptions, Ladder, Slot,
 };
 use baton_mapping::{
     ChipletPartition, Mapping, PackagePartition, RotationMode, TemporalOrder, Tile,
@@ -295,6 +297,59 @@ fn check(layer: &ConvSpec, arch: &PackageConfig, opts: EnumOptions, chunk: usize
             first += run.pairs().len();
         }
         assert_eq!(first, range.end);
+        // `ladders` yields the ladder of each touched geometry, once, in
+        // geometry order, and no other.
+        let ladders: Vec<Ladder> = space.ladders(range.clone()).collect();
+        let touched: HashSet<u32> = got.iter().map(|s| s.geom).collect();
+        for w in ladders.windows(2) {
+            assert!(w[0].geoms().end <= w[1].geoms().start, "{range:?}");
+        }
+        let covered: HashSet<u32> = ladders.iter().flat_map(|l| l.geoms()).collect();
+        assert!(touched.is_subset(&covered), "{range:?}");
+        for l in &ladders {
+            assert!(l.geoms().any(|g| touched.contains(&g)), "{range:?}: {l:?}");
+        }
+    }
+
+    // The ladders of the whole space partition its geometries into tile
+    // planes: a ladder's rungs share every field but the tile depth, which
+    // ascends, and two ladders of one group differ in the plane.
+    let mut by_geom = HashMap::new();
+    for &(g, m) in &stream {
+        by_geom.entry(g).or_insert(m);
+    }
+    let ladders: Vec<Ladder> = space.ladders(0..stats.emitted).collect();
+    assert_eq!(
+        ladders.iter().map(|l| l.geoms().len()).sum::<usize>(),
+        ids.len()
+    );
+    let plane = |m: &Mapping| {
+        let t = m.chiplet_tile;
+        (m.package, m.chiplet, t.ho, t.wo, m.core_plane)
+    };
+    for l in &ladders {
+        let rungs: Vec<Mapping> = l.geoms().map(|g| by_geom[&g]).collect();
+        for (g, want) in l.geoms().zip(&rungs) {
+            assert_eq!(space.mapping(l.rung(g)).rotation, l.rotations()[0]);
+            for &r in l.rotations() {
+                let got = space.mapping(l.slot(g, r));
+                assert_eq!(
+                    (plane(&got), got.chiplet_tile.co),
+                    (plane(want), want.chiplet_tile.co)
+                );
+                assert_eq!(got.rotation, r);
+            }
+        }
+        for w in rungs.windows(2) {
+            assert_eq!(plane(&w[0]), plane(&w[1]), "{l:?}");
+            assert!(w[0].chiplet_tile.co < w[1].chiplet_tile.co, "{l:?}");
+        }
+    }
+    for w in ladders.windows(2) {
+        if w[0].group() == w[1].group() {
+            let (a, b) = (by_geom[&w[0].geoms().start], by_geom[&w[1].geoms().start]);
+            assert_ne!(plane(&a), plane(&b), "{:?}", w);
+        }
     }
 }
 

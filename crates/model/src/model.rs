@@ -92,11 +92,6 @@ impl Model {
         self.layers.iter().map(ConvSpec::macs).sum()
     }
 
-    /// Total weight volume in bits.
-    pub fn total_weight_bits(&self) -> u64 {
-        self.layers.iter().map(ConvSpec::weight_bits).sum()
-    }
-
     /// Peak single-layer weight volume in bits (drives W-L1 sizing in the
     /// Figure 15 discussion).
     pub fn peak_weight_bits(&self) -> u64 {

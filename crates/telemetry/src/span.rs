@@ -211,12 +211,11 @@ impl Drop for SpanGuard {
         if let Some(label) = &self.label {
             ev = ev.str("label", label);
         }
-        if delta.allocs > 0 || delta.frees > 0 {
-            ev = ev
-                .i64("net_allocs", delta.net_allocs())
-                .i64("net_bytes", delta.net_bytes());
-        }
-        ev.emit();
+        // Always written, 0 when the span neither allocated nor freed, so
+        // a phase's span lines keep one key set from run to run.
+        ev.i64("net_allocs", delta.net_allocs())
+            .i64("net_bytes", delta.net_bytes())
+            .emit();
     }
 }
 

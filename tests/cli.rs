@@ -256,6 +256,18 @@ fn trace_json_emits_parseable_phase_events() {
     }
     // Spans carry phases; at least the per-layer search phase must appear.
     assert!(content.contains("\"phase\":\"search_layer\""), "{content}");
+    // Each layer search says how many geometries it resolved: at least one
+    // (its winner's), at most one per candidate.
+    let searches = records_where(&trace, "event", "search_layer");
+    assert!(!searches.is_empty());
+    for ev in &searches {
+        let n = |k: &str| {
+            ev[k]
+                .as_f64()
+                .unwrap_or_else(|| panic!("no `{k}` in {ev:?}"))
+        };
+        assert!((1.0..=n("candidates")).contains(&n("resolved")), "{ev:?}");
+    }
 }
 
 /// Writes the 1-layer model used by the sweep-audit tests and returns its
@@ -403,6 +415,48 @@ fn sweep_trace_carries_one_sweep_unit_event_per_unit() {
     from_events.sort_unstable();
     from_audit.sort_unstable();
     assert_eq!(from_events, from_audit);
+}
+
+#[test]
+fn sweep_span_lines_keep_one_key_set() {
+    // Every span line carries its heap delta, 0 when the span allocated
+    // nothing, so no key comes and goes with the allocator's timing: all
+    // span lines share one key set, apart from the label a phase either
+    // always or never has.
+    let dir = std::env::temp_dir().join("baton-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = tiny_model_file("sweep-spans.baton");
+    let trace = dir.join("sweep-spans-trace.jsonl");
+    let (ok, _, stderr) = baton(&[
+        "sweep",
+        model.to_str().unwrap(),
+        "--macs",
+        "512",
+        "--threads",
+        "2",
+        "--trace-json",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    let spans = records_where(&trace, "event", "span");
+    assert!(spans.len() > 1, "{} span lines", spans.len());
+    let mut labelled = std::collections::BTreeMap::new();
+    for span in &spans {
+        let phase = span["phase"].as_str().unwrap().to_string();
+        let has_label = span.contains_key("label");
+        assert_eq!(
+            *labelled.entry(phase).or_insert(has_label),
+            has_label,
+            "{span:?}"
+        );
+        let mut keys = span.clone();
+        keys.remove("label");
+        assert_eq!(
+            key_set(&keys),
+            "dur_us event net_allocs net_bytes phase ts_us",
+            "{span:?}"
+        );
+    }
 }
 
 #[test]
